@@ -206,22 +206,6 @@ def identity_automorphism(n):
     return FreeAutomorphism(n, gens, gens, check=False)
 
 
-def compose(phi, psi):
-    return phi.compose(psi)
-
-
-def inverse(phi):
-    return phi.inverse()
-
-
-def equals(phi, psi):
-    return phi == psi
-
-
-def apply(phi, w):
-    return phi.apply(w)
-
-
 def group_commutator(phi, psi):
     """[phi, psi] = phi^-1 psi^-1 phi psi."""
     return phi.inverse().compose(psi.inverse()).compose(phi).compose(psi)
@@ -489,36 +473,6 @@ def parse_word(text, rank):
     return FreeWord(rank, letters)
 
 
-def _named_family_catalog(n, max_tail=4):
-    """Yield (automorphism, inverse) pairs over the named generator families."""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for side in ("L", "R"):
-                for exp in (1, -1):
-                    a = make_nielsen(side, i, j, exp, n)
-                    yield a
-            c = make_magnus_C(i, j, n)
-            yield c
-            yield c.inverse()
-            for k in range(1, n + 1):
-                if k in (i, j):
-                    continue
-                m = make_magnus_M(i, j, k, n)
-                yield m
-                yield m.inverse()
-    import itertools
-
-    for i in range(1, n + 1):
-        rest = [a for a in range(1, n + 1) if a != i]
-        for length in range(2, max_tail + 1):
-            for omega in itertools.product(rest, repeat=length):
-                t = make_T(i, omega, n)
-                yield t
-                yield t.inverse()
-
-
 def _parse_images(text):
     pieces = [p.strip() for p in text.strip().split(";") if p.strip()]
     if not pieces or not pieces[0].startswith("rank="):
@@ -531,6 +485,10 @@ def _parse_images(text):
         if not m or m.group(2):
             raise ValueError(f"bad left-hand side {lhs!r}")
         i = int(m.group(1))
+        if not 1 <= i <= rank:
+            raise ValueError(f"left-hand side x{i} out of range 1..{rank}")
+        if images[i - 1] is not None:
+            raise ValueError(f"x{i} is given more than one image")
         images[i - 1] = parse_word(rhs, rank)
     for i, img in enumerate(images):
         if img is None:
@@ -541,9 +499,11 @@ def _parse_images(text):
 def parse_automorphism(text, inverse_text=None):
     """Parse the `rank=n; x1 -> ...` format, reducing unreduced input.
 
-    When no inverse is supplied the parser searches the named generator
-    families (Nielsen, conjugation, commutator-multiplier families with
-    bounded tail) for a match; anything else needs an explicit inverse.
+    Without an inverse the images must move at most one generator, as
+    x_i -> u x_i v with u and v free of x_i; the inverse is then
+    x_i -> u^-1 x_i v^-1 (this covers the Nielsen, conjugation and
+    commutator-multiplier generators and every T).  Anything else needs an
+    explicit inverse.  Either way the constructor verifies the inverse.
     """
     rank, images = _parse_images(text)
     if inverse_text is not None:
@@ -551,11 +511,18 @@ def parse_automorphism(text, inverse_text=None):
         if inv_rank != rank:
             raise ValueError("inverse text has a different rank")
         return FreeAutomorphism(rank, images, inv_images)
-    if images == tuple(FreeWord.generator(rank, i) for i in range(1, rank + 1)):
-        return identity_automorphism(rank)
-    for candidate in _named_family_catalog(rank):
-        if candidate.images == images:
-            return candidate
-    raise ValueError(
-        "images do not match a named generator family; supply an inverse witness"
-    )
+    moved = [i for i, w in enumerate(images, 1) if w.letters != ((i, 1),)]
+    inverse_images = list(images)
+    if moved:
+        i = moved[0]
+        letters = images[i - 1].letters
+        at = [p for p, (a, _) in enumerate(letters) if a == i]
+        if len(moved) > 1 or len(at) != 1 or letters[at[0]][1] != 1:
+            raise ValueError(
+                "images are not a single move x_i -> u x_i v with u, v free of "
+                "x_i; supply an inverse witness"
+            )
+        u = FreeWord(rank, letters[: at[0]])
+        v = FreeWord(rank, letters[at[0] + 1 :])
+        inverse_images[i - 1] = u.inverse() * FreeWord.generator(rank, i) * v.inverse()
+    return FreeAutomorphism(rank, images, inverse_images)

@@ -130,7 +130,9 @@ def check_certificate(cert):
         return Verdict(False, "shape", None, "certificate has no elements")
     if len(cert.chi) != r:
         return Verdict(False, "shape", None, "chi length differs from element count")
-    by_index = {w.index: w for w in cert.witnesses}
+    if len({x.rank for x in cert.elements}) != 1:
+        return Verdict(False, "shape", None, "elements have different ranks")
+    by_index = {}
     for w in cert.witnesses:
         if not 2 <= w.index <= r or not 1 <= w.earlier < w.index:
             return Verdict(
@@ -146,6 +148,14 @@ def check_certificate(cert):
                 w.index,
                 "witness word uses an element at or after position i",
             )
+        if w.index in by_index:
+            return Verdict(
+                False,
+                "witness-indices",
+                w.index,
+                f"more than one witness for i={w.index}",
+            )
+        by_index[w.index] = w
     if cert.chi[0] == 0:
         return Verdict(False, "nonzero-at-first", 1, "character vanishes on x1")
     for i in range(2, r + 1):

@@ -7,9 +7,9 @@ elimination keeps integer rows with content stripped, which avoids
 fraction blowup during the larger orbit saturations.
 
 The structured spaces are the ones the computations need: plain tensor
-powers of V = Q^n, the dual, the space of dual-vector (x) degree-(k+1)
-free-Lie values (basis e_i^* (x) Lyndon bracketing), Hom(V, wedge^2 V),
-and wedge powers of a symplectic Q^{2g}.
+powers of V = Q^n, the dual, the space MkSpace(n, k) of dual-vector (x)
+degree-(k+1) free-Lie values (basis e_i^* (x) Lyndon bracketing), whose
+k = 1 case is Hom(V, wedge^2 V), and wedge powers of a symplectic Q^{2g}.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import lie
 
@@ -26,8 +26,22 @@ from . import lie
 # ---------------------------------------------------------------------------
 
 
+class _Space:
+    """Shared defaults: labels in natural order, dimension from the labels.
+
+    A sort_key of None makes min and sorted use the labels' own order;
+    spaces whose labels need another order define a sort_key method.
+    """
+
+    sort_key = None
+
+    @property
+    def dimension(self):
+        return len(self.labels())
+
+
 @dataclass(frozen=True)
-class VSpace:
+class VSpace(_Space):
     n: int
 
     @property
@@ -37,16 +51,9 @@ class VSpace:
     def labels(self):
         return list(range(1, self.n + 1))
 
-    def sort_key(self, label):
-        return label
-
-    @property
-    def dimension(self):
-        return self.n
-
 
 @dataclass(frozen=True)
-class DualSpace:
+class DualSpace(_Space):
     n: int
 
     @property
@@ -56,16 +63,9 @@ class DualSpace:
     def labels(self):
         return list(range(1, self.n + 1))
 
-    def sort_key(self, label):
-        return label
-
-    @property
-    def dimension(self):
-        return self.n
-
 
 @dataclass(frozen=True)
-class TensorSpace:
+class TensorSpace(_Space):
     """V^(x)m with basis labels the length-m index tuples."""
 
     n: int
@@ -78,43 +78,14 @@ class TensorSpace:
     def labels(self):
         return [t for t in itertools.product(range(1, self.n + 1), repeat=self.m)]
 
-    def sort_key(self, label):
-        return label
-
-    @property
-    def dimension(self):
-        return self.n ** self.m
-
 
 @dataclass(frozen=True)
-class DualTensorSpace:
-    """V* (x) V^(x)m with labels (dual index, index tuple)."""
+class MkSpace(_Space):
+    """V* (x) Lie_{k+1}(V) with labels (dual index, Lyndon word of length k+1).
 
-    n: int
-    m: int
-
-    @property
-    def descriptor(self):
-        return f"V*T(n={self.n},m={self.m})"
-
-    def labels(self):
-        return [
-            (i, t)
-            for i in range(1, self.n + 1)
-            for t in itertools.product(range(1, self.n + 1), repeat=self.m)
-        ]
-
-    def sort_key(self, label):
-        return label
-
-    @property
-    def dimension(self):
-        return self.n ** (self.m + 1)
-
-
-@dataclass(frozen=True)
-class MkSpace:
-    """V* (x) Lie_{k+1}(V) with labels (dual index, Lyndon word of length k+1)."""
+    For k = 1 this is Hom(V, wedge^2 V): the length-2 Lyndon words (a, b)
+    with a < b are exactly the wedge pairs.
+    """
 
     n: int
     k: int
@@ -127,35 +98,6 @@ class MkSpace:
         words = lie.lyndon_words(self.n, self.k + 1)
         return [(i, w) for i in range(1, self.n + 1) for w in words]
 
-    def sort_key(self, label):
-        return label
-
-    @property
-    def dimension(self):
-        return self.n * lie.witt_dimension(self.n, self.k + 1)
-
-
-@dataclass(frozen=True)
-class HomWedgeSpace:
-    """Hom(V, wedge^2 V) with labels (i, (a, b)) for a < b."""
-
-    n: int
-
-    @property
-    def descriptor(self):
-        return f"Hom(V,w2V)(n={self.n})"
-
-    def labels(self):
-        pairs = list(itertools.combinations(range(1, self.n + 1), 2))
-        return [(i, p) for i in range(1, self.n + 1) for p in pairs]
-
-    def sort_key(self, label):
-        return label
-
-    @property
-    def dimension(self):
-        return self.n * self.n * (self.n - 1) // 2
-
 
 def symp_symbol_key(sym):
     letter, i = sym
@@ -163,7 +105,7 @@ def symp_symbol_key(sym):
 
 
 @dataclass(frozen=True)
-class SympVSpace:
+class SympVSpace(_Space):
     """Q^{2g} with symplectic basis labels ('a', i) and ('b', i)."""
 
     g: int
@@ -179,16 +121,11 @@ class SympVSpace:
             out.append(("b", i))
         return out
 
-    def sort_key(self, label):
-        return symp_symbol_key(label)
-
-    @property
-    def dimension(self):
-        return 2 * self.g
+    sort_key = staticmethod(symp_symbol_key)
 
 
 @dataclass(frozen=True)
-class SympWedgeSpace:
+class SympWedgeSpace(_Space):
     """wedge^m of the symplectic space; labels are strictly sorted tuples."""
 
     g: int
@@ -204,12 +141,6 @@ class SympWedgeSpace:
 
     def sort_key(self, label):
         return tuple(symp_symbol_key(s) for s in label)
-
-    @property
-    def dimension(self):
-        from math import comb
-
-        return comb(2 * self.g, self.m)
 
 
 def sort_symplectic_label(symbols):
@@ -270,14 +201,7 @@ class TensorVector:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorVector(self.space, out)
+        return TensorVector(self.space, lie.tensor_add(self.coords, other.coords))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -295,12 +219,11 @@ class TensorVector:
             )
 
     def to_json_obj(self):
-        key = self.space.sort_key
         return {
             "space": self.space.descriptor,
             "coords": [
-                [_label_str(k), str(v)]
-                for k, v in sorted(self.coords.items(), key=lambda kv: key(kv[0]))
+                [_label_str(k), str(self.coords[k])]
+                for k in sorted(self.coords, key=self.space.sort_key)
             ],
         }
 
@@ -414,15 +337,7 @@ class SubspaceBasis:
                 return v
             a, b = row[p], v[p]
             g = gcd(a, b)
-            ca, cb = a // g, b // g
-            new = {k: ca * val for k, val in v.items()}
-            for k, val in row.items():
-                s = new.get(k, 0) - cb * val
-                if s:
-                    new[k] = s
-                else:
-                    new.pop(k, None)
-            v = new
+            v = _combine(a // g, v, -(b // g), row)
         return v
 
     def insert(self, vec):
@@ -527,26 +442,27 @@ class SaturationResult:
 
 
 def orbit_saturate(generators, seeds, stop_at_dim=None):
-    """Smallest subspace containing the seeds and stable under the generators.
+    """Smallest subspace containing the seeds and stable under the group
+    the generators generate.
 
-    Every generator must carry an inverse witness; both directions are
-    applied.  Termination: the dimension grows strictly or the queue
-    drains.  With stop_at_dim the search stops once that dimension is
-    reached and the result is marked not-closed; callers use this when an
-    upper bound is known and containment is being certified separately.
+    Every generator must carry an inverse witness, but only the generators
+    themselves are applied: for an invertible g and a finite-dimensional W,
+    gW contained in W forces gW = W, hence g^-1 W = W.  Termination: the
+    dimension grows strictly or the queue drains.  With stop_at_dim the
+    search stops once that dimension is reached and the result is marked
+    not-closed; callers use this when an upper bound is known and
+    containment is being certified separately.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     space = seeds[0].space
-    ops = []
-    for g in generators:
+    ops = list(generators)
+    for g in ops:
         if g.space_in != space or g.space_out != space:
             raise ValueError("generators must be endomorphisms of the seed space")
         if g.inverse is None:
             raise ValueError(f"generator {g.name or '?'} has no inverse witness")
-        ops.append(g)
-        ops.append(g.inverse)
     basis = SubspaceBasis(space)
     queue = []
     for s in seeds:
@@ -555,7 +471,6 @@ def orbit_saturate(generators, seeds, stop_at_dim=None):
             queue.append(residue)
     applications = 0
     rounds = 0
-    closed = True
     while queue:
         rounds += 1
         next_queue = []
@@ -569,7 +484,7 @@ def orbit_saturate(generators, seeds, stop_at_dim=None):
                     if stop_at_dim is not None and basis.dim >= stop_at_dim:
                         return SaturationResult(basis, False, rounds, applications)
         queue = next_queue
-    return SaturationResult(basis, closed, rounds, applications)
+    return SaturationResult(basis, True, rounds, applications)
 
 
 # ---------------------------------------------------------------------------
@@ -588,38 +503,24 @@ def phi_operator(n, k):
 
         def fn(label):
             d, w = label
-            out = {}
-            for mono, c in lie.lyndon_word_tensor(w).items():
-                if mono[0] == d:
-                    tail = mono[1:]
-                    s = out.get(tail, 0) + c
-                    if s:
-                        out[tail] = s
-                    else:
-                        out.pop(tail, None)
-            return TensorVector(space_out, out)
+            return TensorVector(
+                space_out,
+                {
+                    mono[1:]: c
+                    for mono, c in lie.lyndon_word_tensor(w).items()
+                    if mono[0] == d
+                },
+            )
 
         _PHI_CACHE[key] = LinearOperator(space_in, space_out, fn, name=f"Phi({n},{k})")
     return _PHI_CACHE[key]
 
 
 def phi_map(t):
-    """Apply the contraction; accepts Mk vectors or raw V* (x) V^(x)(k+1) ones."""
-    if isinstance(t.space, MkSpace):
-        return phi_operator(t.space.n, t.space.k).apply(t)
-    if isinstance(t.space, DualTensorSpace):
-        out_space = TensorSpace(t.space.n, t.space.m - 1)
-        out = {}
-        for (d, mono), c in t.coords.items():
-            if mono[0] == d:
-                tail = mono[1:]
-                s = out.get(tail, 0) + c
-                if s:
-                    out[tail] = s
-                else:
-                    out.pop(tail, None)
-        return TensorVector(out_space, out)
-    raise ValueError(f"phi_map does not apply to {t.space.descriptor}")
+    """Apply the contraction to an Mk vector."""
+    if not isinstance(t.space, MkSpace):
+        raise ValueError(f"phi_map does not apply to {t.space.descriptor}")
+    return phi_operator(t.space.n, t.space.k).apply(t)
 
 
 def tau_map(x):
@@ -842,44 +743,14 @@ def _induce_one(base, space):
         def fn(label):
             d, w = label
             lie_coords = _act_on_lyndon_word(base, w)
-            out = {}
-            for c, dc in dual(d).items():
-                for ww, cw in lie_coords.items():
-                    s = out.get((c, ww), 0) + dc * cw
-                    if s:
-                        out[(c, ww)] = s
-                    else:
-                        out.pop((c, ww), None)
-            return TensorVector(space, out)
-
-        return LinearOperator(space, space, fn, name=name)
-    if isinstance(space, HomWedgeSpace):
-        dual = _dual_images(base)
-
-        def fn(label):
-            d, (a, b) = label
-            wedge = {}
-            ia = base.image_of(a).coords
-            ib = base.image_of(b).coords
-            for x, cx in ia.items():
-                for y, cy in ib.items():
-                    if x == y:
-                        continue
-                    key, sgn = ((x, y), 1) if x < y else ((y, x), -1)
-                    s = wedge.get(key, 0) + sgn * cx * cy
-                    if s:
-                        wedge[key] = s
-                    else:
-                        wedge.pop(key, None)
-            out = {}
-            for c, dc in dual(d).items():
-                for p, cp in wedge.items():
-                    s = out.get((c, p), 0) + dc * cp
-                    if s:
-                        out[(c, p)] = s
-                    else:
-                        out.pop((c, p), None)
-            return TensorVector(space, out)
+            return TensorVector(
+                space,
+                {
+                    (c, ww): dc * cw
+                    for c, dc in dual(d).items()
+                    for ww, cw in lie_coords.items()
+                },
+            )
 
         return LinearOperator(space, space, fn, name=name)
     raise ValueError(f"no induced action on {desc}")
@@ -1064,17 +935,8 @@ def elementary_formal_action(i, j, p, delta):
     out = {}
     for dc, dd in dual_choices:
         for combo in itertools.product(*slot_choices):
-            coeff = dc
-            letters = []
-            for c, a in combo:
-                coeff *= c
-                letters.append(a)
-            sym = (dd, tuple(letters))
-            s = out.get(sym, 0) + coeff
-            if s:
-                out[sym] = s
-            else:
-                out.pop(sym, None)
+            sym = (dd, tuple(a for _, a in combo))
+            out = lie.tensor_add(out, {sym: dc * prod(c for c, _ in combo)})
     return out
 
 
@@ -1122,12 +984,9 @@ def z_reduction_check(n, k, delta, fresh_index):
     base = (i, tail_fresh)
     z_terms = {}
     for p, scale in ((2, 1), (1, -2)):
-        for sym, coeff in elementary_formal_action(i, j, p, base).items():
-            s = z_terms.get(sym, 0) + scale * coeff
-            if s:
-                z_terms[sym] = s
-            else:
-                z_terms.pop(sym, None)
+        z_terms = lie.tensor_add(
+            z_terms, lie.tensor_scale(elementary_formal_action(i, j, p, base), scale)
+        )
     leading = z_terms.get(delta, 0)
     lower_ok = all(
         c_count(sym) < c for sym in z_terms if sym != delta
@@ -1191,7 +1050,7 @@ class KernelClaimReport:
         }
 
 
-def kernel_claim_check(n, k, full_closure=None):
+def kernel_claim_check(n, k, full_closure=True):
     """Compare the transvection-orbit span of the single-row family vectors
     with the kernel of the contraction inside the dual-Lie space.
 
@@ -1204,8 +1063,6 @@ def kernel_claim_check(n, k, full_closure=None):
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n - 2")
     space = MkSpace(n, k)
-    if full_closure is None:
-        full_closure = True
     phi = phi_operator(n, k)
     seeds = [
         TensorVector.unit(space, (d, w))

@@ -151,12 +151,7 @@ def dynkin_map(t):
         acc = {(mono[0],): 1}
         for letter in mono[1:]:
             acc = tensor_bracket(acc, {(letter,): 1})
-        for k, v in acc.items():
-            s = out.get(k, 0) + c * v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        out = tensor_add(out, tensor_scale(acc, c))
     return out
 
 

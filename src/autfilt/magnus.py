@@ -83,14 +83,9 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TruncatedSeries(self.rank, self.cutoff, out)
+        return TruncatedSeries(
+            self.rank, self.cutoff, lie.tensor_add(self.coeffs, other.coeffs)
+        )
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -298,23 +293,6 @@ class JohnsonImage:
         for i, v in self.components.items():
             for w, c in v.coords.items():
                 coords[(i, w)] = Fraction(c)
-        return exactlin.TensorVector(space, coords)
-
-    def to_hom_wedge2_vector(self):
-        """Degree-1 images as Hom(V, wedge^2 V) vectors.
-
-        Length-2 Lyndon words (a, b) with a < b are exactly the wedge
-        pairs, so the identification is coordinatewise.
-        """
-        if self.degree != 1:
-            raise ValueError("only degree-1 images land in Hom(V, wedge^2 V)")
-        from . import exactlin
-
-        space = exactlin.HomWedgeSpace(self.rank)
-        coords = {}
-        for i, v in self.components.items():
-            for (a, b), c in v.coords.items():
-                coords[(i, (a, b))] = Fraction(c)
         return exactlin.TensorVector(space, coords)
 
     def to_json(self):

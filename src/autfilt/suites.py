@@ -502,7 +502,10 @@ def suite_certificates(params):
     targets_two = targets_one + [("M123", autf.m_nielsen_word(1, 2, 3))]
 
     def check_assembly(targets, label):
+        cert = None
+
         def run():
+            nonlocal cert
             cert, report = bnscert.assemble_certificate(n, m, targets)
             verdict = bnscert.check_certificate(cert)
             round_trip = bnscert.BnsCertificate.from_json(cert.to_json())
@@ -516,7 +519,7 @@ def suite_certificates(params):
             }
 
         rec.timed(f"assembled-certificate-valid({label})", run)
-        return bnscert.assemble_certificate(n, m, targets)[0]
+        return cert
 
     cert = check_assembly(targets_one, "one-target")
     check_assembly(targets_two, "two-targets")

@@ -219,3 +219,24 @@ def test_parser_rejects_unknown_without_inverse():
 def test_parser_recognizes_named_t_family():
     phi = autf.make_T(2, (1, 3, 4), 4)
     assert autf.parse_automorphism(autf.format_automorphism(phi)) == phi
+
+
+def test_parser_inverts_single_move_with_long_tail():
+    phi = autf.make_T(1, (2, 3, 4, 5, 2), 5)
+    got = autf.parse_automorphism(autf.format_automorphism(phi))
+    assert got == phi
+    assert got.inverse() == phi.inverse()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "rank=3; x0 -> x3 x1",
+        "rank=3; x4 -> x1",
+        "rank=3; x1 -> x2 x1; x1 -> x1 x3",
+    ],
+)
+def test_parser_rejects_bad_left_hand_sides(text):
+    # x0 and x4 are out of range at rank 3; a repeated x1 is ambiguous
+    with pytest.raises(ValueError):
+        autf.parse_automorphism(text)

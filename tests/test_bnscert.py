@@ -48,6 +48,32 @@ def test_dangling_witness_index_rejected():
     assert verdict.failed_condition == "witness-indices"
 
 
+def test_repeated_witness_index_rejected():
+    # a bogus earlier witness for i = 2 must not hide behind a valid one
+    cert = _pair_certificate()
+    bad = bnscert.BnsCertificate(
+        cert.elements,
+        cert.chi,
+        (bnscert.Witness(2, 1, (1,)),) + cert.witnesses,
+    )
+    verdict = bnscert.check_certificate(bad)
+    assert not verdict.valid
+    assert verdict.failed_condition == "witness-indices"
+    assert verdict.failed_index == 2
+
+
+def test_mixed_rank_elements_rejected():
+    cert = _pair_certificate()
+    bad = bnscert.BnsCertificate(
+        (cert.elements[0], autf.make_nielsen("R", 1, 2, 1, 5)),
+        cert.chi,
+        cert.witnesses,
+    )
+    verdict = bnscert.check_certificate(bad)
+    assert not verdict.valid
+    assert verdict.failed_condition == "shape"
+
+
 def test_character_consistency_on_witness_words():
     # the tail witness of an assembled certificate has word x1^-1 x_p with
     # chi(x_p) forced equal to chi(x1); perturbing chi(x_p) breaks the

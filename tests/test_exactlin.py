@@ -56,6 +56,35 @@ def test_orbit_saturate_rank2():
     assert res.basis.dim == 2 and res.closed
 
 
+def _sp_wedge3_generators(g):
+    gens = []
+    for i in range(1, g + 1):
+        gens.append(exactlin.wedge_lift(exactlin.sp_generator("sigma", i, g=g), 3))
+        for j in range(i + 1, g + 1):
+            gens.append(exactlin.wedge_lift(exactlin.sp_generator("tau", i, j, g=g), 3))
+    return gens
+
+
+def test_orbit_saturate_matches_saturation_with_inverses():
+    # applying the inverses as extra generators spans the same subspace
+    n, k = 4, 2
+    mk = MkSpace(n, k)
+    mk_gens = [
+        exactlin.induced_on(exactlin.elementary_sl(a, b, n), mk)
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+        if a != b
+    ]
+    mk_seeds = [unit(mk, (d, w)) for d, w in mk.labels() if d not in w]
+    w3 = SympWedgeSpace(3, 3)
+    w3_seeds = [unit(w3, (("a", 1), ("a", 2), ("b", 2)))]
+    for gens, seeds in ((mk_gens, mk_seeds), (_sp_wedge3_generators(3), w3_seeds)):
+        plain = exactlin.orbit_saturate(gens, seeds)
+        both = exactlin.orbit_saturate(gens + [g.inverse for g in gens], seeds)
+        assert plain.closed and both.closed
+        assert exactlin.subspace_equal(plain.basis, both.basis)
+
+
 def test_orbit_saturate_requires_inverse():
     v = VSpace(2)
     bad = exactlin.LinearOperator(v, v, lambda lab: unit(v, lab))
@@ -80,14 +109,6 @@ def test_orbit_output_is_generator_stable():
 
 
 # -- the contraction ---------------------------------------------------------
-
-
-def test_phi_on_raw_dual_tensor():
-    dt = exactlin.DualTensorSpace(3, 3)
-    assert exactlin.phi_map(TensorVector(dt, {(1, (1, 2, 3)): 1})) == TensorVector(
-        TensorSpace(3, 2), {(2, 3): 1}
-    )
-    assert not exactlin.phi_map(TensorVector(dt, {(1, (2, 3, 1)): 1}))
 
 
 def test_phi_on_bracket():
@@ -325,39 +346,18 @@ def test_wedge3_orbit_dimensions():
     for g, expected in ((3, 20), (4, 56)):
         space = SympWedgeSpace(g, 3)
         assert space.dimension == expected
-        gens = []
-        for i in range(1, g + 1):
-            gens.append(exactlin.wedge_lift(exactlin.sp_generator("sigma", i, g=g), 3))
-            for j in range(i + 1, g + 1):
-                gens.append(exactlin.wedge_lift(exactlin.sp_generator("tau", i, j, g=g), 3))
         seed = unit(space, (("a", 1), ("a", 2), ("b", 2)))
-        res = exactlin.orbit_saturate(gens, [seed])
+        res = exactlin.orbit_saturate(_sp_wedge3_generators(g), [seed])
         assert res.basis.dim == expected and res.closed
-
-
-def test_hom_wedge_orbit_spans():
-    # the single conjugation value generates the full 9-dimensional
-    # Hom(V, wedge^2 V) under the transvection action at n = 3
-    n = 3
-    space = exactlin.HomWedgeSpace(n)
-    assert space.dimension == 9
-    gens = [
-        exactlin.induced_on(exactlin.elementary_sl(a, b, n), space)
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        if a != b
-    ]
-    seed = magnus.johnson_image(
-        autf.make_magnus_C(1, 2, n), 1
-    ).to_hom_wedge2_vector()
-    res = exactlin.orbit_saturate(gens, [seed])
-    assert res.basis.dim == 9 and res.closed
 
 
 def test_vector_json_uses_fraction_strings():
     v = TensorVector(VSpace(2), {1: Fraction(1, 3)})
     obj = v.to_json_obj()
     assert obj["coords"] == [["1", "1/3"]]
+    # symplectic labels follow the space's order b1 < a2, not tuple order
+    sv = TensorVector(SympVSpace(2), {("a", 2): 1, ("b", 1): 2})
+    assert sv.to_json_obj()["coords"] == [["b|1", "2"], ["a|2", "1"]]
 
 
 def test_subspace_basis_json_shape():

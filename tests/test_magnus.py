@@ -191,6 +191,9 @@ def test_image_json_round_trip():
 
 
 def test_hom_wedge2_vector():
+    # degree-1 images live in Mk(n, 1) = Hom(V, wedge^2 V): the length-2
+    # Lyndon word (1, 2) is the wedge pair e1 ^ e2
     n = 3
-    vec = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1).to_hom_wedge2_vector()
+    vec = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1).to_mk_vector()
+    assert vec.space == exactlin.MkSpace(n, 1)
     assert vec.coords == {(1, (1, 2)): Fraction(1)}
