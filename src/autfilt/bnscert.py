@@ -80,17 +80,49 @@ class BnsCertificate:
 
     @classmethod
     def from_json(cls, text):
+        """Parse to_json output; malformed input raises a ValueError naming it."""
         data = json.loads(text)
-        inverses = data.get("inverses")
-        elements = []
-        for pos, t in enumerate(data["elements"]):
-            inv = inverses[pos] if inverses else None
-            elements.append(autf.parse_automorphism(t, inverse_text=inv))
-        chi = tuple(Fraction(c) for c in data["chi"])
-        witnesses = tuple(
-            Witness(w["i"], w["j"], tuple(w["word"])) for w in data["witnesses"]
+        texts, chi, rows = json_fields(
+            data, ("elements", "chi", "witnesses"), "certificate"
         )
-        return cls(tuple(elements), chi, witnesses)
+        for name, value in (("elements", texts), ("chi", chi), ("witnesses", rows)):
+            if not isinstance(value, list):
+                raise ValueError(f"certificate {name!r} must be a list")
+        inverses = data.get("inverses")
+        if inverses is None:
+            inverses = [None] * len(texts)
+        elif not isinstance(inverses, list) or len(inverses) != len(texts):
+            raise ValueError(
+                f"certificate 'inverses' must be a list of {len(texts)} entries, "
+                f"one per element"
+            )
+        if not all(isinstance(t, str) for t in texts + inverses if t is not None):
+            raise ValueError("certificate elements and inverses must be strings")
+        if not all(isinstance(c, (int, str)) for c in chi):
+            raise ValueError("certificate 'chi' entries must be integers or strings")
+        elements = tuple(
+            autf.parse_automorphism(t, inverse_text=inv)
+            for t, inv in zip(texts, inverses)
+        )
+        witnesses = []
+        for row in rows:
+            i, j, word = json_fields(row, ("i", "j", "word"), "witness")
+            if not isinstance(word, list) or not all(
+                isinstance(v, int) for v in [i, j, *word]
+            ):
+                raise ValueError(f"witness {row!r} needs integer i, j and a word list")
+            witnesses.append(Witness(i, j, tuple(word)))
+        return cls(elements, tuple(Fraction(c) for c in chi), tuple(witnesses))
+
+
+def json_fields(obj, keys, what):
+    """Values of keys in the JSON object obj; a ValueError names what is missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return [obj[k] for k in keys]
 
 
 @dataclass(frozen=True)

@@ -90,23 +90,24 @@ def cmd_cert_check(args):
 
 
 def _target_from_spec(spec):
-    kind = spec["kind"]
-    if kind == "C":
-        i, j = spec["args"]
-        return spec.get("label", f"C{i}{j}"), autf.c_nielsen_word(i, j)
-    if kind == "M":
-        i, j, k = spec["args"]
-        return spec.get("label", f"M{i}{j}{k}"), autf.m_nielsen_word(i, j, k)
+    (kind,) = bnscert.json_fields(spec, ("kind",), "assembly target")
+    if kind in ("C", "M"):
+        (args,) = bnscert.json_fields(spec, ("args",), f"{kind} target")
+        arity = 2 if kind == "C" else 3
+        if not isinstance(args, list) or len(args) != arity:
+            raise ValueError(f"{kind} target needs a list of {arity} args, got {args!r}")
+        make = autf.c_nielsen_word if kind == "C" else autf.m_nielsen_word
+        return spec.get("label", kind + "".join(map(str, args))), make(*args)
     if kind == "word":
-        letters = tuple(tuple(l) for l in spec["letters"])
-        return spec.get("label", "word"), letters
+        (letters,) = bnscert.json_fields(spec, ("letters",), "word target")
+        return spec.get("label", "word"), tuple(tuple(l) for l in letters)
     raise ValueError(f"unknown target kind {kind!r}")
 
 
 def cmd_cert_assemble(args):
     with open(args.file) as f:
         spec = json.load(f)
-    n, m = spec["n"], spec["m"]
+    n, m = bnscert.json_fields(spec, ("n", "m"), "assembly spec")
     targets = [_target_from_spec(t) for t in spec.get("targets", [])]
     chi_seed = bnscert.Character.from_dict(spec.get("chi_seed", {}))
     chooser_value = Fraction(spec.get("chooser_value", 1))

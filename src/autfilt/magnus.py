@@ -7,10 +7,15 @@ the filtration by kernels of the actions on the nilpotent quotients:
 its terms vanish in degrees 1..k exactly when phi acts trivially on
 F_n modulo the (k+1)-st lower central term.  Coefficients stay integral
 on group elements; everything is exact.
+
+magnus_expand multiplies letter by letter, in place, on one flat list of
+ints over the monomials in the word's own letters (a^K entries for a
+distinct letters, not rank^K); TruncatedSeries multiplication is sparse.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,46 +128,40 @@ class TruncatedSeries:
         return f"TruncatedSeries(rank={self.rank}, cutoff={self.cutoff}, {n_terms} terms)"
 
 
-def _mul_letter(coeffs, i, sign, K):
-    """Multiply a coefficient dict on the right by the series of one letter."""
-    out = {}
-    for mono, c in coeffs.items():
-        room = K - len(mono)
-        if sign == 1:
-            # 1 + X_i
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-            if room >= 1:
-                k = mono + (i,)
-                s = out.get(k, 0) + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        else:
-            # 1 - X_i + X_i^2 - ...
-            sgn = 1
-            for t in range(room + 1):
-                k = mono + (i,) * t
-                s = out.get(k, 0) + sgn * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-                sgn = -sgn
-    return out
-
-
 def magnus_expand(w, cutoff):
-    """Image of the word w under the truncated Magnus embedding."""
+    """Image of the word w under the truncated Magnus embedding.
+
+    Works on a dense list c over the monomials in the a letters of w,
+    numbered 1..a in sorted order: index(()) = 0, index(m X_i) =
+    i + a*index(m), so degree d starts at start[d] = 1 + a + ... +
+    a^(d-1) and the monomials ending in X_i are the slice c[i::a],
+    aligned with their parents c[:start[K]].
+    """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    coeffs = {(): 1}
-    for i, sign in w.letters:
-        coeffs = _mul_letter(coeffs, i, sign, cutoff)
+    alphabet = sorted({i for i, _ in w.letters})
+    a = len(alphabet)
+    position = {letter: p for p, letter in enumerate(alphabet, 1)}
+    start = [0]
+    for _ in range(cutoff + 1):
+        start.append(1 + a * start[-1])
+    c = [0] * start[cutoff + 1]
+    c[0] = 1
+    for letter, sign in w.letters:
+        i = position[letter]
+        if sign == 1:
+            # c (1 + X_i): c'(m X_i) = c(m X_i) + c(m), all from old values
+            c[i::a] = [u + v for u, v in zip(c[i::a], c)]
+        else:
+            # c' (1 + X_i) = c: c'(m X_i) = c(m X_i) - c'(m), lowest degree first
+            for d in range(1, cutoff + 1):
+                lo, hi = start[d - 1], start[d]
+                targets = slice(i + a * lo, i + a * hi, a)
+                c[targets] = [u - v for u, v in zip(c[targets], c[lo:hi])]
+    coeffs = {}
+    for d in range(cutoff + 1):
+        monos = itertools.product(alphabet, repeat=d)
+        coeffs.update((m, v) for m, v in zip(monos, c[start[d]:start[d + 1]]) if v)
     return TruncatedSeries(w.rank, cutoff, coeffs)
 
 

@@ -9,7 +9,7 @@ expansion route, so agreement is a genuine dual-route check.
 
 import random
 
-from autfilt import autf
+from autfilt import autf, magnus
 
 
 def derivation_apply(D, tensor):
@@ -73,6 +73,51 @@ def left_normed_derivation(phis, n):
     for phi in phis[1:]:
         acc = derivation_bracket(acc, generator_derivation(phi, n), n)
     return acc
+
+
+def _mul_letter(coeffs, i, sign, K):
+    """Multiply a coefficient dict on the right by the series of one letter."""
+    out = {}
+    for mono, c in coeffs.items():
+        room = K - len(mono)
+        if sign == 1:
+            # 1 + X_i
+            s = out.get(mono, 0) + c
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+            if room >= 1:
+                k = mono + (i,)
+                s = out.get(k, 0) + c
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        else:
+            # 1 - X_i + X_i^2 - ...
+            sgn = 1
+            for t in range(room + 1):
+                k = mono + (i,) * t
+                s = out.get(k, 0) + sgn * c
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+                sgn = -sgn
+    return out
+
+
+def magnus_expand_by_letters(w, cutoff):
+    """Sparse letter-by-letter Magnus expansion: oracle for the dense kernel.
+
+    Rebuilds a tuple-keyed coefficient dict for every letter, so it shares
+    no indexing with magnus.magnus_expand.
+    """
+    coeffs = {(): 1}
+    for i, sign in w.letters:
+        coeffs = _mul_letter(coeffs, i, sign, cutoff)
+    return magnus.TruncatedSeries(w.rank, cutoff, coeffs)
 
 
 def random_nielsen_word(rng, n, length):

@@ -177,3 +177,34 @@ def test_certificate_json_round_trip():
     again = bnscert.BnsCertificate.from_json(cert.to_json())
     assert again == cert
     assert bnscert.check_certificate(again).valid
+
+
+def _certificate_data():
+    cert, _ = bnscert.assemble_certificate(
+        5, 2, [("C12", autf.c_nielsen_word(1, 2))]
+    )
+    return json.loads(cert.to_json())
+
+
+def test_from_json_rejects_missing_elements():
+    with pytest.raises(ValueError, match="'elements'"):
+        bnscert.BnsCertificate.from_json("{}")
+
+
+def test_from_json_rejects_witness_without_earlier_index():
+    data = _certificate_data()
+    del data["witnesses"][0]["j"]
+    with pytest.raises(ValueError, match="witness lacks 'j'"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
+def test_from_json_rejects_short_inverse_list():
+    data = _certificate_data()
+    data["inverses"].pop()
+    with pytest.raises(ValueError, match="'inverses'"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
+def test_from_json_rejects_non_object_top_level():
+    with pytest.raises(ValueError, match="JSON object"):
+        bnscert.BnsCertificate.from_json("[1]")

@@ -107,3 +107,14 @@ def test_kernel_claim_cli_no_full_closure(tmp_path):
     values = data["records"][0]["values"]
     assert values["equal"] is True
     assert values["saturation_closed"] is False
+
+
+@pytest.mark.parametrize("missing", ["n", "m", "kind", "args"])
+def test_cert_assemble_rejects_missing_key(tmp_path, missing):
+    spec = {"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}]}
+    spec.pop(missing, None)
+    spec["targets"][0].pop(missing, None)
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=repr(missing)):
+        cli.main(["cert", "assemble", str(f)])

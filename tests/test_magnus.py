@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from autfilt import autf, exactlin, lie, magnus
 from autfilt.autf import word
 
-from helpers import left_normed_derivation, random_word
+from helpers import left_normed_derivation, magnus_expand_by_letters, random_word
 
 
 def test_expand_generator():
@@ -30,6 +31,46 @@ def test_expand_commutator_lowest_degree():
     assert s.constant_term == 1
     assert s.homogeneous_part(1) == {}
     assert s.homogeneous_part(2) == {(1, 2): 1, (2, 1): -1}
+
+
+def test_dense_expansion_matches_letter_oracle():
+    # the dense in-place kernel against the sparse letter-by-letter route,
+    # including the empty word and alphabets that skip letters of the rank
+    rng = random.Random(29)
+    for rank in range(1, 6):
+        for cutoff in range(1, 6):
+            words = [autf.FreeWord(rank, ())]
+            words += [random_word(rng, rank, rng.randrange(1, 61)) for _ in range(6)]
+            if rank == 5:
+                for alphabet in ((2, 5), (3,), (1, 4, 5)):
+                    letters = [
+                        (rng.choice(alphabet), rng.choice((1, -1))) for _ in range(40)
+                    ]
+                    words.append(autf.FreeWord(rank, letters))
+            for w in words:
+                assert magnus.magnus_expand(w, cutoff) == magnus_expand_by_letters(
+                    w, cutoff
+                ), (rank, cutoff, w.letters)
+
+
+def test_generator_powers_closed_form():
+    # x_i^m has X_i^t coefficient C(m, t) and x_i^-m has (-1)^t C(m+t-1, t);
+    # an inverse-letter update in the wrong degree order breaks the second
+    for rank in (1, 2, 5):
+        for i in sorted({1, rank}):
+            for m in (1, 7, 30):
+                for cutoff in range(1, 6):
+                    up = magnus.magnus_expand(autf.FreeWord(rank, [(i, 1)] * m), cutoff)
+                    down = magnus.magnus_expand(
+                        autf.FreeWord(rank, [(i, -1)] * m), cutoff
+                    )
+                    assert up.coeffs == {
+                        (i,) * t: comb(m, t) for t in range(min(m, cutoff) + 1)
+                    }
+                    assert down.coeffs == {
+                        (i,) * t: (-1) ** t * comb(m + t - 1, t)
+                        for t in range(cutoff + 1)
+                    }
 
 
 def test_homomorphism_property_random():

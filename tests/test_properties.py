@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from autfilt import autf, exactlin, lie, magnus
 from autfilt.autf import FreeWord
 
-from helpers import random_generator
+from helpers import magnus_expand_by_letters, random_generator
 
 N = 4
 
@@ -32,6 +32,18 @@ def test_magnus_homomorphism(u, v):
     assert magnus.magnus_expand(uw * vw, K) == magnus.magnus_expand(
         uw, K
     ) * magnus.magnus_expand(vw, K)
+
+
+@given(st.data(), st.integers(1, 5), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_dense_expansion_matches_letter_oracle(data, rank, cutoff):
+    word_letters = data.draw(
+        st.lists(
+            st.tuples(st.integers(1, rank), st.sampled_from((1, -1))), max_size=40
+        )
+    )
+    w = FreeWord(rank, word_letters)
+    assert magnus.magnus_expand(w, cutoff) == magnus_expand_by_letters(w, cutoff)
 
 
 coeffs = st.integers(-3, 3)
