@@ -225,6 +225,22 @@ def left_normed_group_commutator(autos):
 # named generator families
 # ---------------------------------------------------------------------------
 
+def _inverse_letters(letters):
+    return tuple((a, -s) for a, s in reversed(letters))
+
+
+def _single_move(n, i, u, v, check=False):
+    """x_i -> u x_i v with inverse x_i -> u^-1 x_i v^-1, every other
+    generator fixed; u and v are letter tuples free of x_i."""
+    images = [FreeWord.generator(n, a) for a in range(1, n + 1)]
+    inv_images = list(images)
+    images[i - 1] = FreeWord(n, u + ((i, 1),) + v)
+    inv_images[i - 1] = FreeWord(
+        n, _inverse_letters(u) + ((i, 1),) + _inverse_letters(v)
+    )
+    return FreeAutomorphism(n, images, inv_images, check=check)
+
+
 def make_nielsen(side, i, j, exponent=1, n=None):
     """L_ij sends x_i to x_j x_i, R_ij sends x_i to x_i x_j.
 
@@ -240,44 +256,22 @@ def make_nielsen(side, i, j, exponent=1, n=None):
         raise ValueError("side must be 'L' or 'R'")
     if exponent not in (1, -1):
         raise ValueError("exponent must be +1 or -1")
-    images = [FreeWord.generator(n, a) for a in range(1, n + 1)]
-    inv_images = [FreeWord.generator(n, a) for a in range(1, n + 1)]
-    xi = FreeWord.generator(n, i)
-    xj = FreeWord.generator(n, j)
-    if side == "L":
-        fwd, bwd = xj * xi, xj.inverse() * xi
-    else:
-        fwd, bwd = xi * xj, xi * xj.inverse()
-    if exponent == -1:
-        fwd, bwd = bwd, fwd
-    images[i - 1] = fwd
-    inv_images[i - 1] = bwd
-    return FreeAutomorphism(n, images, inv_images, check=False)
+    xj = ((j, exponent),)
+    return _single_move(n, i, xj, ()) if side == "L" else _single_move(n, i, (), xj)
 
 
 def make_magnus_C(i, j, n):
     """C_ij sends x_i to x_j^-1 x_i x_j and fixes the other basis elements."""
     if len({i, j}) != 2:
         raise ValueError("C_ij needs distinct indices")
-    images = [FreeWord.generator(n, a) for a in range(1, n + 1)]
-    inv_images = [FreeWord.generator(n, a) for a in range(1, n + 1)]
-    xi, xj = FreeWord.generator(n, i), FreeWord.generator(n, j)
-    images[i - 1] = xj.inverse() * xi * xj
-    inv_images[i - 1] = xj * xi * xj.inverse()
-    return FreeAutomorphism(n, images, inv_images, check=False)
+    return _single_move(n, i, ((j, -1),), ((j, 1),))
 
 
 def make_magnus_M(i, j, k, n):
     """M_ijk sends x_i to x_i [x_j, x_k] and fixes the other basis elements."""
     if len({i, j, k}) != 3:
         raise ValueError("M_ijk needs distinct indices")
-    images = [FreeWord.generator(n, a) for a in range(1, n + 1)]
-    inv_images = [FreeWord.generator(n, a) for a in range(1, n + 1)]
-    xi = FreeWord.generator(n, i)
-    c = word_commutator(FreeWord.generator(n, j), FreeWord.generator(n, k))
-    images[i - 1] = xi * c
-    inv_images[i - 1] = xi * c.inverse()
-    return FreeAutomorphism(n, images, inv_images, check=False)
+    return _single_move(n, i, (), ((j, -1), (k, -1), (j, 1), (k, 1)))
 
 
 def make_T(i, omega, n):
@@ -290,13 +284,8 @@ def make_T(i, omega, n):
     for w in omega:
         if not 1 <= w <= n:
             raise ValueError("tail index out of range")
-    images = [FreeWord.generator(n, a) for a in range(1, n + 1)]
-    inv_images = [FreeWord.generator(n, a) for a in range(1, n + 1)]
-    xi = FreeWord.generator(n, i)
     c = left_normed_word_commutator([FreeWord.generator(n, w) for w in omega])
-    images[i - 1] = xi * c
-    inv_images[i - 1] = xi * c.inverse()
-    return FreeAutomorphism(n, images, inv_images, check=False)
+    return _single_move(n, i, (), c.letters)
 
 
 def make_S(mu, i, j, n):
@@ -512,17 +501,14 @@ def parse_automorphism(text, inverse_text=None):
             raise ValueError("inverse text has a different rank")
         return FreeAutomorphism(rank, images, inv_images)
     moved = [i for i, w in enumerate(images, 1) if w.letters != ((i, 1),)]
-    inverse_images = list(images)
-    if moved:
-        i = moved[0]
-        letters = images[i - 1].letters
-        at = [p for p, (a, _) in enumerate(letters) if a == i]
-        if len(moved) > 1 or len(at) != 1 or letters[at[0]][1] != 1:
-            raise ValueError(
-                "images are not a single move x_i -> u x_i v with u, v free of "
-                "x_i; supply an inverse witness"
-            )
-        u = FreeWord(rank, letters[: at[0]])
-        v = FreeWord(rank, letters[at[0] + 1 :])
-        inverse_images[i - 1] = u.inverse() * FreeWord.generator(rank, i) * v.inverse()
-    return FreeAutomorphism(rank, images, inverse_images)
+    if not moved:
+        return FreeAutomorphism(rank, images, images)
+    i = moved[0]
+    letters = images[i - 1].letters
+    at = [p for p, (a, _) in enumerate(letters) if a == i]
+    if len(moved) > 1 or len(at) != 1 or letters[at[0]][1] != 1:
+        raise ValueError(
+            "images are not a single move x_i -> u x_i v with u, v free of "
+            "x_i; supply an inverse witness"
+        )
+    return _single_move(rank, i, letters[: at[0]], letters[at[0] + 1 :], check=True)

@@ -37,10 +37,6 @@ class Character:
 
     assignments: tuple
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(tuple(sorted((k, Fraction(v)) for k, v in d.items())))
-
     def value_of(self, phi):
         key = autf.format_automorphism(phi)
         for k, v in self.assignments:
@@ -96,10 +92,10 @@ class BnsCertificate:
                 f"certificate 'inverses' must be a list of {len(texts)} entries, "
                 f"one per element"
             )
-        if not all(isinstance(t, str) for t in texts + inverses if t is not None):
+        if not all(isinstance(t, str) for t in texts) or not all(
+            t is None or isinstance(t, str) for t in inverses
+        ):
             raise ValueError("certificate elements and inverses must be strings")
-        if not all(isinstance(c, (int, str)) for c in chi):
-            raise ValueError("certificate 'chi' entries must be integers or strings")
         elements = tuple(
             autf.parse_automorphism(t, inverse_text=inv)
             for t, inv in zip(texts, inverses)
@@ -112,7 +108,8 @@ class BnsCertificate:
             ):
                 raise ValueError(f"witness {row!r} needs integer i, j and a word list")
             witnesses.append(Witness(i, j, tuple(word)))
-        return cls(elements, tuple(Fraction(c) for c in chi), tuple(witnesses))
+        chi = tuple(json_fraction(c, "certificate 'chi' entry") for c in chi)
+        return cls(elements, chi, tuple(witnesses))
 
 
 def json_fields(obj, keys, what):
@@ -123,6 +120,16 @@ def json_fields(obj, keys, what):
     if missing:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
     return [obj[k] for k in keys]
+
+
+def json_fraction(value, what):
+    """An int or a fraction string as a Fraction; a float would be read inexactly."""
+    if isinstance(value, (int, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} must be an integer or a fraction string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +231,8 @@ def check_certificate(cert):
     return Verdict(True)
 
 
-class AssemblyError(RuntimeError):
-    pass
+class AssemblyError(ValueError):
+    """The targets cannot be assembled into a certificate."""
 
 
 def default_element_chooser(chi_value=Fraction(1)):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import autf, bnscert, magnus, suites
 
@@ -89,35 +88,76 @@ def cmd_cert_check(args):
     return 0 if verdict.valid else 1
 
 
+def _require(ok, name, expected, value):
+    if not ok:
+        raise ValueError(f"assembly {name!r} must be {expected}, got {value!r}")
+
+
+def _is_int_list(value):
+    return isinstance(value, list) and all(isinstance(v, int) for v in value)
+
+
+def _is_nielsen_word(value):
+    return isinstance(value, list) and all(
+        isinstance(l, list) and len(l) == 4
+        and isinstance(l[0], str) and _is_int_list(l[1:])
+        for l in value
+    )
+
+
 def _target_from_spec(spec):
     (kind,) = bnscert.json_fields(spec, ("kind",), "assembly target")
     if kind in ("C", "M"):
         (args,) = bnscert.json_fields(spec, ("args",), f"{kind} target")
         arity = 2 if kind == "C" else 3
-        if not isinstance(args, list) or len(args) != arity:
-            raise ValueError(f"{kind} target needs a list of {arity} args, got {args!r}")
+        ok = _is_int_list(args) and len(args) == arity
+        _require(ok, "args", f"a list of {arity} integers", args)
         make = autf.c_nielsen_word if kind == "C" else autf.m_nielsen_word
-        return spec.get("label", kind + "".join(map(str, args))), make(*args)
-    if kind == "word":
+        word, label = make(*args), kind + "".join(map(str, args))
+    elif kind == "word":
         (letters,) = bnscert.json_fields(spec, ("letters",), "word target")
-        return spec.get("label", "word"), tuple(tuple(l) for l in letters)
-    raise ValueError(f"unknown target kind {kind!r}")
+        expected = "a list of [side, i, j, exp]"
+        _require(_is_nielsen_word(letters), "letters", expected, letters)
+        word, label = tuple(tuple(l) for l in letters), "word"
+    else:
+        raise ValueError(f"unknown target kind {kind!r}")
+    label = spec.get("label", label)
+    _require(isinstance(label, str), "label", "a string", label)
+    return label, word
+
+
+def _assemble(spec):
+    """Certificate and report for an assembly spec; a missing or wrongly
+    typed field raises a ValueError naming it."""
+    n, m = bnscert.json_fields(spec, ("n", "m"), "assembly spec")
+    for name, value in (("n", n), ("m", m)):
+        _require(isinstance(value, int), name, "an integer", value)
+    if not 2 <= m <= n:
+        raise ValueError(f"assembly spec needs 2 <= m <= n, got n={n}, m={m}")
+    targets = spec.get("targets", [])
+    _require(isinstance(targets, list), "targets", "a list", targets)
+    chi_seed = spec.get("chi_seed", {})
+    _require(isinstance(chi_seed, dict), "chi_seed", "an object", chi_seed)
+    chi_seed = {
+        k: bnscert.json_fraction(v, f"assembly 'chi_seed' value for {k!r}")
+        for k, v in chi_seed.items()
+    }
+    chooser_value = bnscert.json_fraction(
+        spec.get("chooser_value", 1), "assembly 'chooser_value'"
+    )
+    return bnscert.assemble_certificate(
+        n,
+        m,
+        [_target_from_spec(t) for t in targets],
+        chi_seed=bnscert.Character(tuple(sorted(chi_seed.items()))),
+        element_chooser=bnscert.default_element_chooser(chooser_value),
+    )
 
 
 def cmd_cert_assemble(args):
     with open(args.file) as f:
         spec = json.load(f)
-    n, m = bnscert.json_fields(spec, ("n", "m"), "assembly spec")
-    targets = [_target_from_spec(t) for t in spec.get("targets", [])]
-    chi_seed = bnscert.Character.from_dict(spec.get("chi_seed", {}))
-    chooser_value = Fraction(spec.get("chooser_value", 1))
-    cert, report = bnscert.assemble_certificate(
-        n,
-        m,
-        targets,
-        chi_seed=chi_seed,
-        element_chooser=bnscert.default_element_chooser(chooser_value),
-    )
+    cert, report = _assemble(spec)
     verdict = bnscert.check_certificate(cert)
     text = cert.to_json()
     if args.out:

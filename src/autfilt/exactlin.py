@@ -1,10 +1,12 @@
 """Exact rational linear algebra on labeled tensor spaces.
 
-Vectors are sparse maps from basis labels to rationals; every space
-carries an explicit label set with a fixed total order, so spans,
-kernels and subspace comparisons are deterministic.  Internally the
-elimination keeps integer rows with content stripped, which avoids
-fraction blowup during the larger orbit saturations.
+Vectors are sparse maps from basis labels to exact coefficients: ints
+when integral (every operator the suites use is integral with an integral
+inverse), Fractions only for non-integral input; JSON writes both as
+fraction strings.  Every space carries an explicit label set with a fixed
+total order, so spans, kernels and subspace comparisons are deterministic.
+The elimination keeps integer rows with content stripped, which avoids
+coefficient blowup during the larger orbit saturations.
 
 The structured spaces are the ones the computations need: plain tensor
 powers of V = Q^n, the dual, the space MkSpace(n, k) of dual-vector (x)
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from . import lie
 
@@ -165,13 +167,21 @@ def sort_symplectic_label(symbols):
 # ---------------------------------------------------------------------------
 
 
+def _exact(v):
+    """An int stays an int; other numbers become exact, integral ones ints."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class TensorVector:
     """Sparse exact-rational vector over a labeled space."""
 
     __slots__ = ("space", "coords")
 
     def __init__(self, space, coords=()):
-        coords = {k: Fraction(v) for k, v in dict(coords).items() if v}
+        coords = {k: _exact(v) for k, v in dict(coords).items() if v}
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "coords", coords)
 
@@ -180,7 +190,7 @@ class TensorVector:
 
     @classmethod
     def unit(cls, space, label):
-        return cls(space, {label: Fraction(1)})
+        return cls(space, {label: 1})
 
     @classmethod
     def zero(cls, space):
@@ -207,10 +217,7 @@ class TensorVector:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return TensorVector(self.space)
-        return TensorVector(self.space, {k: c * v for k, v in self.coords.items()})
+        return TensorVector(self.space, lie.tensor_scale(self.coords, _exact(c)))
 
     def _check(self, other):
         if self.space != other.space:
@@ -287,10 +294,23 @@ class LinearOperator:
         )
 
 
-def _pair_inverses(fwd, bwd):
-    fwd.inverse = bwd
-    bwd.inverse = fwd
-    return fwd
+def _operator_pair(space, fwd, bwd, name):
+    """Endomorphisms name and name^-1 of space from label functions, each
+    the other's inverse witness."""
+    op = LinearOperator(space, space, fwd, name=name)
+    op.inverse = LinearOperator(space, space, bwd, name=name + "^-1", inverse=op)
+    return op
+
+
+def _moving_pair(space, moves_fwd, moves_bwd, name):
+    """Operator pair fixing every label except the keys of the move tables,
+    which map to the coordinate dicts stored there."""
+    return _operator_pair(
+        space,
+        lambda label: moves_fwd.get(label, {label: 1}),
+        lambda label: moves_bwd.get(label, {label: 1}),
+        name,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +322,9 @@ def _int_row(coords):
     """Clear denominators and strip content; leading sign handled by caller."""
     if not coords:
         return {}
-    den = 1
-    for v in coords.values():
-        f = Fraction(v)
-        den = den * f.denominator // gcd(den, f.denominator)
-    row = {k: int(Fraction(v) * den) for k, v in coords.items()}
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
+    den = lcm(*(v.denominator for v in coords.values()))
+    row = {k: int(v * den) for k, v in coords.items()}
+    g = gcd(*row.values())
     if g > 1:
         row = {k: v // g for k, v in row.items()}
     return row
@@ -346,11 +361,7 @@ class SubspaceBasis:
         residue = self.reduce(coords)
         if not residue:
             return None
-        g = 0
-        for v in residue.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            residue = {k: v // g for k, v in residue.items()}
+        residue = _int_row(residue)
         p = min(residue, key=self._key)
         if residue[p] < 0:
             residue = {k: -v for k, v in residue.items()}
@@ -569,7 +580,7 @@ def cyclic_invariant_basis(n, k):
         if rep in seen:
             continue
         seen.add(rep)
-        out.append(TensorVector(space, {m: Fraction(1) for m in orbit}))
+        out.append(TensorVector(space, dict.fromkeys(orbit, 1)))
     return out
 
 
@@ -606,41 +617,17 @@ def elementary_sl(i, j, n):
         raise ValueError("need i != j")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("index out of range")
-    space = VSpace(n)
-
-    def fwd(label):
-        if label == j:
-            return TensorVector(space, {j: 1, i: 1})
-        return TensorVector.unit(space, label)
-
-    def bwd(label):
-        if label == j:
-            return TensorVector(space, {j: 1, i: -1})
-        return TensorVector.unit(space, label)
-
-    return _pair_inverses(
-        LinearOperator(space, space, fwd, name=f"E({i},{j})"),
-        LinearOperator(space, space, bwd, name=f"E({i},{j})^-1"),
-    )
+    return _moving_pair(VSpace(n), {j: {j: 1, i: 1}}, {j: {j: 1, i: -1}}, f"E({i},{j})")
 
 
 def operator_from_matrix(mat, n, name=""):
     """Invertible integer matrix (columns are images) as an operator on V."""
-    space = VSpace(n)
+
+    def columns(m):
+        return {b + 1: {a + 1: m[a][b] for a in range(n)} for b in range(n)}
+
     inv = _invert_rational_matrix(mat)
-
-    def fn_of(m):
-        def fn(label):
-            return TensorVector(
-                space, {a + 1: m[a][label - 1] for a in range(n) if m[a][label - 1]}
-            )
-
-        return fn
-
-    return _pair_inverses(
-        LinearOperator(space, space, fn_of(mat), name=name),
-        LinearOperator(space, space, fn_of(inv), name=name + "^-1"),
-    )
+    return _moving_pair(VSpace(n), columns(mat), columns(inv), name)
 
 
 def _invert_rational_matrix(mat):
@@ -675,9 +662,9 @@ def _dual_images(base):
     return images
 
 
-def _product_expand(base, mono, start=()):
+def _product_expand(base, mono):
     """Diagonal action on one tensor monomial, as a dict of label tuples."""
-    partial = {tuple(start): Fraction(1)}
+    partial = {(): 1}
     for a in mono:
         img = base.image_of(a).coords
         new = {}
@@ -715,7 +702,7 @@ def induced_on(base, space):
         return base._induced[desc]
     fwd = _induce_one(base, space)
     bwd = _induce_one(base.inverse, space)
-    _pair_inverses(fwd, bwd)
+    fwd.inverse, bwd.inverse = bwd, fwd
     base._induced[desc] = fwd
     base.inverse._induced[desc] = bwd
     return fwd
@@ -787,19 +774,7 @@ def sp_generator(kind, i, j=None, g=None):
         name = f"tau({i},{j})"
     else:
         raise ValueError("kind must be 'sigma' or 'tau'")
-
-    def fn_of(moves):
-        def fn(label):
-            if label in moves:
-                return TensorVector(space, moves[label])
-            return TensorVector.unit(space, label)
-
-        return fn
-
-    return _pair_inverses(
-        LinearOperator(space, space, fn_of(moves_fwd), name=name),
-        LinearOperator(space, space, fn_of(moves_bwd), name=name + "^-1"),
-    )
+    return _moving_pair(space, moves_fwd, moves_bwd, name)
 
 
 def sp_transvection(v_coords, g):
@@ -820,10 +795,7 @@ def sp_transvection(v_coords, g):
         return fn
 
     tag = "+".join(f"{l}{i}" for (l, i) in sorted(vvec.coords, key=symp_symbol_key))
-    return _pair_inverses(
-        LinearOperator(space, space, fn_of(1), name=f"transvection({tag})"),
-        LinearOperator(space, space, fn_of(-1), name=f"transvection({tag})^-1"),
-    )
+    return _operator_pair(space, fn_of(1), fn_of(-1), f"transvection({tag})")
 
 
 def extended_sp_generators(g):
@@ -863,15 +835,12 @@ def wedge_lift(op, m=3):
 
         return fn
 
-    return _pair_inverses(
-        LinearOperator(space, space, lift_of(op), name=f"w{m} {op.name}"),
-        LinearOperator(space, space, lift_of(op.inverse), name=f"w{m} {op.name}^-1"),
-    )
+    return _operator_pair(space, lift_of(op), lift_of(op.inverse), f"w{m} {op.name}")
 
 
 def symplectic_pairing(u, v):
     """<a_i, b_i> = 1 = -<b_i, a_i>, zero on all other basis pairs."""
-    total = Fraction(0)
+    total = 0
     for (lu, iu), cu in u.coords.items():
         for (lv, iv), cv in v.coords.items():
             if iu == iv and lu == "a" and lv == "b":

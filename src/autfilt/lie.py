@@ -4,7 +4,8 @@ Words over the alphabet 1..n are tuples of ints, ordered by 1 < 2 < ... < n
 and compared lexicographically.  A Lyndon word is strictly smaller than all
 of its proper rotations; the standard bracketings of Lyndon words of length
 m form a basis of the degree-m component.  Tensors of homogeneous degree m
-are plain dicts mapping length-m words to rational coefficients, which keeps
+are plain dicts mapping length-m words to exact coefficients (ints for
+integral input, Fractions only when a caller supplies them), which keeps
 this module free of dependencies; the structured TensorVector wrapper lives
 in the linear algebra layer.
 
@@ -15,8 +16,6 @@ elimination is an exact triangular solve.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def _mobius(d):
@@ -217,7 +216,7 @@ class LieElement:
 
     @classmethod
     def generator(cls, rank, i):
-        return cls(rank, 1, {(i,): Fraction(1)})
+        return cls(rank, 1, {(i,): 1})
 
     @classmethod
     def zero(cls, rank, degree):
@@ -265,8 +264,7 @@ class LieElement:
         from . import exactlin
 
         return exactlin.TensorVector(
-            exactlin.TensorSpace(self.rank, self.degree),
-            {k: Fraction(v) for k, v in self.tensor_coords().items()},
+            exactlin.TensorSpace(self.rank, self.degree), self.tensor_coords()
         )
 
     def __repr__(self):

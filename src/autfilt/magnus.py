@@ -287,12 +287,10 @@ class JohnsonImage:
     def to_mk_vector(self):
         from . import exactlin
 
-        space = exactlin.MkSpace(self.rank, self.degree)
-        coords = {}
-        for i, v in self.components.items():
-            for w, c in v.coords.items():
-                coords[(i, w)] = Fraction(c)
-        return exactlin.TensorVector(space, coords)
+        return exactlin.TensorVector(
+            exactlin.MkSpace(self.rank, self.degree),
+            {(i, w): c for i, v in self.components.items() for w, c in v.coords.items()},
+        )
 
     def to_json(self):
         rows = []
@@ -350,7 +348,5 @@ def johnson_image(phi, k):
         part = s.homogeneous_part(k + 1)
         if not part:
             continue
-        components[i] = lie.lie_from_tensor_coords(
-            {m: Fraction(c) for m, c in part.items()}, phi.rank, k + 1
-        )
+        components[i] = lie.lie_from_tensor_coords(part, phi.rank, k + 1)
     return JohnsonImage(phi.rank, k, components)

@@ -153,8 +153,7 @@ def suite_iaab(params):
         expected_full = n * n * (n - 1) // 2
         expected_conj = n * (n - 1)
 
-        def check_full(n=n, space=space, expected_full=expected_full,
-                       expected_conj=expected_conj):
+        def check_full(n=n, expected_full=expected_full, expected_conj=expected_conj):
             vecs_c = [
                 magnus.johnson_image(g, 1).to_mk_vector()
                 for g in _all_conjugation_generators(n)
@@ -323,10 +322,7 @@ def suite_sp_orbit(params):
             sig_u = exactlin.wedge_lift(exactlin.sp_generator("sigma", u, g=g), 2)
             tau_tu = exactlin.wedge_lift(exactlin.sp_generator("tau", t, u, g=g), 2)
             at_bt = unit(("a", t), ("b", t))
-            at_au = exactlin.TensorVector(
-                w2, {exactlin.sort_symplectic_label((("a", t), ("a", u)))[1]:
-                     exactlin.sort_symplectic_label((("a", t), ("a", u)))[0]}
-            )
+            at_au = _wedge2(w2, ("a", t), ("a", u))
             checks = [
                 tau_tu.apply(at_bt) == at_bt + at_au,
                 sig_t.apply(at_au) == _wedge2(w2, ("b", t), ("a", u)),

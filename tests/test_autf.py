@@ -159,6 +159,16 @@ def test_signed_permutation_conjugates_parabolics():
                 assert autf.minimal_support(g.conjugate(tilde)) <= I
 
 
+def test_single_move_makers_pass_the_inverse_check():
+    # the makers skip verification; the checking constructor must agree
+    n = 5
+    made = [autf.make_nielsen(s, 2, 4, e, n) for s in "LR" for e in (1, -1)]
+    made += [autf.make_magnus_C(3, 1, n), autf.make_magnus_M(2, 5, 1, n)]
+    made += [autf.make_T(4, (1, 5, 2, 3), n)]
+    for phi in made:
+        autf.FreeAutomorphism(n, phi.images, phi.inverse_images, check=True)
+
+
 def test_inverse_witness_is_checked():
     n = 2
     images = (word(n, 2, 1), word(n, 2))

@@ -208,3 +208,11 @@ def test_from_json_rejects_short_inverse_list():
 def test_from_json_rejects_non_object_top_level():
     with pytest.raises(ValueError, match="JSON object"):
         bnscert.BnsCertificate.from_json("[1]")
+
+
+@pytest.mark.parametrize("field, value", [("elements", None), ("chi", "1/0")])
+def test_from_json_rejects_null_element_and_zero_denominator(field, value):
+    data = _certificate_data()
+    data[field][0] = value
+    with pytest.raises(ValueError, match=field):
+        bnscert.BnsCertificate.from_json(json.dumps(data))

@@ -118,3 +118,22 @@ def test_cert_assemble_rejects_missing_key(tmp_path, missing):
     f.write_text(json.dumps(spec))
     with pytest.raises(ValueError, match=repr(missing)):
         cli.main(["cert", "assemble", str(f)])
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("args", {"targets": [{"kind": "C", "args": ["a", "b"]}]}),
+        ("n", {"n": "5"}),
+        ("targets", {"targets": 5}),
+        ("letters", {"targets": [{"kind": "word", "letters": 7}]}),
+        ("chi_seed", {"chi_seed": [1]}),
+        ("chooser_value", {"chooser_value": 0.1}),
+    ],
+)
+def test_cert_assemble_rejects_wrongly_typed_value(tmp_path, field, change):
+    spec = {"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}], **change}
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=repr(field)):
+        cli.main(["cert", "assemble", str(f)])

@@ -1,11 +1,13 @@
 """Hypothesis property tests for the algebraic invariants."""
 
+import copy
+import json
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from autfilt import autf, exactlin, lie, magnus
+from autfilt import autf, bnscert, cli, exactlin, lie, magnus
 from autfilt.autf import FreeWord
 
 from helpers import magnus_expand_by_letters, random_generator
@@ -147,3 +149,104 @@ def test_johnson_images_are_lie(seed):
         g = random_generator(rng, n)
     for v in magnus.johnson_image(g, k).components.values():
         assert lie.is_lie_element(v.tensor_coords())
+
+
+# -- input boundaries: mutated JSON and automorphism text --------------------
+
+REPLACEMENTS = ["x", 1.5, [], {}, None, -1, [1]]
+
+
+def _paths(obj, path=()):
+    """The key path of every position in a JSON value."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _paths(value, path + (key,))
+
+
+@st.composite
+def json_mutants(draw, obj):
+    """obj with one key deleted, one value replaced or one list truncated."""
+    obj = copy.deepcopy(obj)
+    path = draw(st.sampled_from(list(_paths(obj))))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else obj
+    kinds = ["replace"]
+    if path and isinstance(parent, dict):
+        kinds.append("delete")
+    if isinstance(node, list) and node:
+        kinds.append("truncate")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "delete":
+        del parent[path[-1]]
+        return obj
+    if kind == "truncate":
+        new = node[: draw(st.integers(0, len(node) - 1))]
+    else:
+        new = draw(st.sampled_from(REPLACEMENTS))
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return obj
+
+
+C12 = autf.c_nielsen_word(1, 2)
+CERTIFICATE = json.loads(
+    bnscert.assemble_certificate(5, 2, [("C12", C12)])[0].to_json()
+)
+ASSEMBLY_SPEC = {
+    "n": 5,
+    "m": 2,
+    "targets": [
+        {"kind": "C", "args": [1, 2]},
+        {"kind": "M", "args": [1, 2, 3], "label": "M123"},
+        {"kind": "word", "letters": [list(letter) for letter in C12], "label": "w"},
+    ],
+    "chi_seed": {autf.format_automorphism(autf.eval_nielsen_word(C12, 5)): "1/2"},
+    "chooser_value": 3,
+}
+
+
+@given(json_mutants(CERTIFICATE))
+@settings(max_examples=60, deadline=None)
+def test_mutated_certificate_gives_verdict_or_value_error(data):
+    try:
+        cert = bnscert.BnsCertificate.from_json(json.dumps(data))
+    except ValueError:
+        return
+    assert isinstance(bnscert.check_certificate(cert), bnscert.Verdict)
+
+
+@given(json_mutants(ASSEMBLY_SPEC))
+@settings(max_examples=40, deadline=None)
+def test_mutated_assembly_spec_gives_certificate_or_value_error(spec):
+    try:
+        cert, _ = cli._assemble(spec)
+    except ValueError:
+        return
+    assert isinstance(cert, bnscert.BnsCertificate)
+
+
+_L12, _R23 = autf.make_nielsen("L", 1, 2, 1, 3), autf.make_nielsen("R", 2, 3, -1, 3)
+AUTOMORPHISM_TEXTS = [
+    tuple(map(autf.format_automorphism, (_L12 * _R23, (_L12 * _R23).inverse()))),
+    (autf.format_automorphism(autf.make_T(1, (2, 3), 4)), None),
+]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutated_automorphism_text_gives_automorphism_or_value_error(data):
+    texts = list(data.draw(st.sampled_from(AUTOMORPHISM_TEXTS)))
+    which = data.draw(st.sampled_from([p for p, t in enumerate(texts) if t]))
+    tokens = texts[which].split()
+    at = data.draw(st.integers(0, len(tokens) - 1))
+    copies = data.draw(st.sampled_from((0, 2)))  # drop or duplicate the token
+    texts[which] = " ".join(tokens[:at] + [tokens[at]] * copies + tokens[at + 1 :])
+    try:
+        phi = autf.parse_automorphism(*texts)
+    except ValueError:
+        return
+    assert isinstance(phi, autf.FreeAutomorphism)
