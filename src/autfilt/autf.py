@@ -512,3 +512,26 @@ def parse_automorphism(text, inverse_text=None):
             "x_i; supply an inverse witness"
         )
     return _single_move(rank, i, letters[: at[0]], letters[at[0] + 1 :], check=True)
+
+
+# checks shared by the readers of certificate, assembly and Johnson-image JSON
+
+
+def json_fields(obj, keys, what):
+    """Values of keys in the JSON object obj; a ValueError names what is missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return [obj[k] for k in keys]
+
+
+def json_fraction(value, what):
+    """An int or a fraction string as a Fraction; a float would be read inexactly."""
+    if isinstance(value, (int, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} must be an integer or a fraction string, got {value!r}")

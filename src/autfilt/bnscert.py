@@ -78,58 +78,38 @@ class BnsCertificate:
     def from_json(cls, text):
         """Parse to_json output; malformed input raises a ValueError naming it."""
         data = json.loads(text)
-        texts, chi, rows = json_fields(
+        texts, chi, rows = autf.json_fields(
             data, ("elements", "chi", "witnesses"), "certificate"
         )
         for name, value in (("elements", texts), ("chi", chi), ("witnesses", rows)):
             if not isinstance(value, list):
                 raise ValueError(f"certificate {name!r} must be a list")
+        # an absent or null 'inverses' means "derive them"; a list holds one
+        # inverse text per element, as to_json writes it
         inverses = data.get("inverses")
-        if inverses is None:
-            inverses = [None] * len(texts)
-        elif not isinstance(inverses, list) or len(inverses) != len(texts):
+        if inverses is not None and (
+            not isinstance(inverses, list) or len(inverses) != len(texts)
+        ):
             raise ValueError(
                 f"certificate 'inverses' must be a list of {len(texts)} entries, "
                 f"one per element"
             )
-        if not all(isinstance(t, str) for t in texts) or not all(
-            t is None or isinstance(t, str) for t in inverses
-        ):
+        if not all(isinstance(t, str) for t in texts + (inverses or [])):
             raise ValueError("certificate elements and inverses must be strings")
         elements = tuple(
             autf.parse_automorphism(t, inverse_text=inv)
-            for t, inv in zip(texts, inverses)
+            for t, inv in zip(texts, inverses or [None] * len(texts))
         )
         witnesses = []
         for row in rows:
-            i, j, word = json_fields(row, ("i", "j", "word"), "witness")
+            i, j, word = autf.json_fields(row, ("i", "j", "word"), "witness")
             if not isinstance(word, list) or not all(
                 isinstance(v, int) for v in [i, j, *word]
             ):
                 raise ValueError(f"witness {row!r} needs integer i, j and a word list")
             witnesses.append(Witness(i, j, tuple(word)))
-        chi = tuple(json_fraction(c, "certificate 'chi' entry") for c in chi)
+        chi = tuple(autf.json_fraction(c, "certificate 'chi' entry") for c in chi)
         return cls(elements, chi, tuple(witnesses))
-
-
-def json_fields(obj, keys, what):
-    """Values of keys in the JSON object obj; a ValueError names what is missing."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
-    return [obj[k] for k in keys]
-
-
-def json_fraction(value, what):
-    """An int or a fraction string as a Fraction; a float would be read inexactly."""
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"{what} must be an integer or a fraction string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -261,7 +241,8 @@ class AssemblyReport:
 def assemble_certificate(n, m, targets, chi_seed=None, element_chooser=None):
     """Build a certificate from commutator-trivial targets given as Nielsen words.
 
-    targets: list of (label, nielsen word).  Returns (certificate, report).
+    targets: list of (label, nielsen word); labels only name targets in
+    error messages and need not be distinct.  Returns (certificate, report).
     Raises AssemblyError when a path cannot be built or the chooser fails
     to supply an element with nonzero character.
     """
@@ -282,7 +263,7 @@ def assemble_certificate(n, m, targets, chi_seed=None, element_chooser=None):
     # always kept as dedicated vertices with a forced element choice
     vertices = [(root, None, None)]
     seen = {(root.indices, root.conjugator)}
-    endpoint_vertex = {}
+    endpoint_vertex = []  # by target position: labels may repeat
     for label, word, phi in target_autos:
         path = commgraph.conjugate_path(n, I, word)
         if not commgraph.verify_path(path):
@@ -292,7 +273,7 @@ def assemble_certificate(n, m, targets, chi_seed=None, element_chooser=None):
             if key not in seen:
                 seen.add(key)
                 vertices.append((h, None, None))
-        endpoint_vertex[label] = len(vertices)
+        endpoint_vertex.append(len(vertices))
         vertices.append((path.handles[-1], phi, label))
 
     # BFS distances over the elementwise-commutation relation
@@ -353,9 +334,9 @@ def assemble_certificate(n, m, targets, chi_seed=None, element_chooser=None):
             witnesses.append(Witness(position, position_of_vertex[parent], ()))
 
     # append the targets with conjugation witnesses [x1, t] = x1^-1 * x1^t
-    for label, word, phi in target_autos:
+    for (_, _, phi), endpoint in zip(target_autos, endpoint_vertex):
         position = len(elements) + 1
-        conj_pos = position_of_vertex[endpoint_vertex[label]]
+        conj_pos = position_of_vertex[endpoint]
         elements.append(phi)
         chi.append(chi_seed.value_of(phi))
         witnesses.append(Witness(position, 1, (-1, conj_pos)))

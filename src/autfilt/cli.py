@@ -106,16 +106,16 @@ def _is_nielsen_word(value):
 
 
 def _target_from_spec(spec):
-    (kind,) = bnscert.json_fields(spec, ("kind",), "assembly target")
+    (kind,) = autf.json_fields(spec, ("kind",), "assembly target")
     if kind in ("C", "M"):
-        (args,) = bnscert.json_fields(spec, ("args",), f"{kind} target")
+        (args,) = autf.json_fields(spec, ("args",), f"{kind} target")
         arity = 2 if kind == "C" else 3
         ok = _is_int_list(args) and len(args) == arity
         _require(ok, "args", f"a list of {arity} integers", args)
         make = autf.c_nielsen_word if kind == "C" else autf.m_nielsen_word
         word, label = make(*args), kind + "".join(map(str, args))
     elif kind == "word":
-        (letters,) = bnscert.json_fields(spec, ("letters",), "word target")
+        (letters,) = autf.json_fields(spec, ("letters",), "word target")
         expected = "a list of [side, i, j, exp]"
         _require(_is_nielsen_word(letters), "letters", expected, letters)
         word, label = tuple(tuple(l) for l in letters), "word"
@@ -129,7 +129,7 @@ def _target_from_spec(spec):
 def _assemble(spec):
     """Certificate and report for an assembly spec; a missing or wrongly
     typed field raises a ValueError naming it."""
-    n, m = bnscert.json_fields(spec, ("n", "m"), "assembly spec")
+    n, m = autf.json_fields(spec, ("n", "m"), "assembly spec")
     for name, value in (("n", n), ("m", m)):
         _require(isinstance(value, int), name, "an integer", value)
     if not 2 <= m <= n:
@@ -139,10 +139,10 @@ def _assemble(spec):
     chi_seed = spec.get("chi_seed", {})
     _require(isinstance(chi_seed, dict), "chi_seed", "an object", chi_seed)
     chi_seed = {
-        k: bnscert.json_fraction(v, f"assembly 'chi_seed' value for {k!r}")
+        k: autf.json_fraction(v, f"assembly 'chi_seed' value for {k!r}")
         for k, v in chi_seed.items()
     }
-    chooser_value = bnscert.json_fraction(
+    chooser_value = autf.json_fraction(
         spec.get("chooser_value", 1), "assembly 'chooser_value'"
     )
     return bnscert.assemble_certificate(

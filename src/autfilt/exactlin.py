@@ -5,7 +5,8 @@ when integral (every operator the suites use is integral with an integral
 inverse), Fractions only for non-integral input; JSON writes both as
 fraction strings.  Every space carries an explicit label set with a fixed
 total order, so spans, kernels and subspace comparisons are deterministic.
-The elimination keeps integer rows with content stripped, which avoids
+The elimination keeps a reduced integer echelon basis (content stripped,
+each pivot cleared from the other rows), which avoids fill-in and
 coefficient blowup during the larger orbit saturations.
 
 The structured spaces are the ones the computations need: plain tensor
@@ -16,6 +17,7 @@ k = 1 case is Hom(V, wedge^2 V), and wedge powers of a symplectic Q^{2g}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,11 +321,11 @@ def _moving_pair(space, moves_fwd, moves_bwd, name):
 
 
 def _int_row(coords):
-    """Clear denominators and strip content; leading sign handled by caller."""
+    """Clear denominators, drop zeros and strip content; the caller fixes the sign."""
     if not coords:
         return {}
     den = lcm(*(v.denominator for v in coords.values()))
-    row = {k: int(v * den) for k, v in coords.items()}
+    row = {k: int(v * den) for k, v in coords.items() if v}
     g = gcd(*row.values())
     if g > 1:
         row = {k: v // g for k, v in row.items()}
@@ -331,7 +333,14 @@ def _int_row(coords):
 
 
 class SubspaceBasis:
-    """Integer echelon basis of a subspace, rows keyed by pivot label."""
+    """Reduced integer echelon basis of a subspace, rows keyed by pivot label.
+
+    Each row's pivot is its least label, with a positive entry, and the row
+    has content 1; no row has a nonzero entry at another row's pivot.  So
+    clearing one pivot from a vector leaves its other pivot entries merely
+    scaled, and reduce clears each pivot label the vector holds once, in
+    one pass, with no search for the least label.
+    """
 
     def __init__(self, space):
         self.space = space
@@ -343,20 +352,19 @@ class SubspaceBasis:
         return len(self.rows)
 
     def reduce(self, coords):
-        """Reduce a coordinate dict against the basis; returns an int row."""
+        """Reduce a coordinate dict against the basis; returns an int row
+        with no entry at any pivot, empty exactly when coords is in the span."""
         v = _int_row(coords)
-        while v:
-            p = min(v, key=self._key)
-            row = self.rows.get(p)
-            if row is None:
-                return v
-            a, b = row[p], v[p]
-            g = gcd(a, b)
-            v = _combine(a // g, v, -(b // g), row)
+        for p in v.keys() & self.rows.keys():
+            _eliminate(v, self.rows[p], p)
         return v
 
     def insert(self, vec):
-        """Add a vector; returns the inserted residue row or None if dependent."""
+        """Add a vector; returns the inserted residue row or None if dependent.
+
+        The returned row is never mutated afterwards: back-substitution
+        replaces the rows that hold the new pivot with new dicts.
+        """
         coords = vec.coords if isinstance(vec, TensorVector) else vec
         residue = self.reduce(coords)
         if not residue:
@@ -365,6 +373,13 @@ class SubspaceBasis:
         p = min(residue, key=self._key)
         if residue[p] < 0:
             residue = {k: -v for k, v in residue.items()}
+        for q, row in self.rows.items():
+            if p in row:
+                # the residue's entries all sit past q, so q stays the pivot
+                # and its entry stays positive
+                row = dict(row)
+                _eliminate(row, residue, p)
+                self.rows[q] = _int_row(row)
         self.rows[p] = residue
         return residue
 
@@ -431,6 +446,23 @@ def kernel_basis(op):
         if img is not None and not img:
             kernel.insert(combo)
     return kernel
+
+
+def _eliminate(v, row, p):
+    """Clear v[p] in place with a*v - b*row, where a:b is row[p]:v[p] in
+    lowest terms; v is scaled only when a is not 1."""
+    a, b = row[p], v[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k in v:
+            v[k] *= a
+    for k, c in row.items():
+        s = v.get(k, 0) - b * c
+        if s:
+            v[k] = s
+        else:
+            del v[k]
 
 
 def _combine(ca, a, cb, b):
@@ -726,10 +758,12 @@ def _induce_one(base, space):
         )
     if isinstance(space, MkSpace):
         dual = _dual_images(base)
+        # the Lie image depends on the word only, not on the dual index
+        word_image = functools.cache(lambda w: _act_on_lyndon_word(base, w))
 
         def fn(label):
             d, w = label
-            lie_coords = _act_on_lyndon_word(base, w)
+            lie_coords = word_image(w)
             return TensorVector(
                 space,
                 {

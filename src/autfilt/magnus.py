@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lie
-from .autf import FreeWord
+from .autf import FreeWord, json_fields, json_fraction
 from .lie import LieElement, is_lie_element  # re-exported check
 
 __all__ = [
@@ -309,13 +309,27 @@ class JohnsonImage:
 
     @classmethod
     def from_json(cls, text):
+        """Parse to_json output; malformed input raises a ValueError naming it."""
         data = json.loads(text)
-        rank, degree = data["rank"], data["degree"]
+        rank, degree, terms = json_fields(
+            data, ("rank", "degree", "terms"), "Johnson image"
+        )
+        if not (isinstance(rank, int) and isinstance(degree, int)):
+            raise ValueError("Johnson image 'rank' and 'degree' must be integers")
+        if not isinstance(terms, list):
+            raise ValueError("Johnson image 'terms' must be a list")
         per_index = {}
-        for row in data["terms"]:
-            w = lie.word_from_string(row["lyndon_word"])
-            per_index.setdefault(row["dual_index"], {})[w] = Fraction(
-                row["coefficient"]
+        for row in terms:
+            i, word, c = json_fields(
+                row, ("dual_index", "lyndon_word", "coefficient"), "Johnson image term"
+            )
+            if not (isinstance(i, int) and 1 <= i <= rank and isinstance(word, str)):
+                raise ValueError(
+                    f"Johnson image term {row!r} needs a dual_index in 1..{rank} "
+                    f"and a string lyndon_word"
+                )
+            per_index.setdefault(i, {})[lie.word_from_string(word)] = json_fraction(
+                c, "Johnson image 'coefficient'"
             )
         components = {
             i: LieElement(rank, degree + 1, coords) for i, coords in per_index.items()

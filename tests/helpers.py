@@ -8,8 +8,18 @@ expansion route, so agreement is a genuine dual-route check.
 """
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
-from autfilt import autf, magnus
+from autfilt import autf, lie, magnus
+from autfilt.exactlin import (
+    MkSpace,
+    SubspaceBasis,
+    SympWedgeSpace,
+    TensorSpace,
+    VSpace,
+    subspace_equal,
+)
 
 
 def derivation_apply(D, tensor):
@@ -118,6 +128,97 @@ def magnus_expand_by_letters(w, cutoff):
     for i, sign in w.letters:
         coeffs = _mul_letter(coeffs, i, sign, cutoff)
     return magnus.TruncatedSeries(w.rank, cutoff, coeffs)
+
+
+def _primitive_row(coords):
+    """Positive multiple of coords with integer entries and content 1."""
+    den = lcm(*(Fraction(v).denominator for v in coords.values()))
+    row = {k: int(Fraction(v) * den) for k, v in coords.items() if v}
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()}
+
+
+def min_pivot_reduce(rows, coords, sort_key=None):
+    """Reduce coords against {pivot: row} by clearing its least label, one
+    copied vector per step; returns the residue (empty iff in the span)."""
+    v = _primitive_row(coords)
+    while v:
+        p = min(v, key=sort_key)
+        row = rows.get(p)
+        if row is None:
+            break
+        a, b = row[p], v[p]
+        g = gcd(a, b)
+        v = {
+            k: c
+            for k in v.keys() | row.keys()
+            if (c := a // g * v.get(k, 0) - b // g * row.get(k, 0))
+        }
+    return v
+
+
+def echelon_span_by_min_pivot(vectors, sort_key=None):
+    """Min-pivot integer echelon rows {pivot: row} of the span of coordinate
+    dicts: oracle for the reduced exactlin.SubspaceBasis.
+
+    Rows are never back-substituted, so they may hold entries at later
+    pivots; it shares no elimination order with the library's basis.
+    """
+    rows = {}
+    for coords in vectors:
+        v = min_pivot_reduce(rows, coords, sort_key)
+        if v:
+            v = _primitive_row(v)
+            p = min(v, key=sort_key)
+            rows[p] = {k: c if v[p] > 0 else -c for k, c in v.items()}
+    return rows
+
+
+REDUCED_BASIS_SPACES = [VSpace(4), TensorSpace(3, 2), MkSpace(4, 2), SympWedgeSpace(3, 3)]
+
+
+def assert_reduced(basis):
+    """Pivot = least label, positive pivot entry, content 1, and no entry at
+    another row's pivot."""
+    key = basis.space.sort_key
+    for p, row in basis.rows.items():
+        assert p == min(row, key=key) and row[p] > 0
+        assert all(type(c) is int for c in row.values()) and gcd(*row.values()) == 1
+        assert not any(q in row for q in basis.rows if q != p)
+
+
+def _random_coords(rng, labels, rational):
+    support = rng.sample(labels, rng.randint(1, min(4, len(labels))))
+    if rational:
+        return {l: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for l in support}
+    return {l: rng.randint(-3, 3) for l in support}
+
+
+def check_against_min_pivot_oracle(space, rng, rational):
+    """Insert random vectors and their combinations; compare with the oracle."""
+    labels, key = space.labels(), space.sort_key
+    vectors = [_random_coords(rng, labels, rational) for _ in range(len(labels) // 2)]
+    for _ in range(3):
+        a, b = rng.sample(vectors, 2)
+        vectors.append(lie.tensor_add(lie.tensor_scale(a, rng.randint(-2, 2)), b))
+    basis = SubspaceBasis(space)
+    for coords in vectors:
+        basis.insert(coords)
+    oracle = echelon_span_by_min_pivot(vectors, key)
+    assert basis.dim == len(oracle)
+    assert_reduced(basis)
+    assert all(basis.contains(row) for row in oracle.values())
+    assert not any(min_pivot_reduce(oracle, r, key) for r in basis.rows.values())
+    probes = [_random_coords(rng, labels, rational) for _ in range(10)]
+    probes += [lie.tensor_add(a, lie.tensor_scale(b, 3)) for a, b in zip(vectors, vectors[1:])]
+    for coords in probes:
+        assert basis.contains(coords) == (not min_pivot_reduce(oracle, coords, key))
+    # a span has one reduced basis, whatever the vectors and their order
+    for others in (rng.sample(vectors, len(vectors)), list(oracle.values())):
+        again = SubspaceBasis(space)
+        for coords in others:
+            again.insert(coords)
+        assert again.rows == basis.rows and subspace_equal(basis, again)
 
 
 def random_nielsen_word(rng, n, length):

@@ -216,3 +216,28 @@ def test_from_json_rejects_null_element_and_zero_denominator(field, value):
     data[field][0] = value
     with pytest.raises(ValueError, match=field):
         bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
+def test_from_json_rejects_null_inverse():
+    # to_json writes one inverse text per element; null is only allowed for
+    # the whole field, where it means "derive the inverses"
+    data = _certificate_data()
+    data["inverses"][0] = None
+    with pytest.raises(ValueError, match="inverses"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+    data["inverses"] = None
+    assert bnscert.check_certificate(
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+    ).valid
+
+
+def test_assemble_repeated_target_labels():
+    # endpoints are keyed by target position, so a repeated label still
+    # gives each target its own conjugate
+    targets = [("x", autf.c_nielsen_word(1, 2)), ("x", autf.m_nielsen_word(1, 2, 3))]
+    cert, _ = bnscert.assemble_certificate(5, 2, targets)
+    assert bnscert.check_certificate(cert).valid
+    distinct, _ = bnscert.assemble_certificate(
+        5, 2, [("C12", targets[0][1]), ("M123", targets[1][1])]
+    )
+    assert cert == distinct

@@ -83,6 +83,22 @@ def test_cert_assemble_and_check(tmp_path, capsys):
     assert verdict["valid"] is True
 
 
+def test_cert_assemble_accepts_repeated_labels(tmp_path, capsys):
+    spec = {
+        "n": 5,
+        "m": 2,
+        "targets": [
+            {"kind": "C", "args": [1, 2], "label": "x"},
+            {"kind": "M", "args": [1, 2, 3], "label": "x"},
+        ],
+    }
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps(spec))
+    code = cli.main(["cert", "assemble", str(f)])
+    assert code == 0
+    assert '"valid": true' in capsys.readouterr().out
+
+
 def test_cert_check_rejects_corrupted(tmp_path, capsys):
     from autfilt import bnscert
 

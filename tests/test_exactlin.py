@@ -13,7 +13,12 @@ from autfilt.exactlin import (
     VSpace,
 )
 
-from helpers import brute_necklace_count
+from helpers import (
+    REDUCED_BASIS_SPACES,
+    assert_reduced,
+    brute_necklace_count,
+    check_against_min_pivot_oracle,
+)
 
 
 def unit(space, label):
@@ -27,6 +32,14 @@ def test_span_dimension():
     v = VSpace(3)
     basis = exactlin.span_basis([unit(v, 1), unit(v, 1) + unit(v, 2)])
     assert basis.dim == 2
+
+
+def test_zero_entries_are_ignored():
+    basis = exactlin.SubspaceBasis(VSpace(3))
+    basis.insert({1: 1})
+    assert basis.contains({2: 0})
+    assert basis.insert({2: 0, 3: 1}) == {3: 1}
+    assert set(basis.rows) == {1, 3}
 
 
 def test_kernel_of_zero_operator_is_whole_space():
@@ -47,6 +60,29 @@ def test_subspace_equal_by_mutual_containment():
 def test_space_mismatch_raises():
     with pytest.raises(ValueError):
         unit(VSpace(3), 1) + unit(VSpace(4), 1)
+
+
+@pytest.mark.parametrize("space", REDUCED_BASIS_SPACES, ids=lambda s: s.descriptor)
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "rational"])
+def test_reduced_basis_matches_min_pivot_oracle(space, rational):
+    rng = random.Random(space.descriptor + str(rational))
+    for _ in range(5):
+        check_against_min_pivot_oracle(space, rng, rational)
+
+
+def test_orbit_and_shift_difference_bases_are_reduced():
+    gens, seeds = _kernel_claim_setup(4, 2)
+    assert_reduced(exactlin.orbit_saturate(gens, seeds).basis)
+    assert_reduced(exactlin.w_basis(3, 3))
+
+
+@pytest.mark.parametrize("n, k, terms, applications", [(4, 2, 114, 768), (5, 2, 288, 3500)])
+def test_orbit_basis_work_is_pinned(n, k, terms, applications):
+    # stored terms count the fill-in that reduce and insert pay for
+    gens, seeds = _kernel_claim_setup(n, k)
+    res = exactlin.orbit_saturate(gens, seeds)
+    assert sum(len(row) for row in res.basis.rows.values()) == terms
+    assert (res.rounds, res.applications) == (3, applications)
 
 
 def test_orbit_saturate_rank2():
@@ -107,6 +143,19 @@ def test_rational_route_spans_like_integer_route():
     scaled = exactlin.orbit_saturate(gens, third)
     assert scaled.closed and exactlin.subspace_equal(plain.basis, scaled.basis)
     assert TensorVector(VSpace(1), {1: 0.5}).coords[1] == Fraction(1, 2)
+
+
+def test_induced_images_match_unmemoised_product():
+    space = MkSpace(4, 2)
+    base = exactlin.elementary_sl(1, 2, 4)
+    op = exactlin.induced_on(base, space)
+    dual = exactlin._dual_images(base)
+    for d, w in space.labels():
+        lie_coords = exactlin._act_on_lyndon_word(base, w)
+        expected = {
+            (c, ww): dc * cw for c, dc in dual(d).items() for ww, cw in lie_coords.items()
+        }
+        assert op.image_of((d, w)) == TensorVector(space, expected)
 
 
 def test_orbit_saturate_requires_inverse():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -229,6 +230,34 @@ def test_equivariance_under_signed_permutation():
 def test_image_json_round_trip():
     ji = magnus.johnson_image(autf.make_S((1, 2), 3, 4, 5), 2)
     assert magnus.JohnsonImage.from_json(ji.to_json()) == ji
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, name",
+    [
+        (("degree",), DROP, "'degree'"),
+        (("terms", 0, "coefficient"), "1/0", "'coefficient'"),
+        (("terms",), {}, "'terms'"),
+        (("terms", 0, "lyndon_word"), DROP, "'lyndon_word'"),
+        (("terms", 0, "dual_index"), DROP, "'dual_index'"),
+        (("terms", 0, "coefficient"), DROP, "'coefficient'"),
+    ],
+)
+def test_image_from_json_rejects_malformed(path, value, name):
+    ji = magnus.johnson_image(autf.make_S((1, 2), 3, 4, 5), 2)
+    data = json.loads(ji.to_json())
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(ValueError, match=name):
+        magnus.JohnsonImage.from_json(json.dumps(data))
 
 
 def test_hom_wedge2_vector():

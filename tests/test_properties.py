@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 from autfilt import autf, bnscert, cli, exactlin, lie, magnus
 from autfilt.autf import FreeWord
 
-from helpers import magnus_expand_by_letters, random_generator
+from helpers import (
+    REDUCED_BASIS_SPACES,
+    check_against_min_pivot_oracle,
+    magnus_expand_by_letters,
+    random_generator,
+)
 
 N = 4
 
@@ -149,6 +154,16 @@ def test_johnson_images_are_lie(seed):
         g = random_generator(rng, n)
     for v in magnus.johnson_image(g, k).components.values():
         assert lie.is_lie_element(v.tensor_coords())
+
+
+@given(
+    st.sampled_from(REDUCED_BASIS_SPACES),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=30, deadline=None)
+def test_reduced_basis_matches_min_pivot_oracle(space, rational, seed):
+    check_against_min_pivot_oracle(space, random.Random(seed), rational)
 
 
 # -- input boundaries: mutated JSON and automorphism text --------------------
