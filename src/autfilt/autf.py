@@ -527,9 +527,14 @@ def json_fields(obj, keys, what):
     return [obj[k] for k in keys]
 
 
+def is_json_int(value):
+    """True for a JSON integer: bool is an int subclass, but true is not 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def json_fraction(value, what):
     """An int or a fraction string as a Fraction; a float would be read inexactly."""
-    if isinstance(value, (int, str)):
+    if is_json_int(value) or isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -104,7 +104,7 @@ class BnsCertificate:
         for row in rows:
             i, j, word = autf.json_fields(row, ("i", "j", "word"), "witness")
             if not isinstance(word, list) or not all(
-                isinstance(v, int) for v in [i, j, *word]
+                autf.is_json_int(v) for v in [i, j, *word]
             ):
                 raise ValueError(f"witness {row!r} needs integer i, j and a word list")
             witnesses.append(Witness(i, j, tuple(word)))

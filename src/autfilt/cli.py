@@ -94,7 +94,7 @@ def _require(ok, name, expected, value):
 
 
 def _is_int_list(value):
-    return isinstance(value, list) and all(isinstance(v, int) for v in value)
+    return isinstance(value, list) and all(map(autf.is_json_int, value))
 
 
 def _is_nielsen_word(value):
@@ -131,7 +131,7 @@ def _assemble(spec):
     typed field raises a ValueError naming it."""
     n, m = autf.json_fields(spec, ("n", "m"), "assembly spec")
     for name, value in (("n", n), ("m", m)):
-        _require(isinstance(value, int), name, "an integer", value)
+        _require(autf.is_json_int(value), name, "an integer", value)
     if not 2 <= m <= n:
         raise ValueError(f"assembly spec needs 2 <= m <= n, got n={n}, m={m}")
     targets = spec.get("targets", [])

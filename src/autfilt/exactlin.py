@@ -652,6 +652,25 @@ def elementary_sl(i, j, n):
     return _moving_pair(VSpace(n), {j: {j: 1, i: 1}}, {j: {j: 1, i: -1}}, f"E({i},{j})")
 
 
+def sl_generators(n):
+    """Two generators [E(1,2), P] of SL_n(Z), P the signed cycle e_j -> e_(j+1),
+    e_n -> (-1)^(n-1) e_1 (determinant 1).
+
+    Why they generate: P E(i,j) P^-1 = E(i+1,j+1) for i, j < n, so the
+    conjugates of E(1,2) by powers of P are every E(i,i+1) and E(n,1)^+-1.
+    The commutator [E(i,j), E(j,l)] = E(i,l) (i, j, l distinct) walks these
+    round the cycle to every transvection (for n = 2 the conjugates already
+    are E(1,2) and E(2,1)^-1: P and E(1,2) are the classical S and T), and
+    transvections generate SL_n(Z).  So a subspace stable under the two is
+    stable under the group, and by the argument in orbit_saturate under
+    their inverses too.
+    """
+    sign = (-1) ** (n - 1)
+    fwd = {j: {j + 1: 1} for j in range(1, n)} | {n: {1: sign}}
+    bwd = {j + 1: {j: 1} for j in range(1, n)} | {1: {n: sign}}
+    return [elementary_sl(1, 2, n), _moving_pair(VSpace(n), fwd, bwd, "P")]
+
+
 def operator_from_matrix(mat, n, name=""):
     """Invertible integer matrix (columns are images) as an operator on V."""
 
@@ -1054,8 +1073,9 @@ class KernelClaimReport:
 
 
 def kernel_claim_check(n, k, full_closure=True):
-    """Compare the transvection-orbit span of the single-row family vectors
-    with the kernel of the contraction inside the dual-Lie space.
+    """Compare the SL_n(Z)-orbit span (two generators, see sl_generators)
+    of the single-row family vectors with the kernel of the contraction
+    inside the dual-Lie space.
 
     Seeds are the unit vectors e_i^* (x) (Lyndon bracketing avoiding i).
     When full_closure is false the saturation stops as soon as the kernel
@@ -1074,14 +1094,8 @@ def kernel_claim_check(n, k, full_closure=True):
     ]
     seeds_ok = all(not phi.apply(s) for s in seeds)
     kernel = kernel_basis(phi)
-    generators = [
-        induced_on(elementary_sl(a, b, n), space)
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        if a != b
-    ]
     result = orbit_saturate(
-        generators,
+        [induced_on(g, space) for g in sl_generators(n)],
         seeds,
         stop_at_dim=None if full_closure else kernel.dim,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lie
-from .autf import FreeWord, json_fields, json_fraction
+from .autf import FreeWord, is_json_int, json_fields, json_fraction
 from .lie import LieElement, is_lie_element  # re-exported check
 
 __all__ = [
@@ -314,7 +314,7 @@ class JohnsonImage:
         rank, degree, terms = json_fields(
             data, ("rank", "degree", "terms"), "Johnson image"
         )
-        if not (isinstance(rank, int) and isinstance(degree, int)):
+        if not (is_json_int(rank) and is_json_int(degree)):
             raise ValueError("Johnson image 'rank' and 'degree' must be integers")
         if not isinstance(terms, list):
             raise ValueError("Johnson image 'terms' must be a list")
@@ -323,7 +323,7 @@ class JohnsonImage:
             i, word, c = json_fields(
                 row, ("dual_index", "lyndon_word", "coefficient"), "Johnson image term"
             )
-            if not (isinstance(i, int) and 1 <= i <= rank and isinstance(word, str)):
+            if not (is_json_int(i) and 1 <= i <= rank and isinstance(word, str)):
                 raise ValueError(
                     f"Johnson image term {row!r} needs a dual_index in 1..{rank} "
                     f"and a string lyndon_word"

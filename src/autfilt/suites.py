@@ -114,15 +114,6 @@ def _all_commutator_multipliers(n):
     ]
 
 
-def _sl_generators_on(space, n):
-    return [
-        exactlin.induced_on(exactlin.elementary_sl(a, b, n), space)
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        if a != b
-    ]
-
-
 def _random_t(rng, n, k):
     """Random T with a nondegenerate tail (first two letters distinct)."""
     i = rng.randrange(1, n + 1)
@@ -181,7 +172,10 @@ def suite_iaab(params):
 
         def check_orbit(n=n, space=space, expected_full=expected_full):
             seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1).to_mk_vector()
-            sat = exactlin.orbit_saturate(_sl_generators_on(space, n), [seed])
+            sat = exactlin.orbit_saturate(
+                [exactlin.induced_on(g, space) for g in exactlin.sl_generators(n)],
+                [seed],
+            )
             ok = sat.basis.dim == expected_full and sat.closed
             return ok, {
                 "n": n,
@@ -285,8 +279,8 @@ def suite_tau_identities(params):
 
 
 def suite_kernel_claim(params):
-    """Transvection-orbit span of the single-row family equals ker of the
-    contraction inside the dual-Lie space."""
+    """SL_n(Z)-orbit (two generators) span of the single-row family equals
+    ker of the contraction inside the dual-Lie space."""
     n = params.get("n", 4)
     k = params.get("k", 2)
     full_closure = params.get("full_closure", True)

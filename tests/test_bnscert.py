@@ -218,6 +218,23 @@ def test_from_json_rejects_null_element_and_zero_denominator(field, value):
         bnscert.BnsCertificate.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("field", ["i", "j"])
+def test_from_json_rejects_boolean_witness_index(field):
+    # bool is an int subclass, but JSON true is not the integer 1: with it
+    # read as 1 this certificate would check valid
+    data = _certificate_data()
+    data["witnesses"][0][field] = True
+    with pytest.raises(ValueError, match="integer i, j"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
+def test_from_json_rejects_boolean_chi_entry():
+    data = _certificate_data()
+    data["chi"][0] = True
+    with pytest.raises(ValueError, match="'chi'"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
 def test_from_json_rejects_null_inverse():
     # to_json writes one inverse text per element; null is only allowed for
     # the whole field, where it means "derive the inverses"

@@ -145,6 +145,9 @@ def test_cert_assemble_rejects_missing_key(tmp_path, missing):
         ("letters", {"targets": [{"kind": "word", "letters": 7}]}),
         ("chi_seed", {"chi_seed": [1]}),
         ("chooser_value", {"chooser_value": 0.1}),
+        ("n", {"n": True}),
+        ("args", {"targets": [{"kind": "C", "args": [True, 2]}]}),
+        ("chooser_value", {"chooser_value": True}),
     ],
 )
 def test_cert_assemble_rejects_wrongly_typed_value(tmp_path, field, change):

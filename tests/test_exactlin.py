@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -122,6 +124,43 @@ def _kernel_claim_setup(n, k):
         if a != b
     ]
     return gens, [unit(space, (d, w)) for d, w in space.labels() if d not in w]
+
+
+def _two_generators_on(space):
+    return [exactlin.induced_on(g, space) for g in exactlin.sl_generators(space.n)]
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3)])
+def test_two_generators_match_all_transvections_on_kernel_claim(n, k):
+    # all n(n-1) transvections stay the oracle; a span has one reduced basis
+    gens, seeds = _kernel_claim_setup(n, k)
+    two = exactlin.orbit_saturate(_two_generators_on(MkSpace(n, k)), seeds)
+    assert two.closed
+    assert two.basis.rows == exactlin.orbit_saturate(gens, seeds).basis.rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_two_generators_match_all_transvections_on_iaab_seed(n):
+    space = MkSpace(n, 1)
+    gens = [
+        exactlin.induced_on(exactlin.elementary_sl(a, b, n), space)
+        for a, b in itertools.permutations(range(1, n + 1), 2)
+    ]
+    seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1).to_mk_vector()
+    two = exactlin.orbit_saturate(_two_generators_on(space), [seed])
+    assert two.closed and two.basis.dim == n * n * (n - 1) // 2
+    assert two.basis.rows == exactlin.orbit_saturate(gens, [seed]).basis.rows
+
+
+@pytest.mark.parametrize(
+    "n, k, terms, rounds, applications",
+    [(4, 2, 114, 6, 128), (5, 2, 288, 7, 350), (5, 3, 1400, 10, 1250)],
+)
+def test_two_generator_orbit_work_is_pinned(n, k, terms, rounds, applications):
+    _, seeds = _kernel_claim_setup(n, k)
+    res = exactlin.orbit_saturate(_two_generators_on(MkSpace(n, k)), seeds)
+    assert sum(len(row) for row in res.basis.rows.values()) == terms
+    assert (res.rounds, res.applications) == (rounds, applications)
 
 
 def test_integral_inputs_stay_int():
@@ -298,6 +337,36 @@ def test_elementary_action_on_dual():
 def test_elementary_rejects_equal_indices():
     with pytest.raises(ValueError):
         exactlin.elementary_sl(1, 1, 3)
+
+
+def _product_images(*ops):
+    """Images of the basis of V under ops[0] o ops[1] o ... o ops[-1]."""
+    space = ops[0].space_in
+    out = {}
+    for label in space.labels():
+        vec = unit(space, label)
+        for op in reversed(ops):
+            vec = op.apply(vec)
+        out[label] = vec
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sl_generators_generate(n):
+    # the steps of the generation argument in the sl_generators docstring
+    E = functools.partial(exactlin.elementary_sl, n=n)
+    e12, p = exactlin.sl_generators(n)
+    space = VSpace(n)
+    identity = {label: unit(space, label) for label in space.labels()}
+    assert _product_images(e12) == _product_images(E(1, 2))
+    assert _product_images(p, p.inverse) == identity
+    sign = (-1) ** (n - 1)
+    assert _product_images(*[p] * n) == {l: v.scale(sign) for l, v in identity.items()}
+    for i, j in itertools.permutations(range(1, n), 2):
+        assert _product_images(p, E(i, j), p.inverse) == _product_images(E(i + 1, j + 1))
+    for i, j, l in itertools.permutations(range(1, n + 1), 3):
+        a, b = E(i, j), E(j, l)
+        assert _product_images(a, b, a.inverse, b.inverse) == _product_images(E(i, l))
 
 
 def test_c_count():

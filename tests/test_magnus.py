@@ -244,6 +244,10 @@ DROP = object()
         (("terms", 0, "lyndon_word"), DROP, "'lyndon_word'"),
         (("terms", 0, "dual_index"), DROP, "'dual_index'"),
         (("terms", 0, "coefficient"), DROP, "'coefficient'"),
+        # JSON true is not the integer 1, although bool is an int subclass
+        (("rank",), True, "'rank'"),
+        (("terms", 0, "dual_index"), True, "dual_index"),
+        (("terms", 0, "coefficient"), True, "'coefficient'"),
     ],
 )
 def test_image_from_json_rejects_malformed(path, value, name):

@@ -168,7 +168,7 @@ def test_reduced_basis_matches_min_pivot_oracle(space, rational, seed):
 
 # -- input boundaries: mutated JSON and automorphism text --------------------
 
-REPLACEMENTS = ["x", 1.5, [], {}, None, -1, [1]]
+REPLACEMENTS = ["x", 1.5, [], {}, None, -1, [1], True]
 
 
 def _paths(obj, path=()):
