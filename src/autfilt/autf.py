@@ -341,35 +341,11 @@ def abelianized_matrix(phi):
     return tuple(tuple(row) for row in mat)
 
 
-def _det(mat):
-    rows = [[Fraction(v) for v in row] for row in mat]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] / rows[c][c]
-            if f:
-                for cc in range(c, n):
-                    rows[r][cc] -= f * rows[c][cc]
-    return int(det)
-
-
 def is_IA(phi):
     n = phi.rank
     return abelianized_matrix(phi) == tuple(
         tuple(1 if a == b else 0 for b in range(n)) for a in range(n)
     )
-
-
-def is_SAut(phi):
-    return _det(abelianized_matrix(phi)) == 1
 
 
 def minimal_support(phi):
@@ -408,10 +384,6 @@ def eval_nielsen_word(letters, n):
     for letter in letters:
         acc = acc.compose(nielsen_automorphism(letter, n))
     return acc
-
-
-def invert_nielsen_word(letters):
-    return tuple((side, i, j, -exp) for side, i, j, exp in reversed(letters))
 
 
 def nielsen_word_support(letters):

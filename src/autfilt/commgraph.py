@@ -77,11 +77,10 @@ def commutes(h1, h2):
     """
     if h1.rank != h2.rank:
         raise ValueError("rank mismatch")
-    id_auto = autf.identity_automorphism(h1.rank)
     gens2 = parabolic_generators(h2)
     for g1 in parabolic_generators(h1):
         for g2 in gens2:
-            if autf.group_commutator(g1, g2) != id_auto:
+            if g1 * g2 != g2 * g1:
                 return False
     return True
 

@@ -9,10 +9,12 @@ The elimination keeps a reduced integer echelon basis (content stripped,
 each pivot cleared from the other rows), which avoids fill-in and
 coefficient blowup during the larger orbit saturations.
 
-The structured spaces are the ones the computations need: plain tensor
-powers of V = Q^n, the dual, the space MkSpace(n, k) of dual-vector (x)
-degree-(k+1) free-Lie values (basis e_i^* (x) Lyndon bracketing), whose
-k = 1 case is Hom(V, wedge^2 V), and wedge powers of a symplectic Q^{2g}.
+Every space is one Space value: a family name and its integer parameters,
+with one constructor per family the computations need: VSpace(n) for
+V = Q^n, TensorSpace(n, m) for its tensor powers, MkSpace(n, k) for
+dual-vector (x) degree-(k+1) free-Lie values (basis e_i^* (x) Lyndon
+bracketing), whose k = 1 case is Hom(V, wedge^2 V), and SympVSpace(g) and
+SympWedgeSpace(g, m) for a symplectic Q^{2g} and its wedge powers.
 """
 
 from __future__ import annotations
@@ -30,121 +32,92 @@ from . import lie
 # ---------------------------------------------------------------------------
 
 
-class _Space:
-    """Shared defaults: labels in natural order, dimension from the labels.
+def symp_symbol_key(sym):
+    letter, i = sym
+    return (i, 0 if letter == "a" else 1)
 
-    A sort_key of None makes min and sorted use the labels' own order;
-    spaces whose labels need another order define a sort_key method.
-    """
 
-    sort_key = None
+def _symp_labels(g):
+    return [(letter, i) for i in range(1, g + 1) for letter in ("a", "b")]
+
+
+# family -> (descriptor format over the parameters, labels in space order,
+# sort key or None for the labels' own order)
+_FAMILIES = {
+    "V": ("V(n={0})", lambda n: list(range(1, n + 1)), None),
+    "T": (
+        "T(n={0},m={1})",
+        lambda n, m: list(itertools.product(range(1, n + 1), repeat=m)),
+        None,
+    ),
+    "Mk": (
+        "Mk(n={0},k={1})",
+        lambda n, k: [
+            (i, w) for i in range(1, n + 1) for w in lie.lyndon_words(n, k + 1)
+        ],
+        None,
+    ),
+    "Vsymp": ("Vsymp(g={0})", _symp_labels, symp_symbol_key),
+    "wVsymp": (
+        "w{1}Vsymp(g={0})",
+        lambda g, m: list(itertools.combinations(_symp_labels(g), m)),
+        lambda label: tuple(symp_symbol_key(s) for s in label),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Space:
+    """A labeled basis space: a family name from _FAMILIES and its integer
+    parameters, which alone decide equality and hashing."""
+
+    family: str
+    params: tuple
+
+    @property
+    def descriptor(self):
+        return _FAMILIES[self.family][0].format(*self.params)
+
+    def labels(self):
+        """The basis labels in space order, that is sorted by sort_key."""
+        return _FAMILIES[self.family][1](*self.params)
+
+    @property
+    def sort_key(self):
+        return _FAMILIES[self.family][2]
 
     @property
     def dimension(self):
         return len(self.labels())
 
 
-@dataclass(frozen=True)
-class VSpace(_Space):
-    n: int
-
-    @property
-    def descriptor(self):
-        return f"V(n={self.n})"
-
-    def labels(self):
-        return list(range(1, self.n + 1))
+def VSpace(n):
+    """V = Q^n with labels 1..n."""
+    return Space("V", (n,))
 
 
-@dataclass(frozen=True)
-class DualSpace(_Space):
-    n: int
-
-    @property
-    def descriptor(self):
-        return f"V*(n={self.n})"
-
-    def labels(self):
-        return list(range(1, self.n + 1))
-
-
-@dataclass(frozen=True)
-class TensorSpace(_Space):
+def TensorSpace(n, m):
     """V^(x)m with basis labels the length-m index tuples."""
-
-    n: int
-    m: int
-
-    @property
-    def descriptor(self):
-        return f"T(n={self.n},m={self.m})"
-
-    def labels(self):
-        return [t for t in itertools.product(range(1, self.n + 1), repeat=self.m)]
+    return Space("T", (n, m))
 
 
-@dataclass(frozen=True)
-class MkSpace(_Space):
+def MkSpace(n, k):
     """V* (x) Lie_{k+1}(V) with labels (dual index, Lyndon word of length k+1).
 
     For k = 1 this is Hom(V, wedge^2 V): the length-2 Lyndon words (a, b)
     with a < b are exactly the wedge pairs.
     """
-
-    n: int
-    k: int
-
-    @property
-    def descriptor(self):
-        return f"Mk(n={self.n},k={self.k})"
-
-    def labels(self):
-        words = lie.lyndon_words(self.n, self.k + 1)
-        return [(i, w) for i in range(1, self.n + 1) for w in words]
+    return Space("Mk", (n, k))
 
 
-def symp_symbol_key(sym):
-    letter, i = sym
-    return (i, 0 if letter == "a" else 1)
-
-
-@dataclass(frozen=True)
-class SympVSpace(_Space):
+def SympVSpace(g):
     """Q^{2g} with symplectic basis labels ('a', i) and ('b', i)."""
-
-    g: int
-
-    @property
-    def descriptor(self):
-        return f"Vsymp(g={self.g})"
-
-    def labels(self):
-        out = []
-        for i in range(1, self.g + 1):
-            out.append(("a", i))
-            out.append(("b", i))
-        return out
-
-    sort_key = staticmethod(symp_symbol_key)
+    return Space("Vsymp", (g,))
 
 
-@dataclass(frozen=True)
-class SympWedgeSpace(_Space):
+def SympWedgeSpace(g, m=3):
     """wedge^m of the symplectic space; labels are strictly sorted tuples."""
-
-    g: int
-    m: int = 3
-
-    @property
-    def descriptor(self):
-        return f"w{self.m}Vsymp(g={self.g})"
-
-    def labels(self):
-        syms = SympVSpace(self.g).labels()
-        return [t for t in itertools.combinations(syms, self.m)]
-
-    def sort_key(self, label):
-        return tuple(symp_symbol_key(s) for s in label)
+    return Space("wVsymp", (g, m))
 
 
 def sort_symplectic_label(symbols):
@@ -423,12 +396,10 @@ def subspace_equal(a, b):
 
 def kernel_basis(op):
     """Exact kernel of a LinearOperator, as a basis in its domain."""
-    space = op.space_in
-    labels = sorted(space.labels(), key=space.sort_key)
     out_key = op.space_out.sort_key
     pivots = {}  # out-label -> (image row, combo row)
-    kernel = SubspaceBasis(space)
-    for lab in labels:
+    kernel = SubspaceBasis(op.space_in)
+    for lab in op.space_in.labels():
         img = _int_row(op.image_of(lab).coords)
         combo = {lab: 1}
         while img:
@@ -561,9 +532,9 @@ def phi_operator(n, k):
 
 def phi_map(t):
     """Apply the contraction to an Mk vector."""
-    if not isinstance(t.space, MkSpace):
+    if t.space.family != "Mk":
         raise ValueError(f"phi_map does not apply to {t.space.descriptor}")
-    return phi_operator(t.space.n, t.space.k).apply(t)
+    return phi_operator(*t.space.params).apply(t)
 
 
 def tau_map(x):
@@ -574,7 +545,7 @@ def tau_map(x):
 
 def cyclic_shift(t):
     """v1 (x) ... (x) vk maps to v2 (x) ... (x) vk (x) v1."""
-    if not isinstance(t.space, TensorSpace):
+    if t.space.family != "T":
         raise ValueError("cyclic_shift needs a plain tensor power")
     return TensorVector(
         t.space, {mono[1:] + mono[:1]: c for mono, c in t.coords.items()}
@@ -671,41 +642,9 @@ def sl_generators(n):
     return [elementary_sl(1, 2, n), _moving_pair(VSpace(n), fwd, bwd, "P")]
 
 
-def operator_from_matrix(mat, n, name=""):
-    """Invertible integer matrix (columns are images) as an operator on V."""
-
-    def columns(m):
-        return {b + 1: {a + 1: m[a][b] for a in range(n)} for b in range(n)}
-
-    inv = _invert_rational_matrix(mat)
-    return _moving_pair(VSpace(n), columns(mat), columns(inv), name)
-
-
-def _invert_rational_matrix(mat):
-    n = len(mat)
-    aug = [
-        [Fraction(mat[r][c]) for c in range(n)]
-        + [Fraction(1 if c == r else 0) for c in range(n)]
-        for r in range(n)
-    ]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [v / f for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                g = aug[r][c]
-                aug[r] = [v - g * w for v, w in zip(aug[r], aug[c])]
-    return [[aug[r][n + c] for c in range(n)] for r in range(n)]
-
-
 def _dual_images(base):
     """Dual action labels from the inverse: e_d^* -> sum_c <e_d, g^-1 e_c> e_c^*."""
-    n = base.space_in.n
-    cols = {c: base.inverse.image_of(c).coords for c in range(1, n + 1)}
+    cols = {c: base.inverse.image_of(c).coords for c in base.space_in.labels()}
 
     def images(d):
         return {c: cols[c][d] for c in cols if d in cols[c]}
@@ -748,34 +687,28 @@ def _act_on_lyndon_word(base, w):
 
 def induced_on(base, space):
     """Functorial lift of an invertible operator on V to a structured space."""
-    desc = space.descriptor
-    if desc in base._induced:
-        return base._induced[desc]
+    if space in base._induced:
+        return base._induced[space]
     fwd = _induce_one(base, space)
     bwd = _induce_one(base.inverse, space)
     fwd.inverse, bwd.inverse = bwd, fwd
-    base._induced[desc] = fwd
-    base.inverse._induced[desc] = bwd
+    base._induced[space] = fwd
+    base.inverse._induced[space] = bwd
     return fwd
 
 
 def _induce_one(base, space):
     name = f"{base.name} on {space.descriptor}"
-    if isinstance(space, VSpace):
+    if space.family == "V":
         return base
-    if isinstance(space, DualSpace):
-        dual = _dual_images(base)
-        return LinearOperator(
-            space, space, lambda d: TensorVector(space, dual(d)), name=name
-        )
-    if isinstance(space, TensorSpace):
+    if space.family == "T":
         return LinearOperator(
             space,
             space,
             lambda mono: TensorVector(space, _product_expand(base, mono)),
             name=name,
         )
-    if isinstance(space, MkSpace):
+    if space.family == "Mk":
         dual = _dual_images(base)
         # the Lie image depends on the word only, not on the dual index
         word_image = functools.cache(lambda w: _act_on_lyndon_word(base, w))
@@ -793,7 +726,7 @@ def _induce_one(base, space):
             )
 
         return LinearOperator(space, space, fn, name=name)
-    raise ValueError(f"no induced action on {desc}")
+    raise ValueError(f"no induced action on {space.descriptor}")
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +800,9 @@ def extended_sp_generators(g):
 
 def wedge_lift(op, m=3):
     """Multilinear lift to wedge^m with sorted labels and sign bookkeeping."""
-    if not isinstance(op.space_in, SympVSpace):
+    if op.space_in.family != "Vsymp":
         raise ValueError("wedge_lift expects an operator on the symplectic space")
-    g = op.space_in.g
-    space = SympWedgeSpace(g, m)
+    space = SympWedgeSpace(*op.space_in.params, m)
 
     def lift_of(base):
         def fn(label):

@@ -66,11 +66,6 @@ def lyndon_words(n, m):
     return out
 
 
-def lyndon_basis(n, m):
-    """Ordered (word, standard bracketing) pairs; Witt-number many entries."""
-    return [(w, lyndon_bracketing(w)) for w in lyndon_words(n, m)]
-
-
 def standard_factorization(w):
     """Split a Lyndon word as uv with v its longest proper Lyndon suffix."""
     if len(w) < 2:
@@ -303,15 +298,6 @@ def lie_from_tensor_coords(t, rank, degree=None):
     if defect:
         raise NotLieElementError(defect)
     return LieElement(rank, degree, _coords_from_lie_tensor(t))
-
-
-def from_tensor(t):
-    """Inverse of LieElement.to_tensor on the Lie subspace."""
-    from . import exactlin
-
-    if not isinstance(t.space, exactlin.TensorSpace):
-        raise ValueError(f"expected a plain tensor power, got {t.space.descriptor}")
-    return lie_from_tensor_coords(dict(t.coords), t.space.n, t.space.m)
 
 
 def is_lie_element(t):

@@ -65,10 +65,6 @@ class TruncatedSeries:
     def generator(cls, rank, cutoff, i):
         return cls(rank, cutoff, {(): 1, (i,): 1})
 
-    @property
-    def constant_term(self):
-        return self.coeffs.get((), 0)
-
     def homogeneous_part(self, d):
         return {k: v for k, v in self.coeffs.items() if len(k) == d}
 

@@ -55,6 +55,30 @@ def test_self_commutation_fails_for_nonabelian_parabolic():
     assert not commgraph.commutes(h, h)
 
 
+def _commutator_oracle(h1, h2):
+    gens2 = commgraph.parabolic_generators(h2)
+    return all(
+        autf.group_commutator(g1, g2).is_identity
+        for g1 in commgraph.parabolic_generators(h1)
+        for g2 in gens2
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_commutes_matches_group_commutator_oracle(seed):
+    # images-only check against [g1, g2] = 1, on commuting pairs (disjoint
+    # index sets, both handles conjugated alike) and on non-commuting pairs
+    # (overlapping index sets)
+    rng = random.Random(seed)
+    conj = random_nielsen_word(rng, 5, seed)
+    i1, i2, i3 = {1, 2}, {3, 4}, {2, 3, 5}
+    pairs = ((i1, i2, True), (i2, i1, True), (i1, i3, False), (i3, i2, False))
+    for a, b, expected in pairs:
+        h1, h2 = commgraph.handle(5, a, conj), commgraph.handle(5, b, conj)
+        assert commgraph.commutes(h1, h2) is expected
+        assert _commutator_oracle(h1, h2) is expected
+
+
 def test_commutes_is_symmetric():
     rng = random.Random(2)
     for _ in range(10):

@@ -27,6 +27,60 @@ def unit(space, label):
     return TensorVector.unit(space, label)
 
 
+# -- spaces ------------------------------------------------------------------
+
+SPACES = [
+    # (constructor call, descriptor, dimension, first label, last label)
+    (lambda: VSpace(3), "V(n=3)", 3, 1, 3),
+    (lambda: TensorSpace(3, 2), "T(n=3,m=2)", 9, (1, 1), (3, 3)),
+    (lambda: MkSpace(4, 2), "Mk(n=4,k=2)", 80, (1, (1, 1, 2)), (4, (3, 4, 4))),
+    (lambda: MkSpace(3, 1), "Mk(n=3,k=1)", 9, (1, (1, 2)), (3, (2, 3))),
+    (lambda: SympVSpace(2), "Vsymp(g=2)", 4, ("a", 1), ("b", 2)),
+    (
+        lambda: SympWedgeSpace(3),
+        "w3Vsymp(g=3)",
+        20,
+        (("a", 1), ("b", 1), ("a", 2)),
+        (("b", 2), ("a", 3), ("b", 3)),
+    ),
+    (
+        lambda: SympWedgeSpace(2, 2),
+        "w2Vsymp(g=2)",
+        6,
+        (("a", 1), ("b", 1)),
+        (("a", 2), ("b", 2)),
+    ),
+]
+SPACE_IDS = [row[1] for row in SPACES]
+
+
+@pytest.mark.parametrize("make, descriptor, dim, first, last", SPACES, ids=SPACE_IDS)
+def test_space_family_is_pinned(make, descriptor, dim, first, last):
+    space = make()
+    labels = space.labels()
+    assert space.descriptor == descriptor
+    assert space.dimension == len(labels) == dim
+    assert (labels[0], labels[-1]) == (first, last)
+    assert labels == sorted(labels, key=space.sort_key)
+    assert len(set(labels)) == dim
+
+
+@pytest.mark.parametrize("make", [row[0] for row in SPACES], ids=SPACE_IDS)
+def test_space_equality_and_hash_use_family_and_parameters(make):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_spaces_of_different_families_differ():
+    assert VSpace(3) != SympVSpace(3)
+    assert VSpace(3) != TensorSpace(3, 1)
+    assert SympWedgeSpace(3, 2) != SympWedgeSpace(3)
+    with pytest.raises(ValueError):
+        unit(VSpace(3), 1) + unit(SympVSpace(3), 1)
+
+
 # -- spans and kernels -------------------------------------------------------
 
 
@@ -127,7 +181,8 @@ def _kernel_claim_setup(n, k):
 
 
 def _two_generators_on(space):
-    return [exactlin.induced_on(g, space) for g in exactlin.sl_generators(space.n)]
+    n = space.params[0]
+    return [exactlin.induced_on(g, space) for g in exactlin.sl_generators(n)]
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3)])
@@ -327,16 +382,20 @@ def test_elementary_action_on_v():
 
 
 def test_elementary_action_on_dual():
-    E = exactlin.elementary_sl(1, 2, 3)
-    dual = exactlin.DualSpace(3)
-    Ed = exactlin.induced_on(E, dual)
-    assert Ed.apply(unit(dual, 1)) == unit(dual, 1) - unit(dual, 2)
-    assert Ed.apply(unit(dual, 2)) == unit(dual, 2)
+    # the inverse transpose: e_1^* -> e_1^* - e_2^*, e_2^* fixed
+    dual = exactlin._dual_images(exactlin.elementary_sl(1, 2, 3))
+    assert dual(1) == {1: 1, 2: -1}
+    assert dual(2) == {2: 1}
 
 
 def test_elementary_rejects_equal_indices():
     with pytest.raises(ValueError):
         exactlin.elementary_sl(1, 1, 3)
+
+
+def test_induced_on_rejects_a_family_without_a_lift():
+    with pytest.raises(ValueError, match="no induced action on Vsymp"):
+        exactlin.induced_on(exactlin.elementary_sl(1, 2, 3), SympVSpace(2))
 
 
 def _product_images(*ops):

@@ -14,10 +14,11 @@ def test_lyndon_words_n2_m3():
 
 
 def test_lyndon_basis_pairs_words_with_bracketings():
-    basis = lie.lyndon_basis(2, 3)
-    assert [w for w, _ in basis] == [(1, 1, 2), (1, 2, 2)]
-    assert basis[0][1] == (1, (1, 2))  # [e1, [e1, e2]]
-    assert basis[1][1] == ((1, 2), 2)  # [[e1, e2], e2]
+    words = lie.lyndon_words(2, 3)
+    assert words == [(1, 1, 2), (1, 2, 2)]
+    brackets = [lie.lyndon_bracketing(w) for w in words]
+    assert brackets[0] == (1, (1, 2))  # [e1, [e1, e2]]
+    assert brackets[1] == ((1, 2), 2)  # [[e1, e2], e2]
 
 
 def test_lyndon_words_n3_m1():
@@ -131,8 +132,8 @@ def test_to_tensor_vector_and_back():
 
     v = lie.left_normed_of_generators(3, (1, 2, 3))
     t = v.to_tensor()
-    assert isinstance(t.space, exactlin.TensorSpace)
-    assert lie.from_tensor(t) == v
+    assert t.space == exactlin.TensorSpace(3, 3)
+    assert lie.lie_from_tensor_coords(dict(t.coords), 3, 3) == v
 
 
 def test_word_string_round_trip():

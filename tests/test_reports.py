@@ -1,8 +1,10 @@
 """The committed reports reproduce through suites.run.
 
 Each report must match its file in reports/ byte for byte once the
-wall_time_s fields are blanked; the budget is the stated limit for the
-iaab and kernel-claim runs together.
+wall_time_s fields are blanked; each test's budget is the stated limit for
+its runs together.  Between them the two tests reach every space family:
+iaab and kernel-claim use V, Mk and T (the contraction's target),
+sl-reduction the Mk lifts of transvections, sp-orbit the symplectic spaces.
 """
 
 import pathlib
@@ -22,15 +24,34 @@ RUNS = [
 BUDGET_S = 1.0
 
 
+SP_ORBIT_AND_SL_REDUCTION_RUNS = [
+    ("05-sp-orbit.json", "sp-orbit", {"g_values": (3, 4)}),
+    (
+        "06-sl-reduction-n5.json",
+        "sl-reduction",
+        {"n": 5, "k_values": (2, 3), "trials": 20, "seed": 7},
+    ),
+]
+SP_ORBIT_AND_SL_REDUCTION_BUDGET_S = 1.0
+
+
 def _without_wall_times(text):
     return re.sub(r'"wall_time_s": [^,\n]*', '"wall_time_s": null', text)
 
 
-def test_iaab_and_kernel_claim_reports_match_committed():
+def _check_reports(runs, budget_s):
     t0 = time.perf_counter()
-    texts = {name: suites.run(suite, params).to_json() + "\n" for name, suite, params in RUNS}
+    texts = {name: suites.run(suite, params).to_json() + "\n" for name, suite, params in runs}
     elapsed = time.perf_counter() - t0
     for name, text in texts.items():
         committed = (REPORTS / name).read_text()
         assert _without_wall_times(text) == _without_wall_times(committed), name
-    assert elapsed < BUDGET_S, f"reports took {elapsed:.2f}s (budget {BUDGET_S}s)"
+    assert elapsed < budget_s, f"reports took {elapsed:.2f}s (budget {budget_s}s)"
+
+
+def test_iaab_and_kernel_claim_reports_match_committed():
+    _check_reports(RUNS, BUDGET_S)
+
+
+def test_sp_orbit_and_sl_reduction_reports_match_committed():
+    _check_reports(SP_ORBIT_AND_SL_REDUCTION_RUNS, SP_ORBIT_AND_SL_REDUCTION_BUDGET_S)
