@@ -5,9 +5,11 @@ when integral (every operator the suites use is integral with an integral
 inverse), Fractions only for non-integral input; JSON writes both as
 fraction strings.  Every space carries an explicit label set with a fixed
 total order, so spans, kernels and subspace comparisons are deterministic.
-The elimination keeps a reduced integer echelon basis (content stripped,
-each pivot cleared from the other rows), which avoids fill-in and
-coefficient blowup during the larger orbit saturations.
+There is one elimination, SubspaceBasis: a reduced integer echelon basis
+(content stripped, each pivot cleared from the other rows), which avoids
+fill-in and coefficient blowup during the larger orbit saturations.  Spans,
+saturations and kernels all go through it; kernel_basis reduces the
+matrix rows of an operator and reads the kernel off that row space.
 
 Every space is one Space value: a family name and its integer parameters,
 with one constructor per family the computations need: VSpace(n) for
@@ -252,12 +254,7 @@ class LinearOperator:
             )
         out = {}
         for label, c in vec.coords.items():
-            for k, v in self.image_of(label).coords.items():
-                s = out.get(k, 0) + c * v
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+            lie.tensor_add_into(out, self.image_of(label).coords, c)
         return TensorVector(self.space_out, out)
 
     __call__ = apply
@@ -324,10 +321,18 @@ class SubspaceBasis:
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, coords):
-        """Reduce a coordinate dict against the basis; returns an int row
-        with no entry at any pivot, empty exactly when coords is in the span."""
-        v = _int_row(coords)
+    def reduce(self, vec):
+        """Reduce a vector of this space, or a coordinate dict, against the
+        basis; returns an int row with no entry at any pivot, empty exactly
+        when vec is in the span."""
+        if isinstance(vec, TensorVector):
+            if vec.space != self.space:
+                raise ValueError(
+                    f"space mismatch: basis of {self.space.descriptor}, "
+                    f"vector of {vec.space.descriptor}"
+                )
+            vec = vec.coords
+        v = _int_row(vec)
         for p in v.keys() & self.rows.keys():
             _eliminate(v, self.rows[p], p)
         return v
@@ -338,8 +343,7 @@ class SubspaceBasis:
         The returned row is never mutated afterwards: back-substitution
         replaces the rows that hold the new pivot with new dicts.
         """
-        coords = vec.coords if isinstance(vec, TensorVector) else vec
-        residue = self.reduce(coords)
+        residue = self.reduce(vec)
         if not residue:
             return None
         residue = _int_row(residue)
@@ -357,8 +361,7 @@ class SubspaceBasis:
         return residue
 
     def contains(self, vec):
-        coords = vec.coords if isinstance(vec, TensorVector) else vec
-        return not self.reduce(coords)
+        return not self.reduce(vec)
 
     def vectors(self):
         out = []
@@ -380,8 +383,6 @@ def span_basis(vectors):
         raise ValueError("need at least one vector to infer the space")
     basis = SubspaceBasis(vectors[0].space)
     for v in vectors:
-        if v.space != basis.space:
-            raise ValueError("vectors live in different spaces")
         basis.insert(v)
     return basis
 
@@ -391,31 +392,43 @@ def subspace_equal(a, b):
         raise ValueError("space mismatch")
     if a.dim != b.dim:
         return False
-    return all(b.contains(TensorVector(a.space, row)) for row in a.rows.values())
+    return all(b.contains(row) for row in a.rows.values())
 
 
 def kernel_basis(op):
-    """Exact kernel of a LinearOperator, as a basis in its domain."""
-    out_key = op.space_out.sort_key
-    pivots = {}  # out-label -> (image row, combo row)
-    kernel = SubspaceBasis(op.space_in)
+    """Exact kernel of a LinearOperator, as a basis in its domain.
+
+    The matrix rows (one per output label, over the domain labels) are
+    reduced in a SubspaceBasis, and the kernel is read off that row space:
+    no reduced row holds another row's pivot, so each free (non-pivot)
+    domain label f gives the kernel vector
+    L e_f - sum_p (L row_p[f] / row_p[p]) e_p over the pivots p whose row
+    holds f, with L the lcm of those pivot entries.  The reduced basis of a
+    subspace is unique, so the result does not depend on the row order.
+    """
+    matrix = {}
     for lab in op.space_in.labels():
-        img = _int_row(op.image_of(lab).coords)
-        combo = {lab: 1}
-        while img:
-            p = min(img, key=out_key)
-            if p not in pivots:
-                pivots[p] = (img, combo)
-                img = None
-                break
-            prow, pcombo = pivots[p]
-            a, b = prow[p], img[p]
-            g = gcd(a, b)
-            ca, cb = a // g, b // g
-            img = _combine(ca, img, -cb, prow)
-            combo = _combine(ca, combo, -cb, pcombo)
-        if img is not None and not img:
-            kernel.insert(combo)
+        for out_label, c in op.image_of(lab).coords.items():
+            matrix.setdefault(out_label, {})[lab] = c
+    row_space = SubspaceBasis(op.space_in)
+    for row in matrix.values():
+        row_space.insert(row)
+    rows = row_space.rows
+    holders = {}  # free label -> the pivots whose row holds it
+    for p, row in rows.items():
+        for f in row:
+            if f != p:
+                holders.setdefault(f, []).append(p)
+    kernel = SubspaceBasis(op.space_in)
+    for f in op.space_in.labels():
+        if f in rows:
+            continue
+        pivots = holders.get(f, ())
+        L = lcm(*(rows[p][p] for p in pivots))
+        vec = {f: L}
+        for p in pivots:
+            vec[p] = -(L // rows[p][p]) * rows[p][f]
+        kernel.insert(vec)
     return kernel
 
 
@@ -428,23 +441,7 @@ def _eliminate(v, row, p):
     if a != 1:
         for k in v:
             v[k] *= a
-    for k, c in row.items():
-        s = v.get(k, 0) - b * c
-        if s:
-            v[k] = s
-        else:
-            del v[k]
-
-
-def _combine(ca, a, cb, b):
-    out = {k: ca * v for k, v in a.items()}
-    for k, v in b.items():
-        s = out.get(k, 0) + cb * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    lie.tensor_add_into(v, row, -b)
 
 
 @dataclass
@@ -653,33 +650,23 @@ def _dual_images(base):
 
 
 def _product_expand(base, mono):
-    """Diagonal action on one tensor monomial, as a dict of label tuples."""
-    partial = {(): 1}
-    for a in mono:
-        img = base.image_of(a).coords
-        new = {}
-        for k, v in partial.items():
-            for b, cb in img.items():
-                kk = k + (b,)
-                s = new.get(kk, 0) + v * cb
-                if s:
-                    new[kk] = s
-                else:
-                    new.pop(kk, None)
-        partial = new
-    return partial
+    """Diagonal action on one tensor monomial, as a dict of label tuples.
+
+    Each choice of one image term per letter gives its own label tuple, so
+    the products need no accumulation.
+    """
+    images = [base.image_of(a).coords.items() for a in mono]
+    return {
+        tuple(b for b, _ in terms): prod(c for _, c in terms)
+        for terms in itertools.product(*images)
+    }
 
 
 def _act_on_lyndon_word(base, w):
     """Diagonal action on the bracketing of w, back in Lyndon coordinates."""
     out = {}
     for mono, c in lie.lyndon_word_tensor(w).items():
-        for kk, v in _product_expand(base, mono).items():
-            s = out.get(kk, 0) + c * v
-            if s:
-                out[kk] = s
-            else:
-                out.pop(kk, None)
+        lie.tensor_add_into(out, _product_expand(base, mono), c)
     if not out:
         return {}
     return lie._coords_from_lie_tensor(out)
@@ -809,13 +796,8 @@ def wedge_lift(op, m=3):
             out = {}
             for combo, c in _product_expand(base, label).items():
                 sgn, key = sort_symplectic_label(combo)
-                if sgn == 0:
-                    continue
-                s = out.get(key, 0) + sgn * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                if sgn:
+                    lie.tensor_add_into(out, {key: c}, sgn)
             return TensorVector(space, out)
 
         return fn
@@ -890,7 +872,7 @@ def elementary_formal_action(i, j, p, delta):
     for dc, dd in dual_choices:
         for combo in itertools.product(*slot_choices):
             sym = (dd, tuple(a for _, a in combo))
-            out = lie.tensor_add(out, {sym: dc * prod(c for c, _ in combo)})
+            lie.tensor_add_into(out, {sym: prod(c for c, _ in combo)}, dc)
     return out
 
 
@@ -938,9 +920,7 @@ def z_reduction_check(n, k, delta, fresh_index):
     base = (i, tail_fresh)
     z_terms = {}
     for p, scale in ((2, 1), (1, -2)):
-        z_terms = lie.tensor_add(
-            z_terms, lie.tensor_scale(elementary_formal_action(i, j, p, base), scale)
-        )
+        lie.tensor_add_into(z_terms, elementary_formal_action(i, j, p, base), scale)
     leading = z_terms.get(delta, 0)
     lower_ok = all(
         c_count(sym) < c for sym in z_terms if sym != delta

@@ -86,15 +86,19 @@ def lyndon_bracketing(w):
 
 # -- tensor-level helpers (dicts word -> coefficient) -----------------------
 
-def tensor_add(a, b):
-    out = dict(a)
+def tensor_add_into(out, b, c):
+    """out += c*b in place, dropping the terms that cancel; returns out."""
     for k, v in b.items():
-        s = out.get(k, 0) + v
+        s = out.get(k, 0) + c * v
         if s:
             out[k] = s
         else:
             out.pop(k, None)
     return out
+
+
+def tensor_add(a, b):
+    return tensor_add_into(dict(a), b, 1)
 
 
 def tensor_scale(a, c):
@@ -117,7 +121,7 @@ def tensor_concat(a, b):
 
 
 def tensor_bracket(a, b):
-    return tensor_add(tensor_concat(a, b), tensor_scale(tensor_concat(b, a), -1))
+    return tensor_add_into(tensor_concat(a, b), tensor_concat(b, a), -1)
 
 
 _EXPANSION_CACHE = {}
@@ -145,7 +149,7 @@ def dynkin_map(t):
         acc = {(mono[0],): 1}
         for letter in mono[1:]:
             acc = tensor_bracket(acc, {(letter,): 1})
-        out = tensor_add(out, tensor_scale(acc, c))
+        tensor_add_into(out, acc, c)
     return out
 
 
@@ -161,7 +165,7 @@ def dynkin_defect(t):
     m = tensor_degree(t)
     if m is None:
         return {}
-    return tensor_add(dynkin_map(t), tensor_scale(t, -m))
+    return tensor_add_into(dynkin_map(t), t, -m)
 
 
 def is_lie_tensor(t):
@@ -184,7 +188,7 @@ def _coords_from_lie_tensor(t):
             raise NotLieElementError(dynkin_defect(t))
         c = rest[w]
         coords[w] = c
-        rest = tensor_add(rest, tensor_scale(lyndon_word_tensor(w), -c))
+        tensor_add_into(rest, lyndon_word_tensor(w), -c)
     return coords
 
 
@@ -244,7 +248,7 @@ class LieElement:
     def tensor_coords(self):
         out = {}
         for w, c in self.coords.items():
-            out = tensor_add(out, tensor_scale(lyndon_word_tensor(w), c))
+            tensor_add_into(out, lyndon_word_tensor(w), c)
         return out
 
     def bracket(self, other):

@@ -13,6 +13,7 @@ from autfilt import autf, exactlin, lie, magnus, suites
 from autfilt.autf import FreeWord
 
 from helpers import brute_lyndon_count, random_generator, random_word
+from test_reports import assert_matches_committed
 
 
 def _announce(number, name, ok, elapsed, budget, detail=""):
@@ -80,6 +81,7 @@ def test_c3_tau_identities():
     ok = all(r.status == "PASS" for r in report.records)
     detail = "; ".join(f"{r.claim}={r.status}" for r in report.records)
     _announce(3, "tau-identities", ok, time.perf_counter() - t0, 180, detail)
+    assert_matches_committed("01-tau-identities-n5.json", report.to_json() + "\n")
 
 
 def test_c4_kernel_claim():
@@ -122,6 +124,7 @@ def test_c7_depth_table():
     ok = all(r.status == "PASS" for r in report.records)
     detail = "; ".join(f"{r.claim}={r.status}" for r in report.records)
     _announce(7, "depth-table", ok, time.perf_counter() - t0, 120, detail)
+    assert_matches_committed("09-depth-table-n5.json", report.to_json() + "\n")
 
 
 def test_c8_path_suite():
@@ -132,6 +135,7 @@ def test_c8_path_suite():
     ok = all(r.status == "PASS" for r in report.records)
     detail = "; ".join(f"{r.claim}={r.status}" for r in report.records)
     _announce(8, "path-suite", ok, time.perf_counter() - t0, 60, detail)
+    assert_matches_committed("07-paths-n5.json", report.to_json() + "\n")
 
 
 def test_c9_certificate_suite():
@@ -140,6 +144,7 @@ def test_c9_certificate_suite():
     ok = all(r.status == "PASS" for r in report.records)
     detail = "; ".join(f"{r.claim}={r.status}" for r in report.records)
     _announce(9, "certificate-suite", ok, time.perf_counter() - t0, 30, detail)
+    assert_matches_committed("08-certificates-n5.json", report.to_json() + "\n")
 
 
 def test_c10_property_suites():

@@ -104,6 +104,67 @@ def test_kernel_of_zero_operator_is_whole_space():
     assert exactlin.kernel_basis(zero).dim == 3
 
 
+def _random_operator(rng, rank):
+    """An integer operator V(4) -> T(3,2) of the given rank (or less): each
+    label's image is a random integer combination of rank random images."""
+    v, t = VSpace(4), TensorSpace(3, 2)
+    labels = t.labels()
+    spanning = [
+        {lab: rng.randint(-3, 3) for lab in rng.sample(labels, 3)} for _ in range(rank)
+    ]
+    images = {}
+    for lab in v.labels():
+        coords = {}
+        for row in spanning:
+            lie.tensor_add_into(coords, row, rng.randint(-2, 2))
+        images[lab] = coords
+    return exactlin.LinearOperator(v, t, images.__getitem__, name=f"rank<={rank}")
+
+
+def _kernel_by_rank_nullity(op):
+    kernel = exactlin.kernel_basis(op)
+    assert_reduced(kernel)
+    for vec in kernel.vectors():
+        assert not op.apply(vec)
+    images = [op.image_of(lab) for lab in op.space_in.labels()]
+    rank = exactlin.span_basis(images).dim
+    assert kernel.dim == op.space_in.dimension - rank
+    return kernel
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
+def test_kernel_of_random_integer_operators_by_rank_nullity(rank):
+    rng = random.Random(rank)
+    for _ in range(20):
+        _kernel_by_rank_nullity(_random_operator(rng, rank))
+    # the images of labels 1 and 2 repeat as 3 and 4: rank at most 2
+    base = _random_operator(rng, 4)
+    deficient = exactlin.LinearOperator(
+        base.space_in, base.space_out, lambda lab: base.image_of((lab - 1) % 2 + 1)
+    )
+    assert _kernel_by_rank_nullity(deficient).dim >= 2
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3)])
+def test_contraction_kernel_by_rank_nullity_equals_the_orbit(n, k):
+    kernel = _kernel_by_rank_nullity(exactlin.phi_operator(n, k))
+    _, seeds = _kernel_claim_setup(n, k)
+    orbit = exactlin.orbit_saturate(_two_generators_on(MkSpace(n, k)), seeds)
+    # a span has one reduced basis, so the kernel claim is row equality
+    assert kernel.rows == orbit.basis.rows
+
+
+def test_subspace_basis_rejects_a_vector_of_another_space():
+    basis = exactlin.w_basis(3, 2)
+    stranger = TensorVector(TensorSpace(3, 3), {(1, 2, 3): 1, (2, 3, 1): -1})
+    for method in (basis.insert, basis.contains):
+        with pytest.raises(ValueError, match=r"T\(n=3,m=2\).*T\(n=3,m=3\)"):
+            method(stranger)
+    assert basis.rows == exactlin.w_basis(3, 2).rows
+    with pytest.raises(ValueError, match="space mismatch"):
+        exactlin.span_basis([unit(VSpace(3), 1), unit(VSpace(4), 1)])
+
+
 def test_subspace_equal_by_mutual_containment():
     v = VSpace(3)
     a = exactlin.span_basis([unit(v, 1) + unit(v, 2), unit(v, 2)])

@@ -139,3 +139,20 @@ def test_to_tensor_vector_and_back():
 def test_word_string_round_trip():
     assert lie.word_to_string((1, 1, 2)) == "1.1.2"
     assert lie.word_from_string("1.1.2") == (1, 1, 2)
+
+
+def test_tensor_add_into_matches_add_of_scaled():
+    rng = random.Random(5)
+    words = [(a, b) for a in (1, 2, 3) for b in (1, 2)]
+    for _ in range(300):
+        out = {w: rng.choice((-2, -1, 1, 2)) for w in rng.sample(words, rng.randint(0, 4))}
+        c = rng.randint(-2, 2)
+        # zero entries in b, and with c = +-1 keys whose sum cancels to zero
+        b = {w: rng.randint(-2, 2) for w in rng.sample(words, rng.randint(0, 4))}
+        if c in (1, -1):
+            b.update({w: -c * v for w, v in out.items() if rng.random() < 0.5})
+        expected = lie.tensor_add(dict(out), lie.tensor_scale(b, c))
+        oracle = {w: s for w in words if (s := out.get(w, 0) + c * b.get(w, 0))}
+        result = lie.tensor_add_into(out, b, c)
+        assert result is out
+        assert result == expected == oracle
