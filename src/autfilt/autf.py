@@ -29,20 +29,57 @@ def reduce_letters(letters):
     return tuple(out)
 
 
+def _inverse_letters(letters):
+    return tuple((a, -s) for a, s in reversed(letters))
+
+
 class FreeWord:
-    """A freely reduced word in F_n, immutable after construction."""
+    """A freely reduced word in F_n, immutable after construction.
+
+    The constructor is the checking one, for outside input: each letter
+    must be a pair of an int index in 1..rank and an int sign +1 or -1
+    (bool is not accepted as int), or it raises ValueError.  Words built
+    from words that are already valid (products, inverses, substitution
+    of images) go through `_reduced`, which only reduces.
+    """
 
     __slots__ = ("rank", "letters")
 
     def __init__(self, rank, letters=()):
-        letters = tuple((int(i), int(s)) for i, s in letters)
-        for i, s in letters:
-            if not 1 <= i <= rank:
-                raise ValueError(f"letter index {i} out of range 1..{rank}")
-            if s not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {s}")
+        checked = []
+        for letter in letters:
+            try:
+                i, s = letter
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"letter must be a pair (index, sign), got {letter!r}"
+                ) from None
+            if not (is_json_int(i) and 1 <= i <= rank):
+                raise ValueError(f"letter index {i!r} is not an int in 1..{rank}")
+            if not (is_json_int(s) and s in (1, -1)):
+                raise ValueError(f"letter sign must be the int +1 or -1, got {s!r}")
+            checked.append((i, s))
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", reduce_letters(letters))
+        object.__setattr__(self, "letters", reduce_letters(checked))
+
+    @classmethod
+    def _reduced(cls, rank, pieces):
+        """Trusted constructor: the product of the reduced letter tuples
+        `pieces`, taken from valid words of this rank, reduced only where
+        consecutive pieces meet."""
+        out = []
+        for piece in pieces:
+            k, top = 0, min(len(out), len(piece))
+            while k < top and out[-1 - k] == (piece[k][0], -piece[k][1]):
+                k += 1
+            if k:
+                del out[-k:]
+                piece = piece[k:]
+            out.extend(piece)
+        w = object.__new__(cls)
+        object.__setattr__(w, "rank", rank)
+        object.__setattr__(w, "letters", tuple(out))
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeWord is immutable")
@@ -65,10 +102,10 @@ class FreeWord:
     def __mul__(self, other):
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return FreeWord(self.rank, self.letters + other.letters)
+        return FreeWord._reduced(self.rank, (self.letters, other.letters))
 
     def inverse(self):
-        return FreeWord(self.rank, tuple((i, -s) for i, s in reversed(self.letters)))
+        return FreeWord._reduced(self.rank, (_inverse_letters(self.letters),))
 
     def __eq__(self, other):
         return (
@@ -89,6 +126,9 @@ class FreeWord:
 
 def word(rank, *signed_indices):
     """Build a word from signed indices, e.g. word(3, 1, -2) = x1 x2^-1."""
+    for v in signed_indices:
+        if not is_json_int(v):
+            raise ValueError(f"signed index must be an int, got {v!r}")
     return FreeWord(rank, tuple((abs(v), 1 if v > 0 else -1) for v in signed_indices))
 
 
@@ -110,15 +150,17 @@ def left_normed_word_commutator(words):
 
 def _apply_images(images, w):
     """Substitute images[i-1] for x_i in the word w."""
+    letters = w.letters
+    if len(letters) == 1 and letters[0][1] == 1:
+        return images[letters[0][0] - 1]  # words are immutable: share the image
     rank = images[0].rank if images else w.rank
-    out = []
-    for i, s in w.letters:
-        img = images[i - 1].letters
-        if s == 1:
-            out.extend(img)
-        else:
-            out.extend((j, -t) for j, t in reversed(img))
-    return FreeWord(rank, out)
+    return FreeWord._reduced(
+        rank,
+        (
+            images[i - 1].letters if s == 1 else _inverse_letters(images[i - 1].letters)
+            for i, s in letters
+        ),
+    )
 
 
 class FreeAutomorphism:
@@ -202,7 +244,7 @@ class FreeAutomorphism:
 
 
 def identity_automorphism(n):
-    gens = tuple(FreeWord.generator(n, i) for i in range(1, n + 1))
+    gens = tuple(FreeWord._reduced(n, (((i, 1),),)) for i in range(1, n + 1))
     return FreeAutomorphism(n, gens, gens, check=False)
 
 
@@ -225,14 +267,10 @@ def left_normed_group_commutator(autos):
 # named generator families
 # ---------------------------------------------------------------------------
 
-def _inverse_letters(letters):
-    return tuple((a, -s) for a, s in reversed(letters))
-
-
 def _single_move(n, i, u, v, check=False):
     """x_i -> u x_i v with inverse x_i -> u^-1 x_i v^-1, every other
     generator fixed; u and v are letter tuples free of x_i."""
-    images = [FreeWord.generator(n, a) for a in range(1, n + 1)]
+    images = list(identity_automorphism(n).images)
     inv_images = list(images)
     images[i - 1] = FreeWord(n, u + ((i, 1),) + v)
     inv_images[i - 1] = FreeWord(
@@ -407,7 +445,9 @@ def m_nielsen_word(i, j, k):
 # text format
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"^x(\d+)(\^-1)?$")
+# ASCII digits only: \d and int() would also read other scripts' digits and "1_0"
+_TOKEN = re.compile(r"^x([0-9]+)(\^-1)?$")
+_RANK = re.compile(r"^rank=([0-9]+)$")
 
 
 def format_word(w):
@@ -436,9 +476,10 @@ def parse_word(text, rank):
 
 def _parse_images(text):
     pieces = [p.strip() for p in text.strip().split(";") if p.strip()]
-    if not pieces or not pieces[0].startswith("rank="):
+    m = _RANK.match(pieces[0]) if pieces else None
+    if not m:
         raise ValueError("automorphism text must start with rank=n")
-    rank = int(pieces[0][len("rank="):])
+    rank = int(m.group(1))
     images = [None] * rank
     for piece in pieces[1:]:
         lhs, _, rhs = piece.partition("->")

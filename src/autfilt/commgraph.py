@@ -3,7 +3,10 @@
 A vertex is a handle: an index set I of fixed size m together with a
 conjugator word in Nielsen letters.  Two handles are adjacent when the
 subgroups commute elementwise, which for parabolics reduces to a finite
-check on conjugated Nielsen generators.  The path builder realises the
+check on Nielsen generators, checked in the first handle's frame on
+generator images: conjugating both subgroups back by the first handle's
+conjugator leaves a standard parabolic and a conjugate by the short
+relative conjugator word.  The path builder realises the
 constructive connectivity argument: a generator with support disjoint
 from I fixes the vertex, and otherwise a spare index block K gives a
 length-2 detour through a disjoint parabolic.
@@ -27,11 +30,25 @@ class SubgroupHandle:
 
     def __post_init__(self):
         for i in self.indices:
-            if not 1 <= i <= self.rank:
-                raise ValueError("index out of range")
-        for side, i, j, exp in self.conjugator:
-            if side not in ("L", "R") or i == j or exp not in (1, -1):
-                raise ValueError(f"bad Nielsen letter {(side, i, j, exp)}")
+            if not self._valid_index(i):
+                raise ValueError(f"index {i!r} is not an int in 1..{self.rank}")
+        for letter in self.conjugator:
+            try:
+                side, i, j, exp = letter
+            except (TypeError, ValueError):
+                raise ValueError(f"bad Nielsen letter {letter!r}") from None
+            if not (
+                side in ("L", "R")
+                and self._valid_index(i)
+                and self._valid_index(j)
+                and i != j
+                and autf.is_json_int(exp)
+                and exp in (1, -1)
+            ):
+                raise ValueError(f"bad Nielsen letter {letter!r} in rank {self.rank}")
+
+    def _valid_index(self, i):
+        return autf.is_json_int(i) and 1 <= i <= self.rank
 
     def conjugator_automorphism(self):
         return autf.eval_nielsen_word(self.conjugator, self.rank)
@@ -69,37 +86,65 @@ def parabolic_generators(h):
     return gens
 
 
+def _relative_conjugator(h1, h2):
+    """Nielsen word of d = g2 g1^-1, for g1, g2 the handles' conjugators.
+
+    It is the word c2 . c1^-1 with each letter of c1^-1 cancelled against
+    the end of c2 where they are inverse, so a shared suffix drops out:
+    on a path edge the word is usually one or two letters long.
+    """
+    out = list(h2.conjugator)
+    for side, i, j, exp in reversed(h1.conjugator):
+        if out and out[-1] == (side, i, j, exp):
+            out.pop()
+        else:
+            out.append((side, i, j, -exp))
+    return tuple(out)
+
+
 def commutes(h1, h2):
     """Elementwise commutation of the two parabolic subgroups.
 
     Generating sets commute pairwise if and only if the generated
-    subgroups commute elementwise, so the check is finite and exact.
+    subgroups commute elementwise, so the check is finite and exact.  It
+    runs in the first handle's frame: conjugation by g1^-1 is an
+    automorphism of Aut(F_n), so g1^-1 P_I g1 and g2^-1 P_J g2 commute
+    elementwise if and only if P_I and d^-1 P_J d do, d = g2 g1^-1
+    (`_relative_conjugator`).  Each pair of generators is compared on the
+    images of the basis only, stopping at the first difference.
     """
     if h1.rank != h2.rank:
         raise ValueError("rank mismatch")
-    gens2 = parabolic_generators(h2)
-    for g1 in parabolic_generators(h1):
-        for g2 in gens2:
-            if g1 * g2 != g2 * g1:
-                return False
-    return True
+    gens1 = parabolic_generators(handle(h1.rank, h1.indices))
+    gens2 = parabolic_generators(
+        handle(h2.rank, h2.indices, _relative_conjugator(h1, h2))
+    )
+    # a b == b a if and only if a(b(x_i)) == b(a(x_i)) for every i
+    return all(
+        a(bi) == b(ai)
+        for a in gens1
+        for b in gens2
+        for ai, bi in zip(a.images, b.images)
+    )
 
 
 def handles_known_equal(h1, h2):
     """Conservative subgroup equality for handles with the same index set.
 
-    True when the conjugator difference either has support disjoint from I
-    (it then commutes with the whole parabolic) or support inside I (it then
-    lies in the parabolic); both cases normalize the subgroup.  Anything
-    else is reported unequal, since subgroup equality is not decided here.
+    In the first handle's frame (conjugating both subgroups by g1^-1) the
+    handles name P_I and diff P_I diff^-1, diff = g1 g2^-1, so they are
+    equal when diff normalizes P_I.  That is certain when diff has support
+    disjoint from I (it then commutes with the whole parabolic) or inside
+    I (it then lies in the parabolic).  diff is evaluated from the
+    cancelled Nielsen word `_relative_conjugator(h2, h1)`, so a shared
+    conjugator suffix is never evaluated.  Anything else is reported
+    unequal, since subgroup equality is not decided here.
     """
     if h1.rank != h2.rank or h1.indices != h2.indices:
         return False
     if h1.conjugator == h2.conjugator:
         return True
-    diff = h1.conjugator_automorphism().compose(
-        h2.conjugator_automorphism().inverse()
-    )
+    diff = autf.eval_nielsen_word(_relative_conjugator(h2, h1), h1.rank)
     support = autf.minimal_support(diff)
     return not (support & h1.indices) or support <= h1.indices
 

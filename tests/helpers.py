@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from autfilt import autf, lie, magnus
+from autfilt import autf, commgraph, lie, magnus
 from autfilt.exactlin import (
     MkSpace,
     SubspaceBasis,
@@ -228,6 +228,44 @@ def random_nielsen_word(rng, n, length):
         j = rng.choice([a for a in range(1, n + 1) if a != i])
         word.append((rng.choice(("L", "R")), i, j, rng.choice((1, -1))))
     return tuple(word)
+
+
+def random_handle_pair(rng, n, max_len=6):
+    """Two handles with index sets of size 2-3 (the second one disjoint from
+    the first half of the time) and independent random Nielsen conjugators
+    of length at most max_len."""
+    I = rng.sample(range(1, n + 1), rng.randint(2, 3))
+    rest = [a for a in range(1, n + 1) if a not in I]
+    if rng.random() < 0.5:
+        J = rng.sample(rest, 2)
+    else:
+        J = rng.sample(range(1, n + 1), rng.randint(2, 3))
+    c1, c2 = (random_nielsen_word(rng, n, rng.randint(0, max_len)) for _ in "12")
+    return commgraph.handle(n, I, c1), commgraph.handle(n, J, c2)
+
+
+def commutes_by_conjugating_both(h1, h2):
+    """Elementwise commutation with both handles' generators conjugated by
+    their full conjugators and compared through [g1, g2] = 1: oracle for
+    commgraph.commutes, which works in the first handle's frame."""
+    gens2 = commgraph.parabolic_generators(h2)
+    return all(
+        autf.group_commutator(g1, g2).is_identity
+        for g1 in commgraph.parabolic_generators(h1)
+        for g2 in gens2
+    )
+
+
+def handles_known_equal_by_composition(h1, h2):
+    """commgraph.handles_known_equal with the difference g1 g2^-1 composed
+    from both full conjugators instead of the cancelled relative word."""
+    if h1.rank != h2.rank or h1.indices != h2.indices:
+        return False
+    diff = h1.conjugator_automorphism().compose(
+        h2.conjugator_automorphism().inverse()
+    )
+    support = autf.minimal_support(diff)
+    return not (support & h1.indices) or support <= h1.indices
 
 
 def random_word(rng, n, length):

@@ -243,3 +243,43 @@ def test_parser_rejects_bad_left_hand_sides(text):
     # x0 and x4 are out of range at rank 3; a repeated x1 is ambiguous
     with pytest.raises(ValueError):
         autf.parse_automorphism(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "rank=1_0; x1 -> x2 x1",  # int() reads 1_0 as 10
+        "rank=+3; x1 -> x2 x1",
+        "rank=3; x1 -> x\u0662 x1",  # an Arabic-Indic two, read as x2
+        "rank=3; x\u0661 -> x2 x1",  # an Arabic-Indic one, read as x1
+    ],
+)
+def test_parser_accepts_ascii_decimal_numbers_only(text):
+    with pytest.raises(ValueError):
+        autf.parse_automorphism(text)
+
+
+@pytest.mark.parametrize(
+    "letter",
+    [
+        (1.5, 1),  # read as x1 by int()
+        (True, True),  # read as x1
+        ("2", "-1"),  # read as x2^-1
+        (1, 1.0),
+        (2, False),
+        (1, 2),
+        (0, 1),
+        (4, -1),
+        (1,),
+        5,
+    ],
+)
+def test_checking_constructor_rejects_malformed_letters(letter):
+    with pytest.raises(ValueError):
+        autf.FreeWord(3, [letter])
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", 0])
+def test_word_rejects_non_int_signed_indices(value):
+    with pytest.raises(ValueError):
+        word(3, 2, value)

@@ -2,10 +2,16 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autfilt import autf, commgraph
 
-from helpers import random_nielsen_word
+from helpers import (
+    commutes_by_conjugating_both,
+    handles_known_equal_by_composition,
+    random_handle_pair,
+    random_nielsen_word,
+)
 
 
 def test_parabolic_generator_enumeration():
@@ -38,6 +44,28 @@ def test_singleton_handles_rejected():
         commgraph.parabolic_generators(commgraph.handle(3, {1}))
 
 
+@pytest.mark.parametrize(
+    "indices, letter",
+    [
+        ({1, 2}, ("L", 1, 9, 1)),  # j out of range
+        ({1, 2}, ("R", 0, 2, 1)),  # i out of range
+        ({1, 2}, ("L", 1, 2, 1.0)),  # float exponent
+        ({1, 2}, ("L", 1, 2, True)),  # bool exponent
+        ({1, 2}, ("L", True, 2, 1)),  # bool index
+        ({1, 2}, ("L", 1, 2.0, 1)),  # float index
+        ({1, 2}, ("X", 1, 2, 1)),  # unknown side
+        ({1, 2}, ("L", 1, 2)),  # not four fields
+        ({True, 2}, ("L", 1, 2, 1)),  # bool in the index set
+        ({1.0, 2}, ("L", 1, 2, 1)),  # float in the index set
+    ],
+)
+def test_malformed_handles_rejected(indices, letter):
+    # commutes never evaluates a conjugator suffix that two handles share,
+    # so a bad letter must be refused when the handle is built
+    with pytest.raises(ValueError):
+        commgraph.handle(5, indices, [letter])
+
+
 def test_commutes_disjoint_supports():
     assert commgraph.commutes(
         commgraph.handle(5, {1, 2}), commgraph.handle(5, {3, 4})
@@ -55,15 +83,6 @@ def test_self_commutation_fails_for_nonabelian_parabolic():
     assert not commgraph.commutes(h, h)
 
 
-def _commutator_oracle(h1, h2):
-    gens2 = commgraph.parabolic_generators(h2)
-    return all(
-        autf.group_commutator(g1, g2).is_identity
-        for g1 in commgraph.parabolic_generators(h1)
-        for g2 in gens2
-    )
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_commutes_matches_group_commutator_oracle(seed):
     # images-only check against [g1, g2] = 1, on commuting pairs (disjoint
@@ -76,7 +95,70 @@ def test_commutes_matches_group_commutator_oracle(seed):
     for a, b, expected in pairs:
         h1, h2 = commgraph.handle(5, a, conj), commgraph.handle(5, b, conj)
         assert commgraph.commutes(h1, h2) is expected
-        assert _commutator_oracle(h1, h2) is expected
+        assert commutes_by_conjugating_both(h1, h2) is expected
+
+
+def _check_against_full_conjugation(rng, n, pairs=40):
+    """commutes and handles_known_equal against their full-conjugation
+    oracles on random handle pairs and on consecutive path handles; returns
+    the commutation verdicts seen on the random pairs."""
+    verdicts = set()
+    for _ in range(pairs):
+        h1, h2 = random_handle_pair(rng, n)
+        got = commgraph.commutes(h1, h2)
+        assert got is commutes_by_conjugating_both(h1, h2)
+        verdicts.add(got)
+        # same index set, independent conjugators, and conjugators that
+        # differ by a prefix letter
+        for other in (
+            h2,
+            commgraph.handle(n, h1.indices, h2.conjugator),
+            commgraph.handle(n, h1.indices, h2.conjugator[:1] + h1.conjugator),
+        ):
+            assert commgraph.handles_known_equal(h1, other) is (
+                handles_known_equal_by_composition(h1, other)
+            )
+    word = random_nielsen_word(rng, n, rng.randint(1, 6))
+    hs = commgraph.conjugate_path(n, (1, 2), word).handles
+    for h1, h2 in zip(hs, hs[1:]):
+        assert commgraph.commutes(h1, h2) and commutes_by_conjugating_both(h1, h2)
+        assert commgraph.handles_known_equal(h1, h2) is (
+            handles_known_equal_by_composition(h1, h2)
+        )
+    return verdicts
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_commutes_with_different_conjugators_matches_full_conjugation(n):
+    rng = random.Random(n)
+    verdicts = set()
+    for _ in range(3):
+        verdicts |= _check_against_full_conjugation(rng, n)
+    assert verdicts == {True, False}
+
+
+@given(st.integers(0, 10_000), st.sampled_from((5, 6)))
+@settings(max_examples=40, deadline=None)
+def test_commutes_with_different_conjugators_matches_full_conjugation_fuzz(seed, n):
+    _check_against_full_conjugation(random.Random(seed), n, pairs=4)
+
+
+def test_shared_suffix_gives_short_relative_conjugator():
+    rng = random.Random(40)
+    suffix = random_nielsen_word(rng, 5, 40)
+    a, b = ("L", 2, 3, 1), ("R", 4, 1, -1)
+    I, K = {1, 2}, {4, 5}
+    pairs = [
+        (commgraph.handle(5, I, suffix), commgraph.handle(5, K, (a,) + suffix)),
+        (commgraph.handle(5, I, (a,) + suffix), commgraph.handle(5, K, (b,) + suffix)),
+        (commgraph.handle(5, I, (a, b) + suffix), commgraph.handle(5, K, suffix)),
+    ]
+    for h1, h2 in pairs:
+        rel = commgraph._relative_conjugator(h1, h2)
+        assert len(rel) <= 2
+        assert autf.eval_nielsen_word(rel, 5) == h2.conjugator_automorphism().compose(
+            h1.conjugator_automorphism().inverse()
+        )
 
 
 def test_commutes_is_symmetric():

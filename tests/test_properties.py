@@ -14,6 +14,7 @@ from helpers import (
     REDUCED_BASIS_SPACES,
     check_against_min_pivot_oracle,
     magnus_expand_by_letters,
+    random_automorphism,
     random_generator,
 )
 
@@ -24,11 +25,57 @@ letters = st.lists(
 )
 
 
+def _substitute_checked(images, w):
+    """Substitution by raw concatenation, reduced by the checking constructor."""
+    out = []
+    for i, s in w.letters:
+        img = images[i - 1].letters
+        out.extend(img if s == 1 else [(j, -t) for j, t in reversed(img)])
+    return FreeWord(w.rank, out)
+
+
+def _compose_checked(phi, psi):
+    return autf.FreeAutomorphism(
+        phi.rank,
+        [_substitute_checked(phi.images, w) for w in psi.images],
+        [_substitute_checked(psi.inverse_images, w) for w in phi.inverse_images],
+        check=False,
+    )
+
+
+def _assert_same_reduced(got, checked):
+    """got (built by the trusted constructor) equals the word rebuilt through
+    the checking constructor and has no adjacent cancelling pair."""
+    assert got == checked
+    assert all(a != (b[0], -b[1]) for a, b in zip(got.letters, got.letters[1:]))
+
+
 @given(letters, letters)
 @settings(max_examples=150, deadline=None)
 def test_free_reduction_confluent(u, v):
     uw, vw = FreeWord(N, u), FreeWord(N, v)
-    assert uw * vw == FreeWord(N, tuple(u) + tuple(v))
+    _assert_same_reduced(uw * vw, FreeWord(N, tuple(u) + tuple(v)))
+
+
+@given(letters, st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_trusted_words_match_checking_constructor(u, seed):
+    uw = FreeWord(N, u)
+    _assert_same_reduced(
+        uw.inverse(), FreeWord(N, [(i, -s) for i, s in reversed(uw.letters)])
+    )
+    rng = random.Random(seed)
+    phi, psi, g = (random_automorphism(rng, N, rng.randint(0, 5)) for _ in "abc")
+    _assert_same_reduced(phi(uw), _substitute_checked(phi.images, uw))
+    for got, checked in (
+        (phi.compose(psi), _compose_checked(phi, psi)),
+        (phi.conjugate(g), _compose_checked(_compose_checked(g.inverse(), phi), g)),
+    ):
+        words = zip(
+            got.images + got.inverse_images, checked.images + checked.inverse_images
+        )
+        for a, b in words:
+            _assert_same_reduced(a, b)
 
 
 @given(letters, letters)
