@@ -40,7 +40,7 @@ class FreeWord:
     must be a pair of an int index in 1..rank and an int sign +1 or -1
     (bool is not accepted as int), or it raises ValueError.  Words built
     from words that are already valid (products, inverses, substitution
-    of images) go through `_reduced`, which only reduces.
+    of images, single moves) go through `_reduced`, which only reduces.
     """
 
     __slots__ = ("rank", "letters")
@@ -267,14 +267,22 @@ def left_normed_group_commutator(autos):
 # named generator families
 # ---------------------------------------------------------------------------
 
+def _check_indices(n, *indices):
+    for i in indices:
+        if not (is_json_int(i) and 1 <= i <= n):
+            raise ValueError(f"index {i!r} is not an int in 1..{n}")
+
+
 def _single_move(n, i, u, v, check=False):
     """x_i -> u x_i v with inverse x_i -> u^-1 x_i v^-1, every other
-    generator fixed; u and v are letter tuples free of x_i."""
+    generator fixed; i is a valid index and u, v are the reduced letter
+    tuples of valid words free of x_i, so nothing cancels."""
     images = list(identity_automorphism(n).images)
     inv_images = list(images)
-    images[i - 1] = FreeWord(n, u + ((i, 1),) + v)
-    inv_images[i - 1] = FreeWord(
-        n, _inverse_letters(u) + ((i, 1),) + _inverse_letters(v)
+    xi = ((i, 1),)
+    images[i - 1] = FreeWord._reduced(n, (u + xi + v,))
+    inv_images[i - 1] = FreeWord._reduced(
+        n, (_inverse_letters(u) + xi + _inverse_letters(v),)
     )
     return FreeAutomorphism(n, images, inv_images, check=check)
 
@@ -288,11 +296,10 @@ def make_nielsen(side, i, j, exponent=1, n=None):
         raise ValueError("rank n is required")
     if i == j:
         raise ValueError("Nielsen transformation needs i != j")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("indices out of range")
+    _check_indices(n, i, j)
     if side not in ("L", "R"):
         raise ValueError("side must be 'L' or 'R'")
-    if exponent not in (1, -1):
+    if not (is_json_int(exponent) and exponent in (1, -1)):
         raise ValueError("exponent must be +1 or -1")
     xj = ((j, exponent),)
     return _single_move(n, i, xj, ()) if side == "L" else _single_move(n, i, (), xj)
@@ -302,6 +309,7 @@ def make_magnus_C(i, j, n):
     """C_ij sends x_i to x_j^-1 x_i x_j and fixes the other basis elements."""
     if len({i, j}) != 2:
         raise ValueError("C_ij needs distinct indices")
+    _check_indices(n, i, j)
     return _single_move(n, i, ((j, -1),), ((j, 1),))
 
 
@@ -309,6 +317,7 @@ def make_magnus_M(i, j, k, n):
     """M_ijk sends x_i to x_i [x_j, x_k] and fixes the other basis elements."""
     if len({i, j, k}) != 3:
         raise ValueError("M_ijk needs distinct indices")
+    _check_indices(n, i, j, k)
     return _single_move(n, i, (), ((j, -1), (k, -1), (j, 1), (k, 1)))
 
 
@@ -319,9 +328,7 @@ def make_T(i, omega, n):
         raise ValueError("the moved index may not occur in the commutator tail")
     if len(omega) < 2:
         raise ValueError("need a tail of length at least 2")
-    for w in omega:
-        if not 1 <= w <= n:
-            raise ValueError("tail index out of range")
+    _check_indices(n, i, *omega)
     c = left_normed_word_commutator([FreeWord.generator(n, w) for w in omega])
     return _single_move(n, i, (), c.letters)
 
@@ -527,7 +534,7 @@ def parse_automorphism(text, inverse_text=None):
     return _single_move(rank, i, letters[: at[0]], letters[at[0] + 1 :], check=True)
 
 
-# checks shared by the readers of certificate, assembly and Johnson-image JSON
+# checks shared by the readers of certificate and assembly JSON
 
 
 def json_fields(obj, keys, what):
@@ -545,11 +552,14 @@ def is_json_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# ASCII only: Fraction() would also read "1_0", " 1/2 ", "0.5", "1e3", "+3"
+# and other scripts' digits
+_FRACTION = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
 def json_fraction(value, what):
-    """An int or a fraction string as a Fraction; a float would be read inexactly."""
-    if is_json_int(value) or isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
+    """A JSON integer or a string -?[0-9]+(/[0-9]+)? with a nonzero
+    denominator, as a Fraction; a float would be read inexactly."""
+    if is_json_int(value) or (isinstance(value, str) and _FRACTION.fullmatch(value)):
+        return Fraction(value)
     raise ValueError(f"{what} must be an integer or a fraction string, got {value!r}")

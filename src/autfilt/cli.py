@@ -5,7 +5,8 @@ Subcommands:
 * verify <suite>      run a named verification suite, write a JSON report,
                       exit nonzero iff some record FAILs
 * depth <file>        filtration depth of an automorphism given in the
-                      text format (optional `inverse:` line)
+                      text format on one line (optionally followed by
+                      one `inverse:` line)
 * cert check <file>   verify a certificate JSON file
 * cert assemble <file> build a certificate from an assembly description
 """
@@ -53,15 +54,25 @@ def cmd_verify(args):
 
 
 def _load_automorphism(path):
+    """One automorphism line, then at most one `inverse:` line; blank lines
+    and `#` comments are skipped, and any other line is a ValueError."""
+    text = inverse_text = None
     with open(path) as f:
-        lines = [l.strip() for l in f if l.strip() and not l.strip().startswith("#")]
-    if not lines:
+        for number, line in enumerate(f, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if text is None:
+                text = line
+            elif inverse_text is None and line.startswith("inverse:"):
+                inverse_text = line[len("inverse:"):]
+            else:
+                raise ValueError(
+                    f"line {number}: expected at most one 'inverse:' line "
+                    f"after the automorphism, got {line!r}"
+                )
+    if text is None:
         raise ValueError("empty automorphism file")
-    text = lines[0]
-    inverse_text = None
-    for line in lines[1:]:
-        if line.startswith("inverse:"):
-            inverse_text = line[len("inverse:"):].strip()
     return autf.parse_automorphism(text, inverse_text=inverse_text)
 
 

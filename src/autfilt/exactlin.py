@@ -527,17 +527,11 @@ def phi_operator(n, k):
     return _PHI_CACHE[key]
 
 
-def phi_map(t):
-    """Apply the contraction to an Mk vector."""
+def tau_map(t):
+    """Contraction of a degree-k invariant, given as an MkSpace(n, k) vector."""
     if t.space.family != "Mk":
-        raise ValueError(f"phi_map does not apply to {t.space.descriptor}")
+        raise ValueError(f"tau_map does not apply to {t.space.descriptor}")
     return phi_operator(*t.space.params).apply(t)
-
-
-def tau_map(x):
-    """Contraction of a degree-k invariant; accepts JohnsonImage or Mk vector."""
-    vec = x.to_mk_vector() if hasattr(x, "to_mk_vector") else x
-    return phi_map(vec)
 
 
 def cyclic_shift(t):

@@ -312,7 +312,3 @@ def is_lie_element(t):
 
 def word_to_string(w):
     return ".".join(str(a) for a in w)
-
-
-def word_from_string(s):
-    return tuple(int(p) for p in s.split(".")) if s else ()

@@ -8,6 +8,11 @@ its terms vanish in degrees 1..k exactly when phi acts trivially on
 F_n modulo the (k+1)-st lower central term.  Coefficients stay integral
 on group elements; everything is exact.
 
+The degree-k Johnson image takes values in Hom(H, L_{k+1}) = H^* (x)
+L_{k+1}, which is exactlin.MkSpace(n, k); johnson_image returns a
+TensorVector of that space, the one representation the linear algebra,
+the suites and the reports use.
+
 magnus_expand multiplies letter by letter, in place, on one flat list of
 ints over the monomials in the word's own letters (a^K entries for a
 distinct letters, not rank^K); TruncatedSeries multiplication is sparse.
@@ -16,13 +21,11 @@ distinct letters, not rank^K); TruncatedSeries multiplication is sparse.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import lie
-from .autf import FreeWord, is_json_int, json_fields, json_fraction
-from .lie import LieElement, is_lie_element  # re-exported check
+from .autf import FreeWord
+from .exactlin import MkSpace, TensorVector
 
 __all__ = [
     "TruncatedSeries",
@@ -31,8 +34,6 @@ __all__ = [
     "DepthError",
     "johnson_depth",
     "johnson_image",
-    "JohnsonImage",
-    "is_lie_element",
 ]
 
 
@@ -222,132 +223,23 @@ def johnson_depth(phi, cutoff):
     return DepthReport(cutoff, lowest - 1)
 
 
-class JohnsonImage:
-    """Degree-k invariant of an automorphism: one Lie value per moved index.
-
-    Represents sum_i e_i^* (x) (degree k+1 part of the expansion of
-    x_i^-1 phi(x_i)), with the Lie parts in Lyndon coordinates.
-    """
-
-    __slots__ = ("rank", "degree", "components")
-
-    def __init__(self, rank, degree, components=()):
-        components = dict(components)
-        for i, v in list(components.items()):
-            if not isinstance(v, LieElement):
-                raise TypeError("components must be LieElements")
-            if v.rank != rank or v.degree != degree + 1:
-                raise ValueError("component rank or degree mismatch")
-            if not v:
-                del components[i]
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JohnsonImage is immutable")
-
-    def __bool__(self):
-        return bool(self.components)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, JohnsonImage)
-            and (self.rank, self.degree) == (other.rank, other.degree)
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.degree, frozenset(self.components.items())))
-
-    def __add__(self, other):
-        if (self.rank, self.degree) != (other.rank, other.degree):
-            raise ValueError("rank or degree mismatch")
-        out = dict(self.components)
-        for i, v in other.components.items():
-            s = out[i] + v if i in out else v
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-        return JohnsonImage(self.rank, self.degree, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return JohnsonImage(
-            self.rank, self.degree, {i: v.scale(c) for i, v in self.components.items()}
-        )
-
-    def to_mk_vector(self):
-        from . import exactlin
-
-        return exactlin.TensorVector(
-            exactlin.MkSpace(self.rank, self.degree),
-            {(i, w): c for i, v in self.components.items() for w, c in v.coords.items()},
-        )
-
-    def to_json(self):
-        rows = []
-        for i in sorted(self.components):
-            for w, c in sorted(self.components[i].coords.items()):
-                rows.append(
-                    {
-                        "dual_index": i,
-                        "lyndon_word": lie.word_to_string(w),
-                        "coefficient": str(Fraction(c)),
-                    }
-                )
-        return json.dumps(
-            {"rank": self.rank, "degree": self.degree, "terms": rows}, sort_keys=True
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        """Parse to_json output; malformed input raises a ValueError naming it."""
-        data = json.loads(text)
-        rank, degree, terms = json_fields(
-            data, ("rank", "degree", "terms"), "Johnson image"
-        )
-        if not (is_json_int(rank) and is_json_int(degree)):
-            raise ValueError("Johnson image 'rank' and 'degree' must be integers")
-        if not isinstance(terms, list):
-            raise ValueError("Johnson image 'terms' must be a list")
-        per_index = {}
-        for row in terms:
-            i, word, c = json_fields(
-                row, ("dual_index", "lyndon_word", "coefficient"), "Johnson image term"
-            )
-            if not (is_json_int(i) and 1 <= i <= rank and isinstance(word, str)):
-                raise ValueError(
-                    f"Johnson image term {row!r} needs a dual_index in 1..{rank} "
-                    f"and a string lyndon_word"
-                )
-            per_index.setdefault(i, {})[lie.word_from_string(word)] = json_fraction(
-                c, "Johnson image 'coefficient'"
-            )
-        components = {
-            i: LieElement(rank, degree + 1, coords) for i, coords in per_index.items()
-        }
-        return cls(rank, degree, components)
-
-    def __repr__(self):
-        return f"JohnsonImage(rank={self.rank}, degree={self.degree}, moved={sorted(self.components)})"
-
-
 def johnson_image(phi, k):
-    """Degree-k image of phi, additive on products of depth >= k maps.
+    """Degree-k image of phi as a vector of MkSpace(rank, k).
+
+    The image is sum_i e_i^* (x) L_i, where L_i is the degree-(k+1) part
+    of the expansion of x_i^-1 phi(x_i) in Lyndon coordinates; label
+    (i, w) carries the coefficient of the Lyndon word w in L_i.  The map
+    is additive on products of depth >= k automorphisms.
 
     Requires every deviation series to vanish in degrees 1..k; violations
-    raise DepthError with the offending index and degree.  The extracted
-    degree-(k+1) parts are checked against the Dynkin criterion, which the
-    theory guarantees for genuine depth >= k automorphisms.
+    raise DepthError with the offending index and degree.  Each L_i is
+    checked against the Dynkin criterion, which the theory guarantees for
+    genuine depth >= k automorphisms.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     cutoff = k + 1
-    components = {}
+    coords = {}
     for i in range(1, phi.rank + 1):
         s = _deviation_series(phi, i, cutoff)
         if s is None:
@@ -356,7 +248,7 @@ def johnson_image(phi, k):
         if low is not None and low <= k:
             raise DepthError(i, low)
         part = s.homogeneous_part(k + 1)
-        if not part:
-            continue
-        components[i] = lie.lie_from_tensor_coords(part, phi.rank, k + 1)
-    return JohnsonImage(phi.rank, k, components)
+        if part:
+            value = lie.lie_from_tensor_coords(part, phi.rank, k + 1)
+            coords.update(((i, w), c) for w, c in value.coords.items())
+    return TensorVector(MkSpace(phi.rank, k), coords)

@@ -145,14 +145,8 @@ def suite_iaab(params):
         expected_conj = n * (n - 1)
 
         def check_full(n=n, expected_full=expected_full, expected_conj=expected_conj):
-            vecs_c = [
-                magnus.johnson_image(g, 1).to_mk_vector()
-                for g in _all_conjugation_generators(n)
-            ]
-            vecs_m = [
-                magnus.johnson_image(g, 1).to_mk_vector()
-                for g in _all_commutator_multipliers(n)
-            ]
+            vecs_c = [magnus.johnson_image(g, 1) for g in _all_conjugation_generators(n)]
+            vecs_m = [magnus.johnson_image(g, 1) for g in _all_commutator_multipliers(n)]
             full = exactlin.span_basis(vecs_c + vecs_m).dim
             conj_only = exactlin.span_basis(vecs_c).dim
             ok = (
@@ -171,7 +165,7 @@ def suite_iaab(params):
         rec.timed(f"degree1-image-spans(n={n})", check_full)
 
         def check_orbit(n=n, space=space, expected_full=expected_full):
-            seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1).to_mk_vector()
+            seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1)
             sat = exactlin.orbit_saturate(
                 [exactlin.induced_on(g, space) for g in exactlin.sl_generators(n)],
                 [seed],

@@ -268,6 +268,15 @@ def handles_known_equal_by_composition(h1, h2):
     return not (support & h1.indices) or support <= h1.indices
 
 
+def dual_components(vec):
+    """The MkSpace(n, k) vector vec as {dual index i: its Lie value}."""
+    n, k = vec.space.params
+    coords = {}
+    for (i, w), c in vec.coords.items():
+        coords.setdefault(i, {})[w] = c
+    return {i: lie.LieElement(n, k + 1, cs) for i, cs in coords.items()}
+
+
 def random_word(rng, n, length):
     letters = [
         (rng.randrange(1, n + 1), rng.choice((1, -1))) for _ in range(length)

@@ -33,13 +33,13 @@ def test_c1_degree1_image_spans():
     details = []
     for n, (full_dim, conj_dim) in expected.items():
         vecs_c = [
-            magnus.johnson_image(autf.make_magnus_C(i, j, n), 1).to_mk_vector()
+            magnus.johnson_image(autf.make_magnus_C(i, j, n), 1)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
             if i != j
         ]
         vecs_m = [
-            magnus.johnson_image(autf.make_magnus_M(i, j, k, n), 1).to_mk_vector()
+            magnus.johnson_image(autf.make_magnus_M(i, j, k, n), 1)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
             for k in range(1, n + 1)
@@ -64,7 +64,7 @@ def test_c2_single_conjugation_orbit_spans():
             for b in range(1, n + 1)
             if a != b
         ]
-        seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1).to_mk_vector()
+        seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1)
         res = exactlin.orbit_saturate(gens, [seed])
         expected = n * n * (n - 1) // 2
         ok = ok and res.basis.dim == expected and res.closed

@@ -169,6 +169,28 @@ def test_single_move_makers_pass_the_inverse_check():
         autf.FreeAutomorphism(n, phi.images, phi.inverse_images, check=True)
 
 
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (autf.make_magnus_C, (1, 9, 5)),
+        (autf.make_magnus_C, (True, 2, 5)),
+        (autf.make_magnus_C, (1.0, 2, 5)),
+        (autf.make_magnus_M, (1, 2, 9, 5)),
+        (autf.make_magnus_M, (1, True, 3, 5)),
+        (autf.make_T, (9, (1, 2), 5)),
+        (autf.make_T, (0, (1, 2), 5)),
+        (autf.make_T, (True, (2, 3), 5)),
+        (autf.make_nielsen, ("L", 1, 2, 1.0, 5)),
+        (autf.make_nielsen, ("R", True, 2, 1, 5)),
+    ],
+)
+def test_single_move_makers_reject_bad_indices(make, args):
+    # single moves are built by the trusted constructor, so the makers
+    # check every index themselves
+    with pytest.raises(ValueError):
+        make(*args)
+
+
 def test_inverse_witness_is_checked():
     n = 2
     images = (word(n, 2, 1), word(n, 2))

