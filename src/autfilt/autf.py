@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -243,7 +244,9 @@ class FreeAutomorphism:
         return f"FreeAutomorphism({format_automorphism(self)!r})"
 
 
+@functools.cache
 def identity_automorphism(n):
+    """The identity of F_n; one shared value per rank (it is immutable)."""
     gens = tuple(FreeWord._reduced(n, (((i, 1),),)) for i in range(1, n + 1))
     return FreeAutomorphism(n, gens, gens, check=False)
 
@@ -356,20 +359,6 @@ def make_S(mu, i, j, n):
         factors.append(make_magnus_C(i, mu[t], n))
     factors.append(make_magnus_M(j, i, mu[k - 1], n))
     return left_normed_group_commutator(factors)
-
-
-def make_signed_permutation(n, perm, signs=None):
-    """Automorphism x_i -> x_{perm[i]}^{signs[i]} for a permutation of 1..n."""
-    signs = dict(signs or {})
-    if sorted(perm.values()) != list(range(1, n + 1)):
-        raise ValueError("perm must be a permutation of 1..n")
-    images = [None] * n
-    inv_images = [None] * n
-    for i in range(1, n + 1):
-        s = signs.get(i, 1)
-        images[i - 1] = FreeWord.generator(n, perm[i], s)
-        inv_images[perm[i] - 1] = FreeWord.generator(n, i, s)
-    return FreeAutomorphism(n, images, inv_images, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from . import lie
+from . import autf, lie
 
 # ---------------------------------------------------------------------------
 # spaces
@@ -499,7 +499,7 @@ def orbit_saturate(generators, seeds, stop_at_dim=None):
 
 
 # ---------------------------------------------------------------------------
-# the contraction map, cyclic shift, and the shift-difference space
+# the contraction map and the shift-difference space
 # ---------------------------------------------------------------------------
 
 _PHI_CACHE = {}
@@ -532,50 +532,6 @@ def tau_map(t):
     if t.space.family != "Mk":
         raise ValueError(f"tau_map does not apply to {t.space.descriptor}")
     return phi_operator(*t.space.params).apply(t)
-
-
-def cyclic_shift(t):
-    """v1 (x) ... (x) vk maps to v2 (x) ... (x) vk (x) v1."""
-    if t.space.family != "T":
-        raise ValueError("cyclic_shift needs a plain tensor power")
-    return TensorVector(
-        t.space, {mono[1:] + mono[:1]: c for mono, c in t.coords.items()}
-    )
-
-
-def _euler_phi(d):
-    out, m, p = d, d, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
-def necklace_count(n, k):
-    """Number of cyclic-shift orbits of index tuples: (1/k) sum phi(d) n^{k/d}."""
-    total = sum(_euler_phi(d) * n ** (k // d) for d in range(1, k + 1) if k % d == 0)
-    assert total % k == 0
-    return total // k
-
-
-def cyclic_invariant_basis(n, k):
-    """Orbit-sum basis of the pointwise shift-invariant subspace."""
-    space = TensorSpace(n, k)
-    seen = set()
-    out = []
-    for mono in space.labels():
-        orbit = {mono[r:] + mono[:r] for r in range(k)}
-        rep = min(orbit)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        out.append(TensorVector(space, dict.fromkeys(orbit, 1)))
-    return out
 
 
 def w_basis(n, k):
@@ -829,14 +785,18 @@ def preserves_symplectic_form(op):
 
 
 def e_delta(n, k, dual_index, tail):
-    """e_d^* (x) [e_t1, ..., e_t(k+1)] as an Mk vector (left-normed bracket)."""
+    """e_d^* (x) [e_t1, ..., e_t(k+1)] as an Mk vector (left-normed bracket).
+
+    The bracket comes in Lyndon coordinates from
+    lie.left_normed_of_generators; the dual index and every tail letter
+    must be ints in 1..n.
+    """
     tail = tuple(tail)
     if len(tail) != k + 1:
         raise ValueError("tail must have length k+1")
-    value = lie.left_normed_of_generators(n, tail)
-    return TensorVector(
-        MkSpace(n, k), {(dual_index, w): c for w, c in value.coords.items()}
-    )
+    autf._check_indices(n, dual_index, *tail)
+    value = lie.left_normed_of_generators(tail)
+    return TensorVector(MkSpace(n, k), {(dual_index, w): c for w, c in value.items()})
 
 
 def c_count(delta):

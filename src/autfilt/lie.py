@@ -9,6 +9,11 @@ integral input, Fractions only when a caller supplies them), which keeps
 this module free of dependencies; the structured TensorVector wrapper lives
 in the linear algebra layer.
 
+A Lie element is held in Lyndon coordinates, a plain dict mapping Lyndon
+words to their coefficients; these are the labels MkSpace vectors carry,
+so there is no separate bracket type.  Brackets are taken on tensors
+(tensor_bracket) and converted once, by lie_from_tensor_coords.
+
 Conversion from a Lie tensor back to Lyndon coordinates eliminates leading
 terms in lexicographic order: the expansion of the standard bracketing of a
 Lyndon word w is w plus lexicographically larger rearrangements, so the
@@ -16,30 +21,6 @@ elimination is an exact triangular solve.
 """
 
 from __future__ import annotations
-
-
-def _mobius(d):
-    if d == 1:
-        return 1
-    m, k, p = d, 0, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            k += 1
-        else:
-            p += 1
-    if m > 1:
-        k += 1
-    return -1 if k % 2 else 1
-
-
-def witt_dimension(n, m):
-    """Dimension of the degree-m component: (1/m) sum_{d|m} mu(d) n^{m/d}."""
-    total = sum(_mobius(d) * n ** (m // d) for d in range(1, m + 1) if m % d == 0)
-    assert total % m == 0
-    return total // m
 
 
 def is_lyndon(w):
@@ -168,147 +149,41 @@ def dynkin_defect(t):
     return tensor_add_into(dynkin_map(t), t, -m)
 
 
-def is_lie_tensor(t):
-    return not dynkin_defect(t)
-
-
-class NotLieElementError(ValueError):
+class NotLieTensorError(ValueError):
     def __init__(self, defect):
         self.defect = defect
         super().__init__("tensor fails the Dynkin criterion (defect attached)")
 
 
 def _coords_from_lie_tensor(t):
-    """Triangular elimination of Lyndon leading terms; assumes t is Lie."""
-    rest = dict(t)
+    """Triangular elimination of Lyndon leading terms; assumes t is Lie
+    and ignores zero entries."""
+    rest = {w: c for w, c in t.items() if c}
     coords = {}
     while rest:
         w = min(rest)
         if not is_lyndon(w):
-            raise NotLieElementError(dynkin_defect(t))
+            raise NotLieTensorError(dynkin_defect(t))
         c = rest[w]
         coords[w] = c
         tensor_add_into(rest, lyndon_word_tensor(w), -c)
     return coords
 
 
-class LieElement:
-    """Element of the degree-m component, stored in Lyndon coordinates."""
-
-    __slots__ = ("rank", "degree", "coords")
-
-    def __init__(self, rank, degree, coords=()):
-        coords = dict(coords)
-        for w, c in list(coords.items()):
-            if len(w) != degree or not is_lyndon(w):
-                raise ValueError(f"{w} is not a Lyndon word of length {degree}")
-            if any(not 1 <= a <= rank for a in w):
-                raise ValueError("letter out of range")
-            if not c:
-                del coords[w]
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieElement is immutable")
-
-    @classmethod
-    def generator(cls, rank, i):
-        return cls(rank, 1, {(i,): 1})
-
-    @classmethod
-    def zero(cls, rank, degree):
-        return cls(rank, degree)
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and (self.rank, self.degree) == (other.rank, other.degree)
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.degree, frozenset(self.coords.items())))
-
-    def __add__(self, other):
-        if (self.rank, self.degree) != (other.rank, other.degree):
-            raise ValueError("rank or degree mismatch")
-        return LieElement(self.rank, self.degree, tensor_add(self.coords, other.coords))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return LieElement(self.rank, self.degree, tensor_scale(self.coords, c))
-
-    def tensor_coords(self):
-        out = {}
-        for w, c in self.coords.items():
-            tensor_add_into(out, lyndon_word_tensor(w), c)
-        return out
-
-    def bracket(self, other):
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        t = tensor_bracket(self.tensor_coords(), other.tensor_coords())
-        return LieElement(
-            self.rank, self.degree + other.degree, _coords_from_lie_tensor(t)
-        )
-
-    def to_tensor(self):
-        from . import exactlin
-
-        return exactlin.TensorVector(
-            exactlin.TensorSpace(self.rank, self.degree), self.tensor_coords()
-        )
-
-    def __repr__(self):
-        terms = ", ".join(
-            f"{word_to_string(w)}: {c}" for w, c in sorted(self.coords.items())
-        )
-        return f"LieElement(n={self.rank}, m={self.degree}, {{{terms}}})"
+def left_normed_of_generators(indices):
+    """Lyndon coordinates of [e_i1, e_i2, ..., e_im] = [[[e_i1, e_i2], ...], e_im],
+    the Dynkin map's image of the monomial i1..im."""
+    indices = tuple(indices)
+    if not indices:
+        raise ValueError("need at least one index")
+    return _coords_from_lie_tensor(dynkin_map({indices: 1}))
 
 
-def bracket(u, v):
-    return u.bracket(v)
-
-
-def left_normed(elements):
-    """[v1, v2, ..., vk] = [[[v1,v2],...],vk]; a single element is itself."""
-    elements = list(elements)
-    if not elements:
-        raise ValueError("need at least one element")
-    acc = elements[0]
-    for v in elements[1:]:
-        acc = acc.bracket(v)
-    return acc
-
-
-def left_normed_of_generators(rank, indices):
-    return left_normed([LieElement.generator(rank, i) for i in indices])
-
-
-def lie_from_tensor_coords(t, rank, degree=None):
-    """Lyndon coordinates of a Lie tensor dict; Dynkin-checked."""
-    if degree is None:
-        degree = tensor_degree(t)
-        if degree is None:
-            raise ValueError("cannot infer the degree of the zero tensor")
-    defect = dynkin_defect(t) if t else {}
+def lie_from_tensor_coords(t):
+    """Lyndon coordinates of a homogeneous Lie tensor dict; the zero tensor
+    gives {}.  Raises NotLieTensorError, with the Dynkin defect attached,
+    when t is not a Lie element."""
+    defect = dynkin_defect(t)
     if defect:
-        raise NotLieElementError(defect)
-    return LieElement(rank, degree, _coords_from_lie_tensor(t))
-
-
-def is_lie_element(t):
-    """Dynkin test; accepts a TensorVector or a raw homogeneous tensor dict."""
-    coords = t.coords if hasattr(t, "coords") else t
-    return is_lie_tensor(dict(coords))
-
-
-def word_to_string(w):
-    return ".".join(str(a) for a in w)
+        raise NotLieTensorError(defect)
+    return _coords_from_lie_tensor(t)

@@ -58,14 +58,6 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    @classmethod
-    def one(cls, rank, cutoff):
-        return cls(rank, cutoff, {(): 1})
-
-    @classmethod
-    def generator(cls, rank, cutoff, i):
-        return cls(rank, cutoff, {(): 1, (i,): 1})
-
     def homogeneous_part(self, d):
         return {k: v for k, v in self.coeffs.items() if len(k) == d}
 
@@ -78,25 +70,6 @@ class TruncatedSeries:
             isinstance(other, TruncatedSeries)
             and (self.rank, self.cutoff) == (other.rank, other.cutoff)
             and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.cutoff, frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        self._check(other)
-        return TruncatedSeries(
-            self.rank, self.cutoff, lie.tensor_add(self.coeffs, other.coeffs)
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if not c:
-            return TruncatedSeries(self.rank, self.cutoff, {})
-        return TruncatedSeries(
-            self.rank, self.cutoff, {k: c * v for k, v in self.coeffs.items()}
         )
 
     def __mul__(self, other):
@@ -227,9 +200,10 @@ def johnson_image(phi, k):
     """Degree-k image of phi as a vector of MkSpace(rank, k).
 
     The image is sum_i e_i^* (x) L_i, where L_i is the degree-(k+1) part
-    of the expansion of x_i^-1 phi(x_i) in Lyndon coordinates; label
-    (i, w) carries the coefficient of the Lyndon word w in L_i.  The map
-    is additive on products of depth >= k automorphisms.
+    of the expansion of x_i^-1 phi(x_i), read in Lyndon coordinates by
+    lie.lie_from_tensor_coords; label (i, w) carries the coefficient of
+    the Lyndon word w in L_i.  The map is additive on products of
+    depth >= k automorphisms.
 
     Requires every deviation series to vanish in degrees 1..k; violations
     raise DepthError with the offending index and degree.  Each L_i is
@@ -249,6 +223,6 @@ def johnson_image(phi, k):
             raise DepthError(i, low)
         part = s.homogeneous_part(k + 1)
         if part:
-            value = lie.lie_from_tensor_coords(part, phi.rank, k + 1)
-            coords.update(((i, w), c) for w, c in value.coords.items())
+            value = lie.lie_from_tensor_coords(part)
+            coords.update(((i, w), c) for w, c in value.items())
     return TensorVector(MkSpace(phi.rank, k), coords)

@@ -17,6 +17,7 @@ from autfilt.exactlin import (
     SubspaceBasis,
     SympWedgeSpace,
     TensorSpace,
+    TensorVector,
     VSpace,
     subspace_equal,
 )
@@ -269,12 +270,29 @@ def handles_known_equal_by_composition(h1, h2):
 
 
 def dual_components(vec):
-    """The MkSpace(n, k) vector vec as {dual index i: its Lie value}."""
-    n, k = vec.space.params
+    """The MkSpace(n, k) vector vec as {dual index i: its Lie value in
+    Lyndon coordinates}."""
     coords = {}
     for (i, w), c in vec.coords.items():
         coords.setdefault(i, {})[w] = c
-    return {i: lie.LieElement(n, k + 1, cs) for i, cs in coords.items()}
+    return coords
+
+
+def jacobi_sum(u, v, w):
+    """[u, [v, w]] + [v, [w, u]] + [w, [u, v]] on tensor dicts."""
+    br = lie.tensor_bracket
+    out = {}
+    for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
+        lie.tensor_add_into(out, br(a, br(b, c)), 1)
+    return out
+
+
+def lyndon_tensor(coords):
+    """Tensor dict of a Lie element given in Lyndon coordinates."""
+    out = {}
+    for w, c in coords.items():
+        lie.tensor_add_into(out, lie.lyndon_word_tensor(w), c)
+    return out
 
 
 def random_word(rng, n, length):
@@ -314,6 +332,31 @@ def brute_lyndon_count(n, m):
     return count
 
 
+def _mobius(d):
+    if d == 1:
+        return 1
+    m, k, p = d, 0, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            k += 1
+        else:
+            p += 1
+    if m > 1:
+        k += 1
+    return -1 if k % 2 else 1
+
+
+def witt_dimension(n, m):
+    """Dimension of the degree-m free Lie component on n letters:
+    (1/m) sum_{d|m} mu(d) n^{m/d}, the Witt formula."""
+    total = sum(_mobius(d) * n ** (m // d) for d in range(1, m + 1) if m % d == 0)
+    assert total % m == 0
+    return total // m
+
+
 def brute_necklace_count(n, m):
     import itertools
 
@@ -321,3 +364,40 @@ def brute_necklace_count(n, m):
     for w in itertools.product(range(1, n + 1), repeat=m):
         reps.add(min(w[r:] + w[:r] for r in range(m)))
     return len(reps)
+
+
+def cyclic_shift(t):
+    """v1 (x) ... (x) vk maps to v2 (x) ... (x) vk (x) v1 on a TensorSpace vector."""
+    assert t.space.family == "T"
+    return TensorVector(
+        t.space, {mono[1:] + mono[:1]: c for mono, c in t.coords.items()}
+    )
+
+
+def cyclic_invariant_basis(n, k):
+    """Orbit-sum basis of the pointwise shift-invariant subspace of
+    TensorSpace(n, k): one vector per necklace."""
+    space = TensorSpace(n, k)
+    seen = set()
+    out = []
+    for mono in space.labels():
+        orbit = {mono[r:] + mono[:r] for r in range(k)}
+        rep = min(orbit)
+        if rep in seen:
+            continue
+        seen.add(rep)
+        out.append(TensorVector(space, dict.fromkeys(orbit, 1)))
+    return out
+
+
+def make_signed_permutation(n, perm, signs=None):
+    """Automorphism x_i -> x_{perm[i]}^{signs[i]} for a permutation of 1..n."""
+    signs = dict(signs or {})
+    assert sorted(perm.values()) == list(range(1, n + 1))
+    images = [None] * n
+    inv_images = [None] * n
+    for i in range(1, n + 1):
+        s = signs.get(i, 1)
+        images[i - 1] = autf.FreeWord.generator(n, perm[i], s)
+        inv_images[perm[i] - 1] = autf.FreeWord.generator(n, i, s)
+    return autf.FreeAutomorphism(n, images, inv_images)

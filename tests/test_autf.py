@@ -3,6 +3,8 @@ import pytest
 from autfilt import autf
 from autfilt.autf import word
 
+from helpers import make_signed_permutation
+
 
 def test_reduce_cancelling_pair():
     assert word(3, 1, -1).is_identity
@@ -125,7 +127,7 @@ def test_abelianized_matrix_conjugation_is_identity():
 
 
 def test_signed_swap_has_determinant_one():
-    phi = autf.make_signed_permutation(2, {1: 2, 2: 1}, {2: -1})
+    phi = make_signed_permutation(2, {1: 2, 2: 1}, {2: -1})
     assert phi.apply(word(2, 1)) == word(2, 2)
     assert phi.apply(word(2, 2)) == word(2, -1)
     assert autf.abelianized_matrix(phi) == ((0, -1), (1, 0))
@@ -147,7 +149,7 @@ def test_signed_permutation_conjugates_parabolics():
     # into the parabolic on I
     n = 4
     sigma = {1: 3, 2: 4, 3: 1, 4: 2}
-    tilde = autf.make_signed_permutation(n, sigma, {1: -1})
+    tilde = make_signed_permutation(n, sigma, {1: -1})
     I = frozenset({1, 2})
     sigma_I = frozenset({sigma[i] for i in I})
     for a in sigma_I:

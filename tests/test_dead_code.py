@@ -1,0 +1,57 @@
+"""Every module-level function and class of the package has a caller.
+
+A name counts as used when a non-test file of src/, scripts/ or perfbench/
+mentions it outside its own definition: as a name, as an attribute, or as
+a string constant equal to the name (perfbench's tracer wraps functions by
+their string names).  Assignments to __all__ do not count.  Code that only
+tests call belongs in tests/helpers.py, not in the package.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "autfilt"
+CALLER_DIRS = ("src", "scripts", "perfbench")
+
+
+def _caller_files():
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                yield path
+
+
+def _mentions(node, out):
+    """Add the names mentioned in node to out, __all__ assignments left out."""
+    if isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    ):
+        return out
+    if isinstance(node, ast.Name):
+        out.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        out.add(node.attr)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        out.add(node.value)
+    for child in ast.iter_child_nodes(node):
+        _mentions(child, out)
+    return out
+
+
+def test_every_module_level_definition_has_a_caller():
+    # one name set per top-level statement, so a definition's own body
+    # (a recursive call, say) does not count as a use of it
+    statements = [
+        (path, stmt, _mentions(stmt, set()))
+        for path in _caller_files()
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    unused = [
+        f"{path.stem}.{stmt.name}"
+        for path, stmt, _ in statements
+        if path.parent == PACKAGE
+        and isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+    ]
+    assert not unused, f"defined but never used outside tests: {unused}"

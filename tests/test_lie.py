@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from autfilt import lie
-from autfilt.lie import LieElement
+from autfilt import exactlin, lie
 
-from helpers import brute_lyndon_count
+from helpers import brute_lyndon_count, jacobi_sum, lyndon_tensor, witt_dimension
 
 
 def test_lyndon_words_n2_m3():
@@ -33,14 +32,14 @@ def test_lyndon_count_n3_m3():
 def test_witt_dimension_against_brute_count():
     for n in range(1, 5):
         for m in range(1, 6):
-            assert lie.witt_dimension(n, m) == brute_lyndon_count(n, m)
+            assert witt_dimension(n, m) == brute_lyndon_count(n, m)
 
 
 def test_lyndon_generation_matches_witt_up_to_n6_m5():
     for n in range(1, 7):
         for m in range(1, 6):
             words = lie.lyndon_words(n, m)
-            assert len(words) == lie.witt_dimension(n, m)
+            assert len(words) == witt_dimension(n, m)
             assert all(lie.is_lyndon(w) for w in words)
             assert words == sorted(words)
 
@@ -55,24 +54,30 @@ def test_leading_term_property():
             assert all(mono >= w for mono in t)
 
 
+def _generator(i):
+    return {(i,): 1}
+
+
 def test_bracket_antisymmetry_on_generators():
-    e1 = LieElement.generator(3, 1)
-    assert not e1.bracket(e1)
+    e1 = _generator(1)
+    assert not lie.tensor_bracket(e1, e1)
 
 
 def test_left_normed_single_element():
-    e2 = LieElement.generator(3, 2)
-    assert lie.left_normed([e2]) == e2
+    assert lie.left_normed_of_generators((2,)) == {(2,): 1}
+    with pytest.raises(ValueError):
+        lie.left_normed_of_generators(())
 
 
 def test_bracket_tensor_expansion_degree2():
-    e1, e2 = LieElement.generator(2, 1), LieElement.generator(2, 2)
-    assert e1.bracket(e2).tensor_coords() == {(1, 2): 1, (2, 1): -1}
+    t = lie.tensor_bracket(_generator(1), _generator(2))
+    assert t == {(1, 2): 1, (2, 1): -1}
+    assert lie.lie_from_tensor_coords(t) == {(1, 2): 1}
 
 
 def test_left_normed_tensor_expansion_degree3():
-    b = lie.left_normed_of_generators(3, (1, 2, 3))
-    assert b.tensor_coords() == {
+    b = lie.left_normed_of_generators((1, 2, 3))
+    assert lyndon_tensor(b) == {
         (1, 2, 3): 1,
         (2, 1, 3): -1,
         (3, 1, 2): -1,
@@ -85,13 +90,10 @@ def test_jacobi_identity_random():
     n = 3
     for _ in range(40):
         u, v, w = (
-            LieElement(
-                n, 1, {(i,): Fraction(rng.randrange(-3, 4)) for i in range(1, n + 1)}
-            )
+            {(i,): Fraction(rng.randrange(-3, 4)) for i in range(1, n + 1)}
             for _ in range(3)
         )
-        lhs = u.bracket(v.bracket(w)) + v.bracket(w.bracket(u)) + w.bracket(u.bracket(v))
-        assert not lhs
+        assert not jacobi_sum(u, v, w)
 
 
 def test_bracket_bilinear_antisymmetric_random():
@@ -99,14 +101,15 @@ def test_bracket_bilinear_antisymmetric_random():
     n = 3
     words2 = lie.lyndon_words(n, 2)
     for _ in range(40):
-        u = LieElement(n, 2, {w: Fraction(rng.randrange(-2, 3)) for w in words2})
-        v = LieElement(n, 1, {(i,): Fraction(rng.randrange(-2, 3)) for i in (1, 2, 3)})
-        assert u.bracket(v) + v.bracket(u) == LieElement.zero(n, 3)
+        u = lyndon_tensor({w: Fraction(rng.randrange(-2, 3)) for w in words2})
+        v = {(i,): Fraction(rng.randrange(-2, 3)) for i in (1, 2, 3)}
+        assert not lie.tensor_add(lie.tensor_bracket(u, v), lie.tensor_bracket(v, u))
+        assert not lie.dynkin_defect(lie.tensor_bracket(u, v))
 
 
 def test_dynkin_detects_lie_tensors():
-    assert lie.is_lie_element({(1, 2): 1, (2, 1): -1})
-    assert not lie.is_lie_element({(1, 2): 1})
+    assert not lie.dynkin_defect({(1, 2): 1, (2, 1): -1})
+    assert lie.dynkin_defect({(1, 2): 1})
 
 
 def test_from_tensor_round_trip_random():
@@ -114,30 +117,42 @@ def test_from_tensor_round_trip_random():
     n, m = 3, 4
     words = lie.lyndon_words(n, m)
     for _ in range(25):
-        v = LieElement(
-            n, m, {w: Fraction(rng.randrange(-3, 4)) for w in rng.sample(words, 5)}
-        )
-        t = v.tensor_coords()
-        assert lie.lie_from_tensor_coords(t, n, m) == v
+        coords = {w: Fraction(rng.randrange(-3, 4)) for w in rng.sample(words, 5)}
+        coords = {w: c for w, c in coords.items() if c}
+        assert lie.lie_from_tensor_coords(lyndon_tensor(coords)) == coords
+    assert lie.lie_from_tensor_coords({}) == {}
+    # an explicit zero entry is not a non-Lyndon leading term
+    assert lie.lie_from_tensor_coords({(1, 2): 1, (2, 1): -1, (2, 2): 0}) == {(1, 2): 1}
+
+
+def test_lyndon_coordinates_round_trip_seeded():
+    # random integer Lyndon coordinates survive expansion and conversion,
+    # and the left-normed bracket of generators agrees with converting the
+    # left-normed tensor bracket of unit tensors
+    rng = random.Random(11)
+    for n, m in ((2, 5), (3, 3), (4, 2), (4, 3)):
+        words = lie.lyndon_words(n, m)
+        for _ in range(30):
+            support = rng.sample(words, rng.randint(1, min(6, len(words))))
+            coords = {w: rng.choice((-3, -2, -1, 1, 2, 3)) for w in support}
+            assert lie.lie_from_tensor_coords(lyndon_tensor(coords)) == coords
+            omega = tuple(rng.randrange(1, n + 1) for _ in range(m))
+            acc = _generator(omega[0])
+            for i in omega[1:]:
+                acc = lie.tensor_bracket(acc, _generator(i))
+            assert lie.left_normed_of_generators(omega) == lie.lie_from_tensor_coords(acc)
 
 
 def test_from_tensor_rejects_non_lie_with_defect():
-    with pytest.raises(lie.NotLieElementError) as exc:
-        lie.lie_from_tensor_coords({(1, 2): Fraction(1)}, 2, 2)
+    with pytest.raises(lie.NotLieTensorError) as exc:
+        lie.lie_from_tensor_coords({(1, 2): Fraction(1)})
     assert exc.value.defect  # the Dynkin defect is attached
 
 
 def test_to_tensor_vector_and_back():
-    from autfilt import exactlin
-
-    v = lie.left_normed_of_generators(3, (1, 2, 3))
-    t = v.to_tensor()
-    assert t.space == exactlin.TensorSpace(3, 3)
-    assert lie.lie_from_tensor_coords(dict(t.coords), 3, 3) == v
-
-
-def test_word_string_round_trip():
-    assert lie.word_to_string((1, 1, 2)) == "1.1.2"
+    v = lie.left_normed_of_generators((1, 2, 3))
+    t = exactlin.TensorVector(exactlin.TensorSpace(3, 3), lyndon_tensor(v))
+    assert lie.lie_from_tensor_coords(dict(t.coords)) == v
 
 
 def test_tensor_add_into_matches_add_of_scaled():

@@ -10,6 +10,8 @@ from autfilt.autf import word
 from helpers import (
     dual_components,
     left_normed_derivation,
+    lyndon_tensor,
+    make_signed_permutation,
     magnus_expand_by_letters,
     random_word,
 )
@@ -113,19 +115,19 @@ def test_depth_zero_for_non_ia():
 def test_image_conjugation_generator():
     ji = magnus.johnson_image(autf.make_magnus_C(1, 2, 3), 1)
     assert ji.space == exactlin.MkSpace(3, 1)
-    assert dual_components(ji) == {1: lie.LieElement(3, 2, {(1, 2): Fraction(1)})}
+    assert dual_components(ji) == {1: {(1, 2): 1}}
 
 
 def test_image_commutator_multiplier():
     ji = magnus.johnson_image(autf.make_magnus_M(1, 2, 3, 3), 1)
-    assert dual_components(ji) == {1: lie.LieElement(3, 2, {(2, 3): Fraction(1)})}
+    assert dual_components(ji) == {1: {(2, 3): 1}}
 
 
 def test_image_t_family_is_left_normed_bracket():
     n, k = 5, 2
     for i, omega in ((1, (2, 3, 4)), (2, (3, 1, 3)), (5, (4, 3, 2))):
         ji = magnus.johnson_image(autf.make_T(i, omega, n), k)
-        expected = lie.left_normed_of_generators(n, omega)
+        expected = lie.left_normed_of_generators(omega)
         assert dual_components(ji) == {i: expected}
 
 
@@ -152,7 +154,7 @@ def test_image_depth_error_reports_offending_degree():
 def test_image_components_pass_dynkin():
     ji = magnus.johnson_image(autf.make_S((1, 2), 3, 4, 5), 2)
     for v in dual_components(ji).values():
-        assert lie.is_lie_element(v.tensor_coords())
+        assert not lie.dynkin_defect(lyndon_tensor(v))
 
 
 def test_commutator_depth_adds_up():
@@ -202,7 +204,7 @@ def test_commutator_image_matches_derivation_oracle():
         got = magnus.johnson_image(autf.left_normed_group_commutator(factors), k)
         expected = left_normed_derivation(factors, n)
         assert {
-            i: v.tensor_coords() for i, v in dual_components(got).items()
+            i: lyndon_tensor(v) for i, v in dual_components(got).items()
         } == expected
 
 
@@ -224,7 +226,7 @@ def test_equivariance_under_transvection_lift():
 def test_equivariance_under_signed_permutation():
     n, k = 4, 2
     perm = {1: 2, 2: 3, 3: 4, 4: 1}
-    g = autf.make_signed_permutation(n, perm, {3: -1})
+    g = make_signed_permutation(n, perm, {3: -1})
 
     def columns(mat):
         return {b + 1: {a + 1: mat[a][b] for a in range(n)} for b in range(n)}
