@@ -68,6 +68,11 @@ _FAMILIES = {
 }
 
 
+@functools.cache
+def _label_set(family, params):
+    return frozenset(_FAMILIES[family][1](*params))
+
+
 @dataclass(frozen=True)
 class Space:
     """A labeled basis space: a family name from _FAMILIES and its integer
@@ -83,6 +88,11 @@ class Space:
     def labels(self):
         """The basis labels in space order, that is sorted by sort_key."""
         return _FAMILIES[self.family][1](*self.params)
+
+    @functools.cached_property
+    def label_set(self):
+        """The basis labels as a frozenset, shared by equal spaces."""
+        return _label_set(self.family, self.params)
 
     @property
     def sort_key(self):
@@ -159,6 +169,9 @@ class TensorVector:
 
     def __init__(self, space, coords=()):
         coords = {k: _exact(v) for k, v in dict(coords).items() if v}
+        if not space.label_set.issuperset(coords):
+            stray = sorted(map(repr, coords.keys() - space.label_set))
+            raise ValueError(f"labels not in {space.descriptor}: {', '.join(stray)}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "coords", coords)
 

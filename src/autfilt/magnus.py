@@ -13,15 +13,21 @@ L_{k+1}, which is exactlin.MkSpace(n, k); johnson_image returns a
 TensorVector of that space, the one representation the linear algebra,
 the suites and the reports use.
 
-magnus_expand multiplies letter by letter, in place, on one flat list of
-ints over the monomials in the word's own letters (a^K entries for a
-distinct letters, not rank^K); TruncatedSeries multiplication is sparse.
+magnus_expand multiplies letter by letter on packed blocks: one exact int
+per degree d holding the a^d coefficients of the monomials in the word's
+own a letters (not rank^d) as fixed-width signed fields, so a letter is
+one shift-add per degree; the field width comes from a proven bound on
+the coefficients of a word of that length.  TruncatedSeries
+multiplication is sparse.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import struct
 from dataclasses import dataclass
+from math import comb
 
 from . import lie
 from .autf import FreeWord
@@ -98,40 +104,74 @@ class TruncatedSeries:
         return f"TruncatedSeries(rank={self.rank}, cutoff={self.cutoff}, {n_terms} terms)"
 
 
+@functools.cache
+def _monomials(alphabet, d):
+    """The degree-d monomials in alphabet in field order: field j is the
+    base-a reading of the monomial with its first letter least significant.
+    Alphabets are subsets of a rank, so the cache stays small."""
+    return tuple(m[::-1] for m in itertools.product(alphabet, repeat=d))
+
+
 def magnus_expand(w, cutoff):
     """Image of the word w under the truncated Magnus embedding.
 
-    Works on a dense list c over the monomials in the a letters of w,
-    numbered 1..a in sorted order: index(()) = 0, index(m X_i) =
-    i + a*index(m), so degree d starts at start[d] = 1 + a + ... +
-    a^(d-1) and the monomials ending in X_i are the slice c[i::a],
-    aligned with their parents c[:start[K]].
+    Holds one int per degree d: the a^d coefficients of the degree-d
+    monomials in the a letters of w (positions p = 0..a-1 in sorted
+    order) as signed fields of B bits, field j being the base-a reading of
+    the monomial with its first letter least significant.  The monomials
+    m X_p of degree d+1 are then the fields [p a^d, (p+1) a^d), aligned
+    with the whole degree-d block, so each letter costs one shift-add per
+    degree.  The packed ints are exact; only the decode at the end, which
+    adds 2^(B-1) to every field and reads the fields back as unsigned
+    B-bit numbers, relies on the width.  Each letter's series has at most
+    one monomial, of coefficient +-1, per degree, so a degree-d
+    coefficient of an L-letter word is a sum over the weak compositions
+    of d into L parts: |c| <= C(L+d-1, d) <= C(L+K-1, K), attained by
+    x_i^-L.  B is that bound's bit length plus a sign bit and a spare
+    bit, rounded up to whole bytes.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    alphabet = sorted({i for i, _ in w.letters})
+    alphabet = tuple(sorted({i for i, _ in w.letters}))
     a = len(alphabet)
-    position = {letter: p for p, letter in enumerate(alphabet, 1)}
-    start = [0]
-    for _ in range(cutoff + 1):
-        start.append(1 + a * start[-1])
-    c = [0] * start[cutoff + 1]
-    c[0] = 1
+    bound = comb(len(w.letters) + cutoff - 1, cutoff)
+    nbytes = (bound.bit_length() + 2 + 7) // 8
+    width = 8 * nbytes
+    shifts = {
+        letter: [width * p * a**d for d in range(cutoff)]
+        for p, letter in enumerate(alphabet)
+    }
+    blocks = [1] + [0] * cutoff
     for letter, sign in w.letters:
-        i = position[letter]
+        shift = shifts[letter]
         if sign == 1:
-            # c (1 + X_i): c'(m X_i) = c(m X_i) + c(m), all from old values
-            c[i::a] = [u + v for u, v in zip(c[i::a], c)]
+            # c (1 + X_p): c'(m X_p) = c(m X_p) + c(m), all from old values
+            for d in range(cutoff - 1, -1, -1):
+                blocks[d + 1] += blocks[d] << shift[d]
         else:
-            # c' (1 + X_i) = c: c'(m X_i) = c(m X_i) - c'(m), lowest degree first
-            for d in range(1, cutoff + 1):
-                lo, hi = start[d - 1], start[d]
-                targets = slice(i + a * lo, i + a * hi, a)
-                c[targets] = [u - v for u, v in zip(c[targets], c[lo:hi])]
+            # c' (1 + X_p) = c: c'(m X_p) = c(m X_p) - c'(m), lowest degree first
+            for d in range(cutoff):
+                blocks[d + 1] -= blocks[d] << shift[d]
+    # biased by 2^(B-1), every field is a nonnegative B-bit number; spread
+    # into slots of whole 64-bit limbs, struct reads them in one call
+    half = 1 << (width - 1)
+    field_bias = half.to_bytes(nbytes, "little")
+    limbs = (nbytes + 7) // 8
     coeffs = {}
-    for d in range(cutoff + 1):
-        monos = itertools.product(alphabet, repeat=d)
-        coeffs.update((m, v) for m, v in zip(monos, c[start[d]:start[d + 1]]) if v)
+    for d, block in enumerate(blocks):
+        count = a**d
+        raw = (block + int.from_bytes(field_bias * count, "little")).to_bytes(
+            nbytes * count, "little"
+        )
+        slots = bytearray(8 * limbs * count)
+        for i in range(nbytes):
+            slots[i::8 * limbs] = raw[i::nbytes]
+        limb_values = struct.unpack(f"<{limbs * count}Q", slots)
+        values = limb_values[::limbs]
+        for t in range(1, limbs):
+            values = [v | u << 64 * t for v, u in zip(values, limb_values[t::limbs])]
+        monomials = _monomials(alphabet, d)
+        coeffs.update((m, v - half) for m, v in zip(monomials, values) if v != half)
     return TruncatedSeries(w.rank, cutoff, coeffs)
 
 

@@ -7,6 +7,7 @@ nested derivation brackets.  It shares no code path with the library's
 expansion route, so agreement is a genuine dual-route check.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -120,14 +121,54 @@ def _mul_letter(coeffs, i, sign, K):
 
 
 def magnus_expand_by_letters(w, cutoff):
-    """Sparse letter-by-letter Magnus expansion: oracle for the dense kernel.
+    """Sparse letter-by-letter Magnus expansion: an oracle for the packed
+    kernel magnus.magnus_expand, beside magnus_expand_dense.
 
     Rebuilds a tuple-keyed coefficient dict for every letter, so it shares
-    no indexing with magnus.magnus_expand.
+    no indexing with either kernel.  It is fast enough for words of a few
+    dozen letters; magnus_expand_dense covers the long words.
     """
     coeffs = {(): 1}
     for i, sign in w.letters:
         coeffs = _mul_letter(coeffs, i, sign, cutoff)
+    return magnus.TruncatedSeries(w.rank, cutoff, coeffs)
+
+
+def magnus_expand_dense(w, cutoff):
+    """Dense in-place Magnus expansion on one flat list of ints: the oracle
+    for the packed kernel magnus.magnus_expand on long words.
+
+    Works on a dense list c over the monomials in the a letters of w,
+    numbered 1..a in sorted order: index(()) = 0, index(m X_i) =
+    i + a*index(m), so degree d starts at start[d] = 1 + a + ... +
+    a^(d-1) and the monomials ending in X_i are the slice c[i::a],
+    aligned with their parents c[:start[K]].
+    """
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
+    alphabet = sorted({i for i, _ in w.letters})
+    a = len(alphabet)
+    position = {letter: p for p, letter in enumerate(alphabet, 1)}
+    start = [0]
+    for _ in range(cutoff + 1):
+        start.append(1 + a * start[-1])
+    c = [0] * start[cutoff + 1]
+    c[0] = 1
+    for letter, sign in w.letters:
+        i = position[letter]
+        if sign == 1:
+            # c (1 + X_i): c'(m X_i) = c(m X_i) + c(m), all from old values
+            c[i::a] = [u + v for u, v in zip(c[i::a], c)]
+        else:
+            # c' (1 + X_i) = c: c'(m X_i) = c(m X_i) - c'(m), lowest degree first
+            for d in range(1, cutoff + 1):
+                lo, hi = start[d - 1], start[d]
+                targets = slice(i + a * lo, i + a * hi, a)
+                c[targets] = [u - v for u, v in zip(c[targets], c[lo:hi])]
+    coeffs = {}
+    for d in range(cutoff + 1):
+        monos = itertools.product(alphabet, repeat=d)
+        coeffs.update((m, v) for m, v in zip(monos, c[start[d]:start[d + 1]]) if v)
     return magnus.TruncatedSeries(w.rank, cutoff, coeffs)
 
 

@@ -357,6 +357,22 @@ def test_e_delta_rejects_out_of_range_indices(dual_index, tail):
 
 
 @pytest.mark.parametrize(
+    "space, label",
+    [
+        (MkSpace(3, 1), (9, (1, 2))),
+        (MkSpace(3, 1), (1, (2, 1))),
+        (VSpace(3), 0),
+        (TensorSpace(3, 2), (1, 2, 3)),
+        (SympWedgeSpace(2, 2), (("b", 1), ("a", 1))),
+    ],
+)
+def test_tensor_vector_rejects_labels_outside_its_space(space, label):
+    with pytest.raises(ValueError, match="labels not in"):
+        TensorVector(space, {label: 1, space.labels()[0]: 1})
+    assert TensorVector(space, {label: 0}) == TensorVector.zero(space)
+
+
+@pytest.mark.parametrize(
     "vec",
     [
         TensorVector(TensorSpace(3, 2), {(1, 2): 1}),

@@ -13,6 +13,7 @@ from helpers import (
     lyndon_tensor,
     make_signed_permutation,
     magnus_expand_by_letters,
+    magnus_expand_dense,
     random_word,
 )
 
@@ -40,8 +41,8 @@ def test_expand_commutator_lowest_degree():
     assert s.homogeneous_part(2) == {(1, 2): 1, (2, 1): -1}
 
 
-def test_dense_expansion_matches_letter_oracle():
-    # the dense in-place kernel against the sparse letter-by-letter route,
+def test_packed_expansion_matches_letter_oracle():
+    # the packed kernel against the sparse letter-by-letter route,
     # including the empty word and alphabets that skip letters of the rank
     rng = random.Random(29)
     for rank in range(1, 6):
@@ -60,24 +61,105 @@ def test_dense_expansion_matches_letter_oracle():
                 ), (rank, cutoff, w.letters)
 
 
+def _tau_product(rng, n, k):
+    """Two or three T/S factors with the tau-identities suite's odds, kept
+    only with at most one S factor (two give words of millions of letters)."""
+    while True:
+        count = rng.choice((2, 2, 3))
+        kinds = ["S" if rng.random() < 0.3 else "T" for _ in range(count)]
+        if kinds.count("S") <= 1:
+            break
+    product = autf.identity_automorphism(n)
+    for kind in kinds:
+        if kind == "S":
+            mu = tuple(rng.choice((1, 2, 3)) for _ in range(k))
+            product = product.compose(autf.make_S(mu, 4, 5, n))
+        else:
+            i = rng.randrange(1, n + 1)
+            rest = [a for a in range(1, n + 1) if a != i]
+            omega = (*rng.sample(rest, 2), *(rng.choice(rest) for _ in range(k - 1)))
+            product = product.compose(autf.make_T(i, omega, n))
+    return product
+
+
+def test_packed_expansion_matches_dense_oracle_on_long_words():
+    # deviation words x_i^-1 phi(x_i) of composed T/S products at n = 5,
+    # cutoff 4 as in johnson_image(phi, 3), and their product, of over
+    # 20,000 letters; the fields get 6 to 8 bytes wide, which the
+    # short-word oracle tests never reach.  Then alphabets that skip letters
+    # of the rank: the first word relabelled into rank 7, and a random word on
+    # two letters at cutoff 5 whose fields are wider than one 64-bit limb
+    rng = random.Random(41)
+    n = 5
+    cases = []
+    while sum(len(w.letters) for w, _ in cases) < 24_000:
+        phi = _tau_product(rng, n, 3)
+        for i in range(1, n + 1):
+            w = autf.FreeWord.generator(n, i).inverse() * phi.images[i - 1]
+            if 3_000 <= len(w.letters) <= 20_000:
+                cases.append((w, 4))
+    longest = cases[0][0]
+    for w, _ in cases[1:]:
+        longest = longest * w
+    assert len(longest.letters) >= 20_000
+    cases.append((longest, 4))
+    relabel = {1: 2, 2: 3, 3: 5, 4: 6, 5: 7}
+    first = cases[0][0]
+    cases.append((autf.FreeWord(7, [(relabel[i], e) for i, e in first.letters]), 4))
+    two_letters = autf.FreeWord(
+        n, [(rng.choice((2, 5)), rng.choice((1, -1))) for _ in range(36_000)]
+    )
+    assert comb(len(two_letters.letters) + 4, 5).bit_length() + 2 > 64
+    cases.append((two_letters, 5))
+    for w, cutoff in cases:
+        assert magnus.magnus_expand(w, cutoff) == magnus_expand_dense(w, cutoff), (
+            len(w.letters), cutoff
+        )
+
+
+def _least_length(cutoff, smallest_bound):
+    """Least m at which C(m+K-1, K), the coefficient bound of an m-letter
+    word at cutoff K, reaches smallest_bound."""
+    lo, hi = 0, 1
+    while comb(hi + cutoff - 1, cutoff) < smallest_bound:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if comb(mid + cutoff - 1, cutoff) < smallest_bound:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def test_generator_powers_closed_form():
     # x_i^m has X_i^t coefficient C(m, t) and x_i^-m has (-1)^t C(m+t-1, t);
-    # an inverse-letter update in the wrong degree order breaks the second
+    # an inverse-letter update in the wrong degree order breaks the second.
+    # The X_i^K coefficient of x_i^-m is the bound the field width is taken
+    # from, so at rank 5 each cutoff also takes the lengths m - 1 and m
+    # around each point, up to 40,000 letters, where the width grows a byte
+    # (the bound reaching 2^6, 2^14, 2^62, the last past one 64-bit limb)
+    # or where a width without the sign bit would overflow (2^7, 2^15, 2^63)
+    boundary = {}
+    for cutoff in range(1, 6):
+        ms = [_least_length(cutoff, 1 << bits) for bits in (6, 7, 14, 15, 62, 63)]
+        boundary[cutoff] = {m - d for m in ms if m <= 40_000 for d in (0, 1)}
     for rank in (1, 2, 5):
         for i in sorted({1, rank}):
-            for m in (1, 7, 30):
-                for cutoff in range(1, 6):
+            for cutoff in range(1, 6):
+                lengths = {1, 7, 30} | (boundary[cutoff] if rank == 5 else set())
+                for m in sorted(lengths):
                     up = magnus.magnus_expand(autf.FreeWord(rank, [(i, 1)] * m), cutoff)
                     down = magnus.magnus_expand(
                         autf.FreeWord(rank, [(i, -1)] * m), cutoff
                     )
                     assert up.coeffs == {
                         (i,) * t: comb(m, t) for t in range(min(m, cutoff) + 1)
-                    }
+                    }, (cutoff, m)
                     assert down.coeffs == {
                         (i,) * t: (-1) ** t * comb(m + t - 1, t)
                         for t in range(cutoff + 1)
-                    }
+                    }, (cutoff, m)
 
 
 def test_homomorphism_property_random():

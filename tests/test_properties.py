@@ -114,7 +114,7 @@ def test_magnus_homomorphism(u, v):
 
 @given(st.data(), st.integers(1, 5), st.integers(1, 5))
 @settings(max_examples=100, deadline=None)
-def test_dense_expansion_matches_letter_oracle(data, rank, cutoff):
+def test_packed_expansion_matches_letter_oracle(data, rank, cutoff):
     word_letters = data.draw(
         st.lists(
             st.tuples(st.integers(1, rank), st.sampled_from((1, -1))), max_size=40
