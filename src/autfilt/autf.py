@@ -332,7 +332,8 @@ def make_T(i, omega, n):
     if len(omega) < 2:
         raise ValueError("need a tail of length at least 2")
     _check_indices(n, i, *omega)
-    c = left_normed_word_commutator([FreeWord.generator(n, w) for w in omega])
+    # the indices are checked above, so the generators need no second check
+    c = left_normed_word_commutator([FreeWord._reduced(n, (((w, 1),),)) for w in omega])
     return _single_move(n, i, (), c.letters)
 
 

@@ -6,7 +6,9 @@ subgroups commute elementwise, which for parabolics reduces to a finite
 check on Nielsen generators, checked in the first handle's frame on
 generator images: conjugating both subgroups back by the first handle's
 conjugator leaves a standard parabolic and a conjugate by the short
-relative conjugator word.  The path builder realises the
+relative conjugator word.  The verdict in that frame depends only on
+(rank, I, J, relative conjugator), so it is decided once per such key
+and cached for the life of the process.  The path builder realises the
 constructive connectivity argument: a generator with support disjoint
 from I fixes the vertex, and otherwise a spare index block K gives a
 length-2 detour through a disjoint parabolic.
@@ -14,6 +16,7 @@ length-2 detour through a disjoint parabolic.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -46,6 +49,9 @@ class SubgroupHandle:
                 and exp in (1, -1)
             ):
                 raise ValueError(f"bad Nielsen letter {letter!r} in rank {self.rank}")
+        # letters given as lists become tuples: conjugators are compared,
+        # cancelled letter by letter and used as cache keys
+        object.__setattr__(self, "conjugator", tuple(map(tuple, self.conjugator)))
 
     def _valid_index(self, i):
         return autf.is_json_int(i) and 1 <= i <= self.rank
@@ -68,22 +74,21 @@ def handle(rank, indices, conjugator=()):
     return SubgroupHandle(rank, frozenset(indices), tuple(conjugator))
 
 
-def parabolic_generators(h):
-    """Conjugated Nielsen generators {L_ab, R_ab : a != b in I}."""
-    if len(h.indices) < 2:
+@functools.cache
+def _standard_generators(rank, indices):
+    """Nielsen generators {L_ab, R_ab : a != b in I} of the standard P_I."""
+    if len(indices) < 2:
         raise ValueError(
             "parabolics on fewer than two indices have no Nielsen generators; "
             "handles with |I| <= 1 are rejected"
         )
-    g = h.conjugator_automorphism()
-    gens = []
-    for a in sorted(h.indices):
-        for b in sorted(h.indices):
-            if a == b:
-                continue
-            for side in ("L", "R"):
-                gens.append(autf.make_nielsen(side, a, b, 1, h.rank).conjugate(g))
-    return gens
+    return tuple(
+        autf.make_nielsen(side, a, b, 1, rank)
+        for a in sorted(indices)
+        for b in sorted(indices)
+        if a != b
+        for side in ("L", "R")
+    )
 
 
 def _relative_conjugator(h1, h2):
@@ -110,19 +115,35 @@ def commutes(h1, h2):
     runs in the first handle's frame: conjugation by g1^-1 is an
     automorphism of Aut(F_n), so g1^-1 P_I g1 and g2^-1 P_J g2 commute
     elementwise if and only if P_I and d^-1 P_J d do, d = g2 g1^-1
-    (`_relative_conjugator`).  Each pair of generators is compared on the
-    images of the basis only, stopping at the first difference.
+    (`_relative_conjugator`).
+
+    The verdict is therefore a function of (rank, I, J, d) alone and is
+    cached under that key by `_commutes_in_frame`.  The key is exact: the
+    index sets and the letters of d are ints (handles reject bool and
+    float indices and exponents, so 1 and True never share an entry), the
+    sides are "L" or "R", and equal keys name the same pair of subgroups
+    in the first handle's frame, whatever the absolute conjugators.
     """
     if h1.rank != h2.rank:
         raise ValueError("rank mismatch")
-    gens1 = parabolic_generators(handle(h1.rank, h1.indices))
-    gens2 = parabolic_generators(
-        handle(h2.rank, h2.indices, _relative_conjugator(h1, h2))
+    return _commutes_in_frame(
+        h1.rank, h1.indices, h2.indices, _relative_conjugator(h1, h2)
     )
+
+
+@functools.cache
+def _commutes_in_frame(rank, I, J, d):
+    """Whether P_I and d^-1 P_J d commute elementwise, d a Nielsen word.
+
+    Each pair of generators is compared on the images of the basis only,
+    stopping at the first difference.
+    """
+    g = autf.eval_nielsen_word(d, rank)
+    gens2 = [b.conjugate(g) for b in _standard_generators(rank, J)]
     # a b == b a if and only if a(b(x_i)) == b(a(x_i)) for every i
     return all(
         a(bi) == b(ai)
-        for a in gens1
+        for a in _standard_generators(rank, I)
         for b in gens2
         for ai, bi in zip(a.images, b.images)
     )
@@ -180,7 +201,8 @@ def generator_edge_path(n, I, letter):
     I = frozenset(I)
     m = len(I)
     _check_bound(n, m)
-    s_support = autf.nielsen_word_support([letter])
+    end = handle(n, I, (letter,))  # rejects a malformed letter
+    s_support = autf.nielsen_word_support(end.conjugator)
     start = handle(n, I)
     if not (s_support & I):
         return GraphPath((start,))
@@ -189,7 +211,7 @@ def generator_edge_path(n, I, letter):
     if len(free) < m:
         raise ValueError("no disjoint index block available")
     K = frozenset(free[:m])
-    return GraphPath((start, handle(n, K), handle(n, I, (letter,))))
+    return GraphPath((start, handle(n, K), end))
 
 
 def conjugate_path(n, I, word):

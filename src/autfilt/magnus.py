@@ -210,7 +210,7 @@ def _deviation_series(phi, i, cutoff):
     img = phi.images[i - 1]
     if img.letters == ((i, 1),):
         return None
-    w = FreeWord.generator(phi.rank, i).inverse() * img
+    w = FreeWord._reduced(phi.rank, (((i, -1),), img.letters))
     return magnus_expand(w, cutoff)
 
 

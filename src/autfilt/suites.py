@@ -557,12 +557,13 @@ def suite_depth_table(params):
     rec = _Recorder()
 
     def check_cm():
-        bad = []
-        for g in _all_conjugation_generators(n) + _all_commutator_multipliers(n):
-            if magnus.johnson_depth(g, 3).value != 1:
-                bad.append(autf.format_automorphism(g))
-        total = len(_all_conjugation_generators(n)) + len(_all_commutator_multipliers(n))
-        return not bad, {"checked": total, "expected_depth": 1, "failures": bad}
+        gens = _all_conjugation_generators(n) + _all_commutator_multipliers(n)
+        bad = [
+            autf.format_automorphism(g)
+            for g in gens
+            if magnus.johnson_depth(g, 3).value != 1
+        ]
+        return not bad, {"checked": len(gens), "expected_depth": 1, "failures": bad}
 
     rec.timed("depth-of-degree1-generators", check_cm)
     i_free, j_free = [a for a in range(1, n + 1) if a not in subalphabet][:2]

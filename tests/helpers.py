@@ -286,14 +286,34 @@ def random_handle_pair(rng, n, max_len=6):
     return commgraph.handle(n, I, c1), commgraph.handle(n, J, c2)
 
 
+def parabolic_generators(h):
+    """Conjugated Nielsen generators {L_ab, R_ab : a != b in I}, each built
+    with make_nielsen and conjugated by the handle's full conjugator."""
+    if len(h.indices) < 2:
+        raise ValueError(
+            "parabolics on fewer than two indices have no Nielsen generators; "
+            "handles with |I| <= 1 are rejected"
+        )
+    g = h.conjugator_automorphism()
+    gens = []
+    for a in sorted(h.indices):
+        for b in sorted(h.indices):
+            if a == b:
+                continue
+            for side in ("L", "R"):
+                gens.append(autf.make_nielsen(side, a, b, 1, h.rank).conjugate(g))
+    return gens
+
+
 def commutes_by_conjugating_both(h1, h2):
     """Elementwise commutation with both handles' generators conjugated by
     their full conjugators and compared through [g1, g2] = 1: oracle for
-    commgraph.commutes, which works in the first handle's frame."""
-    gens2 = commgraph.parabolic_generators(h2)
+    commgraph.commutes, which works in the first handle's frame and caches
+    its verdicts per (rank, I, J, relative conjugator)."""
+    gens2 = parabolic_generators(h2)
     return all(
         autf.group_commutator(g1, g2).is_identity
-        for g1 in commgraph.parabolic_generators(h1)
+        for g1 in parabolic_generators(h1)
         for g2 in gens2
     )
 

@@ -4,19 +4,28 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autfilt import autf, commgraph
+from autfilt import autf, commgraph, suites
 
 from helpers import (
     commutes_by_conjugating_both,
     handles_known_equal_by_composition,
+    parabolic_generators,
     random_handle_pair,
     random_nielsen_word,
 )
 
+PATHS_PARAMS = {"n": 5, "m": 2, "trials": 100, "seed": 7, "max_len": 8}
+
+
+@pytest.fixture
+def cold_frame_cache():
+    """An empty frame cache, so commutes computes its verdicts instead of
+    only reading ones cached by earlier tests."""
+    commgraph._commutes_in_frame.cache_clear()
+
 
 def test_parabolic_generator_enumeration():
-    h = commgraph.handle(3, {1, 2})
-    gens = commgraph.parabolic_generators(h)
+    gens = commgraph._standard_generators(3, frozenset({1, 2}))
     assert len(gens) == 4  # 2 * |I| * (|I| - 1)
     expected = {
         autf.make_nielsen(side, a, b, 1, 3)
@@ -27,21 +36,21 @@ def test_parabolic_generator_enumeration():
 
 
 def test_parabolic_generator_count():
-    h = commgraph.handle(5, {1, 2, 3})
-    assert len(commgraph.parabolic_generators(h)) == 2 * 3 * 2
+    assert len(commgraph._standard_generators(5, frozenset({1, 2, 3}))) == 2 * 3 * 2
 
 
 def test_conjugated_generators():
     g = autf.make_nielsen("L", 1, 3, 1, 3)
     h = commgraph.handle(3, {1, 2}, (("L", 1, 3, 1),))
-    gens = commgraph.parabolic_generators(h)
-    base = commgraph.parabolic_generators(commgraph.handle(3, {1, 2}))
+    gens = parabolic_generators(h)
+    base = commgraph._standard_generators(3, frozenset({1, 2}))
     assert set(gens) == {b.conjugate(g) for b in base}
 
 
-def test_singleton_handles_rejected():
-    with pytest.raises(ValueError):
-        commgraph.parabolic_generators(commgraph.handle(3, {1}))
+def test_singleton_handles_rejected(cold_frame_cache):
+    for I, J in (({1}, {2, 3}), ({2, 3}, {1})):
+        with pytest.raises(ValueError):
+            commgraph.commutes(commgraph.handle(3, I), commgraph.handle(3, J))
 
 
 @pytest.mark.parametrize(
@@ -84,7 +93,7 @@ def test_self_commutation_fails_for_nonabelian_parabolic():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_commutes_matches_group_commutator_oracle(seed):
+def test_commutes_matches_group_commutator_oracle(seed, cold_frame_cache):
     # images-only check against [g1, g2] = 1, on commuting pairs (disjoint
     # index sets, both handles conjugated alike) and on non-commuting pairs
     # (overlapping index sets)
@@ -129,7 +138,9 @@ def _check_against_full_conjugation(rng, n, pairs=40):
 
 
 @pytest.mark.parametrize("n", (5, 6))
-def test_commutes_with_different_conjugators_matches_full_conjugation(n):
+def test_commutes_with_different_conjugators_matches_full_conjugation(
+    n, cold_frame_cache
+):
     rng = random.Random(n)
     verdicts = set()
     for _ in range(3):
@@ -140,6 +151,8 @@ def test_commutes_with_different_conjugators_matches_full_conjugation(n):
 @given(st.integers(0, 10_000), st.sampled_from((5, 6)))
 @settings(max_examples=40, deadline=None)
 def test_commutes_with_different_conjugators_matches_full_conjugation_fuzz(seed, n):
+    # a function-scoped fixture would run once for all examples
+    commgraph._commutes_in_frame.cache_clear()
     _check_against_full_conjugation(random.Random(seed), n, pairs=4)
 
 
@@ -239,7 +252,7 @@ def test_verify_collapses_known_equal_handles():
 def test_good_conjugator_fixes_generators_elementwise():
     h1 = commgraph.handle(5, {1, 2})
     h2 = commgraph.handle(5, {1, 2}, (("R", 4, 3, -1),))
-    assert commgraph.parabolic_generators(h1) == commgraph.parabolic_generators(h2)
+    assert parabolic_generators(h1) == parabolic_generators(h2)
 
 
 def test_random_conjugators_give_verified_paths():
@@ -258,3 +271,114 @@ def test_path_json_shape():
     data = json.loads(p.to_json())
     assert data[0] == {"I": [1, 2], "conjugator": []}
     assert data[-1]["conjugator"] == [["L", 2, 3, 1]]
+
+
+@pytest.mark.parametrize(
+    "letter",
+    [
+        ("X", 4, 5, 7),  # unknown side and exponent
+        ("L", 4, 5, 1.5),  # float exponent
+        ("L", 4, 5, True),  # bool exponent
+        ("L", 4, 9, 1),  # j out of range
+        ("R", 4, 4, 1),  # i == j
+    ],
+)
+def test_edge_path_rejects_malformed_letter_off_the_index_set(letter):
+    # the support {4, 5} or {4, 9} misses I, which must not make a bad
+    # letter pass as a length-0 path
+    with pytest.raises(ValueError):
+        commgraph.generator_edge_path(5, {1, 2}, letter)
+
+
+def test_list_letters_give_the_same_handles_and_verdicts():
+    word = [["L", 2, 3, 1], ["R", 1, 4, -1]]
+    as_tuples = tuple(map(tuple, word))
+    h = commgraph.handle(5, {1, 2}, word)
+    assert h == commgraph.handle(5, {1, 2}, as_tuples)
+    assert commgraph.conjugate_path(5, {1, 2}, word).handles == (
+        commgraph.conjugate_path(5, {1, 2}, as_tuples).handles
+    )
+    other = commgraph.handle(5, {4, 5}, [["L", 4, 3, 1]])
+    assert commgraph.commutes(h, other) is commutes_by_conjugating_both(h, other)
+
+
+def _frame_key(h1, h2):
+    return h1.rank, h1.indices, h2.indices, commgraph._relative_conjugator(h1, h2)
+
+
+def _run_recording_commutes(monkeypatch, suite, params):
+    """Run a suite on an empty frame cache; returns the number of commutes
+    calls and, per frame key, the first handle pair and its verdict."""
+    commgraph._commutes_in_frame.cache_clear()
+    original = commgraph.commutes
+    calls, first = [0], {}
+
+    def recording(h1, h2):
+        calls[0] += 1
+        verdict = original(h1, h2)
+        first.setdefault(_frame_key(h1, h2), (h1, h2, verdict))
+        return verdict
+
+    monkeypatch.setattr(commgraph, "commutes", recording)
+    suites.run(suite, params)
+    monkeypatch.setattr(commgraph, "commutes", original)
+    return calls[0], first
+
+
+@pytest.mark.parametrize(
+    "suite, params, calls, distinct",
+    [
+        ("paths", PATHS_PARAMS, 636, 132),
+        ("certificates", {"n": 5, "m": 2}, 104, 72),
+    ],
+)
+def test_suite_decides_each_frame_once(monkeypatch, suite, params, calls, distinct):
+    # acceptance parameters: every commutes call goes through the frame
+    # cache, and only the first call per frame key computes
+    got_calls, first = _run_recording_commutes(monkeypatch, suite, params)
+    info = commgraph._commutes_in_frame.cache_info()
+    assert got_calls == info.hits + info.misses == calls
+    assert info.misses == info.currsize == len(first) == distinct
+
+
+def test_equal_frames_share_one_cache_entry(cold_frame_cache):
+    a, b = ("L", 2, 3, 1), ("R", 4, 1, -1)
+    rng = random.Random(12)
+    pairs = []
+    for _ in range(2):
+        suffix = random_nielsen_word(rng, 5, 5)
+        pairs.append(
+            (
+                commgraph.handle(5, {1, 2}, (a,) + suffix),
+                commgraph.handle(5, {4, 5}, (b,) + suffix),
+            )
+        )
+    (p1, p2), (q1, q2) = pairs
+    assert p1.conjugator != q1.conjugator and p2.conjugator != q2.conjugator
+    assert _frame_key(p1, p2) == _frame_key(q1, q2)
+    first = commgraph.commutes(p1, p2)
+    assert commgraph._commutes_in_frame.cache_info()[:2] == (0, 1)
+    assert commgraph.commutes(q1, q2) is first
+    assert commgraph._commutes_in_frame.cache_info()[:2] == (1, 1)
+    assert first is commutes_by_conjugating_both(p1, p2)
+    assert first is commutes_by_conjugating_both(q1, q2)
+
+
+def test_cached_verdicts_match_oracle_cold_and_warm(monkeypatch):
+    firsts = {}
+    for suite, params in (("paths", PATHS_PARAMS), ("certificates", {"n": 5, "m": 2})):
+        _, first = _run_recording_commutes(monkeypatch, suite, params)
+        # verdicts computed on a cold cache, one per frame key
+        for h1, h2, verdict in first.values():
+            assert verdict is commutes_by_conjugating_both(h1, h2)
+        firsts.update(first)
+    # the same pairs again, now read from the warmed cache
+    for suite, params in (("paths", PATHS_PARAMS), ("certificates", {"n": 5, "m": 2})):
+        suites.run(suite, params)
+    misses = commgraph._commutes_in_frame.cache_info().misses
+    verdicts = set()
+    for h1, h2, verdict in firsts.values():
+        assert commgraph.commutes(h1, h2) is verdict
+        verdicts.add(verdict)
+    assert commgraph._commutes_in_frame.cache_info().misses == misses
+    assert verdicts == {True, False}
