@@ -332,9 +332,15 @@ def make_T(i, omega, n):
     if len(omega) < 2:
         raise ValueError("need a tail of length at least 2")
     _check_indices(n, i, *omega)
-    # the indices are checked above, so the generators need no second check
-    c = left_normed_word_commutator([FreeWord._reduced(n, (((w, 1),),)) for w in omega])
-    return _single_move(n, i, (), c.letters)
+    return _single_move(n, i, (), _tail_commutator(n, omega))
+
+
+@functools.cache
+def _tail_commutator(n, omega):
+    """Letters of the left-normed commutator of the x_w, w in omega; the
+    indices are checked by the caller, so the generators need no check."""
+    gens = [FreeWord._reduced(n, (((w, 1),),)) for w in omega]
+    return left_normed_word_commutator(gens).letters
 
 
 def make_S(mu, i, j, n):
@@ -479,7 +485,9 @@ def _parse_images(text):
     rank = int(m.group(1))
     images = [None] * rank
     for piece in pieces[1:]:
-        lhs, _, rhs = piece.partition("->")
+        lhs, arrow, rhs = piece.partition("->")
+        if not (arrow and rhs.strip()):
+            raise ValueError(f"piece {piece!r} is not of the form xi -> word")
         m = _TOKEN.match(lhs.strip())
         if not m or m.group(2):
             raise ValueError(f"bad left-hand side {lhs!r}")

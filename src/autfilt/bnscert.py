@@ -20,7 +20,7 @@ itself with commutator witnesses of the form x_1^-1 * (x_1 conjugated).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import autf, commgraph
@@ -29,20 +29,6 @@ SCOPE_NOTE = (
     "verdict is scoped to the subgroup generated by the listed elements; "
     "generation of that subgroup by the list holds by definition"
 )
-
-
-@dataclass(frozen=True)
-class Character:
-    """Rational values keyed by element identifier (serialized map text)."""
-
-    assignments: tuple
-
-    def value_of(self, phi):
-        key = autf.format_automorphism(phi)
-        for k, v in self.assignments:
-            if k == key:
-                return v
-        return Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -121,13 +107,7 @@ class Verdict:
     scope_note: str = SCOPE_NOTE
 
     def to_json_obj(self):
-        return {
-            "valid": self.valid,
-            "failed_condition": self.failed_condition,
-            "failed_index": self.failed_index,
-            "detail": self.detail,
-            "scope_note": self.scope_note,
-        }
+        return asdict(self)
 
 
 def _eval_word(elements, word):
@@ -215,40 +195,27 @@ class AssemblyError(ValueError):
     """The targets cannot be assembled into a certificate."""
 
 
-def default_element_chooser(chi_value=Fraction(1)):
-    """Chooser returning a conjugated commutator-trivial parabolic element.
-
-    For a handle on index set I it conjugates C_{ab} (a, b the two lowest
-    indices of I) by the handle's conjugator and assigns the fixed nonzero
-    character value.
-    """
-
-    def choose(h):
-        a, b = sorted(h.indices)[:2]
-        base = autf.make_magnus_C(a, b, h.rank)
-        return base.conjugate(h.conjugator_automorphism()), Fraction(chi_value)
-
-    return choose
-
-
 @dataclass
 class AssemblyReport:
     vertex_order: list = field(default_factory=list)
     forced_positions: list = field(default_factory=list)
-    note: str = "vertices deduplicated by first occurrence, ordered by BFS distance"
 
 
-def assemble_certificate(n, m, targets, chi_seed=None, element_chooser=None):
+def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
     """Build a certificate from commutator-trivial targets given as Nielsen words.
 
     targets: list of (label, nielsen word); labels only name targets in
-    error messages and need not be distinct.  Returns (certificate, report).
-    Raises AssemblyError when a path cannot be built or the chooser fails
-    to supply an element with nonzero character.
+    error messages and need not be distinct.  chi_seed maps the
+    format_automorphism text of a target to its character value (0 when
+    absent).  The element at a handle on I that no target forces is C_ab,
+    a and b the two lowest indices of I, conjugated by the handle's
+    conjugator, with character value chooser_value.  Returns (certificate,
+    report).  Raises AssemblyError when a path cannot be built or
+    chooser_value is 0.
     """
-    if element_chooser is None:
-        element_chooser = default_element_chooser()
-    chi_seed = chi_seed or Character(())
+    if chooser_value == 0:
+        raise AssemblyError("chooser_value must be a nonzero character value")
+    chi_seed = chi_seed or {}
     I = frozenset(range(1, m + 1))
     root = commgraph.handle(n, I)
     target_autos = []
@@ -311,15 +278,9 @@ def assemble_certificate(n, m, targets, chi_seed=None, element_chooser=None):
             value = chi[0]
             report.forced_positions.append(position)
         else:
-            chosen = element_chooser(h)
-            if chosen is None:
-                raise AssemblyError(f"chooser failed at vertex {h.to_json_obj()}")
-            g, value = chosen
-            if value == 0:
-                raise AssemblyError("chooser supplied a vanishing character value")
-            base = g.conjugate(h.conjugator_automorphism().inverse())
-            if not autf.minimal_support(base) <= h.indices:
-                raise AssemblyError("chooser element is outside the handle parabolic")
+            a, b = sorted(h.indices)[:2]
+            g = autf.make_magnus_C(a, b, n).conjugate(h.conjugator_automorphism())
+            value = chooser_value
         elements.append(g)
         chi.append(Fraction(value))
         report.vertex_order.append(h.to_json_obj())
@@ -338,7 +299,7 @@ def assemble_certificate(n, m, targets, chi_seed=None, element_chooser=None):
         position = len(elements) + 1
         conj_pos = position_of_vertex[endpoint]
         elements.append(phi)
-        chi.append(chi_seed.value_of(phi))
+        chi.append(Fraction(chi_seed.get(autf.format_automorphism(phi), 0)))
         witnesses.append(Witness(position, 1, (-1, conj_pos)))
     cert = BnsCertificate(tuple(elements), tuple(chi), tuple(witnesses))
     return cert, report

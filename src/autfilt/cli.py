@@ -160,8 +160,8 @@ def _assemble(spec):
         n,
         m,
         [_target_from_spec(t) for t in targets],
-        chi_seed=bnscert.Character(tuple(sorted(chi_seed.items()))),
-        element_chooser=bnscert.default_element_chooser(chooser_value),
+        chi_seed=chi_seed,
+        chooser_value=chooser_value,
     )
 
 

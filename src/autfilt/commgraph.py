@@ -17,7 +17,6 @@ length-2 detour through a disjoint parabolic.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 from . import autf
@@ -174,15 +173,9 @@ def handles_known_equal(h1, h2):
 class GraphPath:
     handles: tuple
 
-    def __len__(self):
-        return len(self.handles)
-
     @property
     def edge_count(self):
         return max(0, len(self.handles) - 1)
-
-    def to_json(self):
-        return json.dumps([h.to_json_obj() for h in self.handles], sort_keys=True)
 
 
 def _check_bound(n, m):

@@ -2,9 +2,9 @@
 
 Vectors are sparse maps from basis labels to exact coefficients: ints
 when integral (every operator the suites use is integral with an integral
-inverse), Fractions only for non-integral input; JSON writes both as
-fraction strings.  Every space carries an explicit label set with a fixed
-total order, so spans, kernels and subspace comparisons are deterministic.
+inverse), Fractions only for non-integral input.  Every space carries an
+explicit label set with a fixed total order, so spans, kernels and
+subspace comparisons are deterministic.
 There is one elimination, SubspaceBasis: a reduced integer echelon basis
 (content stripped, each pivot cleared from the other rows), which avoids
 fill-in and coefficient blowup during the larger orbit saturations.  Spans,
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -215,23 +215,8 @@ class TensorVector:
                 f"space mismatch: {self.space.descriptor} vs {other.space.descriptor}"
             )
 
-    def to_json_obj(self):
-        return {
-            "space": self.space.descriptor,
-            "coords": [
-                [_label_str(k), str(self.coords[k])]
-                for k in sorted(self.coords, key=self.space.sort_key)
-            ],
-        }
-
     def __repr__(self):
         return f"TensorVector({self.space.descriptor}, {len(self.coords)} terms)"
-
-
-def _label_str(label):
-    if isinstance(label, tuple):
-        return "|".join(_label_str(p) for p in label)
-    return str(label)
 
 
 class LinearOperator:
@@ -376,19 +361,6 @@ class SubspaceBasis:
     def contains(self, vec):
         return not self.reduce(vec)
 
-    def vectors(self):
-        out = []
-        for p in sorted(self.rows, key=self._key):
-            out.append(TensorVector(self.space, self.rows[p]))
-        return out
-
-    def to_json_obj(self):
-        return {
-            "space": self.space.descriptor,
-            "dimension": self.dim,
-            "rows": [v.to_json_obj()["coords"] for v in self.vectors()],
-        }
-
 
 def span_basis(vectors):
     vectors = list(vectors)
@@ -515,29 +487,23 @@ def orbit_saturate(generators, seeds, stop_at_dim=None):
 # the contraction map and the shift-difference space
 # ---------------------------------------------------------------------------
 
-_PHI_CACHE = {}
-
-
+@functools.cache
 def phi_operator(n, k):
     """Contraction of the dual slot with the first tensor factor."""
-    key = (n, k)
-    if key not in _PHI_CACHE:
-        space_in = MkSpace(n, k)
-        space_out = TensorSpace(n, k)
+    space_out = TensorSpace(n, k)
 
-        def fn(label):
-            d, w = label
-            return TensorVector(
-                space_out,
-                {
-                    mono[1:]: c
-                    for mono, c in lie.lyndon_word_tensor(w).items()
-                    if mono[0] == d
-                },
-            )
+    def fn(label):
+        d, w = label
+        return TensorVector(
+            space_out,
+            {
+                mono[1:]: c
+                for mono, c in lie.lyndon_word_tensor(w).items()
+                if mono[0] == d
+            },
+        )
 
-        _PHI_CACHE[key] = LinearOperator(space_in, space_out, fn, name=f"Phi({n},{k})")
-    return _PHI_CACHE[key]
+    return LinearOperator(MkSpace(n, k), space_out, fn, name=f"Phi({n},{k})")
 
 
 def tau_map(t):
@@ -937,18 +903,7 @@ class KernelClaimReport:
     equal: bool
 
     def to_json_obj(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "ambient_dimension": self.ambient_dimension,
-            "seed_count": self.seed_count,
-            "seeds_in_kernel": self.seeds_in_kernel,
-            "orbit_dimension": self.orbit_dimension,
-            "kernel_dimension": self.kernel_dimension,
-            "orbit_inside_kernel": self.orbit_inside_kernel,
-            "saturation_closed": self.saturation_closed,
-            "equal": self.equal,
-        }
+        return asdict(self)
 
 
 def kernel_claim_check(n, k, full_closure=True):

@@ -22,6 +22,8 @@ elimination is an exact triangular solve.
 
 from __future__ import annotations
 
+import functools
+
 
 def is_lyndon(w):
     if not w:
@@ -105,9 +107,6 @@ def tensor_bracket(a, b):
     return tensor_add_into(tensor_concat(a, b), tensor_concat(b, a), -1)
 
 
-_EXPANSION_CACHE = {}
-
-
 def bracketing_tensor(b):
     """Expand a nested bracketing into a tensor dict."""
     if isinstance(b, int):
@@ -117,10 +116,10 @@ def bracketing_tensor(b):
     return tensor_bracket(left, right)
 
 
+@functools.cache
 def lyndon_word_tensor(w):
-    if w not in _EXPANSION_CACHE:
-        _EXPANSION_CACHE[w] = bracketing_tensor(lyndon_bracketing(w))
-    return _EXPANSION_CACHE[w]
+    """Tensor expansion of the standard bracketing of the Lyndon word w."""
+    return bracketing_tensor(lyndon_bracketing(w))
 
 
 def dynkin_map(t):

@@ -186,9 +186,6 @@ class DepthReport:
     def label(self):
         return str(self.value) if self.value is not None else f">={self.cutoff}"
 
-    def at_least(self, k):
-        return self.value is None or self.value >= k
-
     def __str__(self):
         return self.label
 

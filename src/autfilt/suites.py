@@ -10,6 +10,7 @@ a saturation) do not fail the suite but are never silently upgraded.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import random
@@ -20,18 +21,6 @@ from fractions import Fraction
 from . import autf, bnscert, commgraph, exactlin, magnus
 
 SCHEMA_VERSION = "1"
-
-SUITE_NAMES = (
-    "iaab",
-    "tau-identities",
-    "kernel-claim",
-    "sp-orbit",
-    "sl-reduction",
-    "paths",
-    "certificates",
-    "depth-table",
-)
-
 
 @dataclass
 class SuiteRecord:
@@ -135,16 +124,14 @@ def _random_s(rng, n, k, subalphabet):
 # ---------------------------------------------------------------------------
 
 
-def suite_iaab(params):
+def suite_iaab(rec, n_values=(3, 4, 5)):
     """Degree-1 span dimensions and the single-conjugation orbit span."""
-    ns = params.get("n_values", (3, 4, 5))
-    rec = _Recorder()
-    for n in ns:
+    for n in n_values:
         space = exactlin.MkSpace(n, 1)
         expected_full = n * n * (n - 1) // 2
         expected_conj = n * (n - 1)
 
-        def check_full(n=n, expected_full=expected_full, expected_conj=expected_conj):
+        def check_full():
             vecs_c = [magnus.johnson_image(g, 1) for g in _all_conjugation_generators(n)]
             vecs_m = [magnus.johnson_image(g, 1) for g in _all_commutator_multipliers(n)]
             full = exactlin.span_basis(vecs_c + vecs_m).dim
@@ -164,7 +151,7 @@ def suite_iaab(params):
 
         rec.timed(f"degree1-image-spans(n={n})", check_full)
 
-        def check_orbit(n=n, space=space, expected_full=expected_full):
+        def check_orbit():
             seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1)
             sat = exactlin.orbit_saturate(
                 [exactlin.induced_on(g, space) for g in exactlin.sl_generators(n)],
@@ -179,10 +166,11 @@ def suite_iaab(params):
             }
 
         rec.timed(f"single-conjugation-orbit-spans(n={n})", check_orbit)
-    return SuiteReport("iaab", {"n_values": list(ns)}, rec.records)
 
 
-def suite_tau_identities(params):
+def suite_tau_identities(
+    rec, n=5, k_values=(2, 3), trials=50, seed=7, subalphabet=(1, 2, 3)
+):
     """Contraction identities for the two depth-k generator families.
 
     (a) tau kills every T value; (b) tau of an S value equals the
@@ -192,17 +180,11 @@ def suite_tau_identities(params):
     families span the same difference space); (c) tau of random products
     of T and S elements lies in that space.
     """
-    n = params.get("n", 5)
-    ks = params.get("k_values", (2, 3))
-    trials = params.get("trials", 50)
-    seed = params.get("seed", 7)
-    subalphabet = tuple(params.get("subalphabet", (1, 2, 3)))
-    rec = _Recorder()
     i_free, j_free = [a for a in range(1, n + 1) if a not in subalphabet][:2]
-    for k in ks:
+    for k in k_values:
         rng = random.Random(seed)
 
-        def check_t(k=k, rng=rng):
+        def check_t():
             bad = []
             for _ in range(trials):
                 t, tag = _random_t(rng, n, k)
@@ -213,7 +195,7 @@ def suite_tau_identities(params):
 
         rec.timed(f"tau-kills-t-family(k={k})", check_t)
 
-        def check_s(k=k):
+        def check_s():
             space = exactlin.TensorSpace(n, k)
             bad = []
             for mu in itertools.product(subalphabet, repeat=k):
@@ -235,7 +217,7 @@ def suite_tau_identities(params):
 
         rec.timed(f"tau-of-s-family-cyclic-difference(k={k})", check_s)
 
-        def check_w(k=k, rng=rng):
+        def check_w():
             w = exactlin.w_basis(n, k)
             bad = 0
             for _ in range(trials):
@@ -259,45 +241,24 @@ def suite_tau_identities(params):
             }
 
         rec.timed(f"tau-image-in-shift-difference-space(k={k})", check_w)
-    return SuiteReport(
-        "tau-identities",
-        {
-            "n": n,
-            "k_values": list(ks),
-            "trials": trials,
-            "seed": seed,
-            "subalphabet": list(subalphabet),
-        },
-        rec.records,
-    )
 
 
-def suite_kernel_claim(params):
+def suite_kernel_claim(rec, n=4, k=2, full_closure=True):
     """SL_n(Z)-orbit (two generators) span of the single-row family equals
     ker of the contraction inside the dual-Lie space."""
-    n = params.get("n", 4)
-    k = params.get("k", 2)
-    full_closure = params.get("full_closure", True)
-    rec = _Recorder()
 
     def check():
         report = exactlin.kernel_claim_check(n, k, full_closure=full_closure)
         return report.equal and report.seeds_in_kernel, report.to_json_obj()
 
     rec.timed(f"orbit-span-equals-contraction-kernel(n={n},k={k})", check)
-    return SuiteReport(
-        "kernel-claim", {"n": n, "k": k, "full_closure": full_closure}, rec.records
-    )
 
 
-def suite_sp_orbit(params):
+def suite_sp_orbit(rec, g_values=(3, 4), extended_sp_generators=False):
     """Rotation/transvection identities and the wedge-cubed orbit span."""
-    gs = params.get("g_values", (3, 4))
-    extended = params.get("extended_sp_generators", False)
-    rec = _Recorder()
 
     def check_identities():
-        g = max(2, min(gs))
+        g = max(2, min(g_values))
         w2 = exactlin.SympWedgeSpace(g, 2)
 
         def unit(*syms):
@@ -325,7 +286,7 @@ def suite_sp_orbit(params):
     rec.timed("transvection-rotation-identities", check_identities)
 
     def check_form():
-        g = min(gs)
+        g = min(g_values)
         ops = [exactlin.sp_generator("sigma", 1, g=g)]
         if g >= 2:
             ops.append(exactlin.sp_generator("tau", 1, 2, g=g))
@@ -334,9 +295,9 @@ def suite_sp_orbit(params):
 
     rec.timed("generators-preserve-symplectic-form", check_form)
 
-    for g in gs:
+    for g in g_values:
 
-        def check_orbit(g=g):
+        def check_orbit():
             space = exactlin.SympWedgeSpace(g, 3)
             gens = []
             for i in range(1, g + 1):
@@ -345,7 +306,7 @@ def suite_sp_orbit(params):
                     gens.append(
                         exactlin.wedge_lift(exactlin.sp_generator("tau", i, j, g=g), 3)
                     )
-            if extended:
+            if extended_sp_generators:
                 gens.extend(
                     exactlin.wedge_lift(t, 3) for t in exactlin.extended_sp_generators(g)
                 )
@@ -357,17 +318,14 @@ def suite_sp_orbit(params):
                 "orbit_span": sat.basis.dim,
                 "full_dimension": space.dimension,
                 "closed": sat.closed,
-                "generator_set": "sigma/tau" + ("+extended" if extended else ""),
+                "generator_set": "sigma/tau+extended"
+                if extended_sp_generators
+                else "sigma/tau",
             }
 
         # a stalled saturation under this particular generating set would be
         # inconclusive about the full symplectic orbit, not a refutation
         rec.timed(f"wedge3-orbit-spans(g={g})", check_orbit, inconclusive_on_false=True)
-    return SuiteReport(
-        "sp-orbit",
-        {"g_values": list(gs), "extended_sp_generators": extended},
-        rec.records,
-    )
 
 
 def _wedge2(space, s1, s2):
@@ -375,14 +333,9 @@ def _wedge2(space, s1, s2):
     return exactlin.TensorVector(space, {key: sgn})
 
 
-def suite_sl_reduction(params):
+def suite_sl_reduction(rec, n=5, k_values=(2, 3), trials=20, seed=7):
     """Double-transvection reduction of single-row symbols and the closing
     identity, with a sign-flip negative control."""
-    n = params.get("n", 5)
-    ks = params.get("k_values", (2, 3))
-    trials = params.get("trials", 20)
-    seed = params.get("seed", 7)
-    rec = _Recorder()
     rng = random.Random(seed)
 
     def sample_delta(k, c):
@@ -400,7 +353,7 @@ def suite_sl_reduction(params):
     def check_z():
         bad = []
         for t in range(trials):
-            k = rng.choice(ks)
+            k = rng.choice(k_values)
             c = rng.choice((2, 3))
             if c > k + 1:
                 c = 2
@@ -415,7 +368,7 @@ def suite_sl_reduction(params):
     def check_closing():
         bad = []
         for t in range(trials):
-            k = rng.choice(ks)
+            k = rng.choice(k_values)
             i, j = rng.sample(range(1, n + 1), 2)
             others = [a for a in range(1, n + 1) if a not in (i, j)]
             eps = tuple(rng.choice(others) for _ in range(k))
@@ -430,21 +383,10 @@ def suite_sl_reduction(params):
         return ok, {"mutated_identity_detected": ok}
 
     rec.timed("closing-identity-negative-control", check_negative)
-    return SuiteReport(
-        "sl-reduction",
-        {"n": n, "k_values": list(ks), "trials": trials, "seed": seed},
-        rec.records,
-    )
 
 
-def suite_paths(params):
+def suite_paths(rec, n=5, m=2, trials=100, seed=7, max_len=8):
     """Constructive connectivity: random conjugators give verified paths."""
-    n = params.get("n", 5)
-    m = params.get("m", 2)
-    trials = params.get("trials", 100)
-    seed = params.get("seed", 7)
-    max_len = params.get("max_len", 8)
-    rec = _Recorder()
     rng = random.Random(seed)
 
     def check():
@@ -470,18 +412,10 @@ def suite_paths(params):
         }
 
     rec.timed(f"conjugate-paths-verified(n={n},m={m})", check)
-    return SuiteReport(
-        "paths",
-        {"n": n, "m": m, "trials": trials, "seed": seed, "max_len": max_len},
-        rec.records,
-    )
 
 
-def suite_certificates(params):
+def suite_certificates(rec, n=5, m=2):
     """Assemble-and-check round trips plus three corruption controls."""
-    n = params.get("n", 5)
-    m = params.get("m", 2)
-    rec = _Recorder()
     targets_one = [("C12", autf.c_nielsen_word(1, 2))]
     targets_two = targets_one + [("M123", autf.m_nielsen_word(1, 2, 3))]
 
@@ -540,10 +474,9 @@ def suite_certificates(params):
         return bnscert.BnsCertificate(c.elements, c.chi, tuple(ws))
 
     check_corruption("dangling-witness-index", dangling, "witness-indices")
-    return SuiteReport("certificates", {"n": n, "m": m}, rec.records)
 
 
-def suite_depth_table(params):
+def suite_depth_table(rec, n=5, k_values=(2, 3), subalphabet=(1, 2, 3)):
     """Filtration depth of every named generator family member.
 
     Conjugation and commutator-multiplier generators have depth 1; the
@@ -551,10 +484,6 @@ def suite_depth_table(params):
     coincide are skipped for the T family (the commutator word is then
     trivial and the map is the identity).
     """
-    n = params.get("n", 5)
-    ks = params.get("k_values", (2, 3))
-    subalphabet = tuple(params.get("subalphabet", (1, 2, 3)))
-    rec = _Recorder()
 
     def check_cm():
         gens = _all_conjugation_generators(n) + _all_commutator_multipliers(n)
@@ -567,9 +496,9 @@ def suite_depth_table(params):
 
     rec.timed("depth-of-degree1-generators", check_cm)
     i_free, j_free = [a for a in range(1, n + 1) if a not in subalphabet][:2]
-    for k in ks:
+    for k in k_values:
 
-        def check_t(k=k):
+        def check_t():
             bad, count = [], 0
             for i in range(1, n + 1):
                 rest = [a for a in range(1, n + 1) if a != i]
@@ -584,7 +513,7 @@ def suite_depth_table(params):
 
         rec.timed(f"depth-of-t-family(k={k})", check_t)
 
-        def check_s(k=k):
+        def check_s():
             bad, count = [], 0
             for mu in itertools.product(subalphabet, repeat=k):
                 count += 1
@@ -601,11 +530,6 @@ def suite_depth_table(params):
             }
 
         rec.timed(f"depth-of-s-family(k={k})", check_s)
-    return SuiteReport(
-        "depth-table",
-        {"n": n, "k_values": list(ks), "subalphabet": list(subalphabet)},
-        rec.records,
-    )
 
 
 _SUITES = {
@@ -620,11 +544,29 @@ _SUITES = {
 }
 
 
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run(suite, params=None, out_path=None):
-    """Execute a named suite; optionally write the JSON report."""
+    """Execute a named suite; optionally write the JSON report.
+
+    A suite's parameters are the keyword parameters of its function, after
+    the recorder.  Values in params override their defaults, keys the suite
+    does not take are ignored (the CLI sets n and n_values together), and
+    the report's params are the values the suite ran with.
+    """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    report = _SUITES[suite](dict(params or {}))
+    fn = _SUITES[suite]
+    given = params or {}
+    resolved = {
+        name: given.get(name, p.default)
+        for name, p in inspect.signature(fn).parameters.items()
+        if name != "rec"
+    }
+    rec = _Recorder()
+    fn(rec, **resolved)
+    report = SuiteReport(suite, resolved, rec.records)
     if out_path is not None:
         with open(out_path, "w") as f:
             f.write(report.to_json())

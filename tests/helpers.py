@@ -330,6 +330,13 @@ def handles_known_equal_by_composition(h1, h2):
     return not (support & h1.indices) or support <= h1.indices
 
 
+def has_depth_at_least(phi, k, cutoff):
+    """johnson_depth(phi, cutoff) is at least k, or no degree below the
+    cutoff deviates."""
+    value = magnus.johnson_depth(phi, cutoff).value
+    return value is None or value >= k
+
+
 def dual_components(vec):
     """The MkSpace(n, k) vector vec as {dual index i: its Lie value in
     Lyndon coordinates}."""

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from autfilt import autf
@@ -267,6 +269,21 @@ def test_parser_rejects_bad_left_hand_sides(text):
     # x0 and x4 are out of range at rank 3; a repeated x1 is ambiguous
     with pytest.raises(ValueError):
         autf.parse_automorphism(text)
+
+
+@pytest.mark.parametrize("piece", ["x2", "x2 ->"])
+@pytest.mark.parametrize("side", ["text", "inverse"])
+def test_parser_names_a_piece_without_an_image(piece, side):
+    # these pieces were read as x2 -> 1, and the error then blamed the move
+    # or the inverse witness instead of the piece
+    text = "rank=2; x1 -> x2 x1"
+    inverse = "rank=2; x1 -> x2^-1 x1"
+    if side == "text":
+        text += "; " + piece
+    else:
+        inverse += "; " + piece
+    with pytest.raises(ValueError, match=re.escape(repr(piece))):
+        autf.parse_automorphism(text, inverse_text=inverse)
 
 
 @pytest.mark.parametrize(

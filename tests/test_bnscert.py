@@ -151,7 +151,7 @@ def test_assemble_rejects_vanishing_chooser():
             5,
             2,
             [("C12", autf.c_nielsen_word(1, 2))],
-            element_chooser=bnscert.default_element_chooser(0),
+            chooser_value=0,
         )
 
 
@@ -242,6 +242,14 @@ def test_from_json_reads_ascii_fraction_strings_only(value):
     data = _certificate_data()
     data["chi"][0] = value
     with pytest.raises(ValueError, match="'chi'"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
+def test_from_json_names_an_element_piece_without_an_image():
+    # "x5 ->" was read as x5 -> 1, and the error blamed the inverse witness
+    data = _certificate_data()
+    data["elements"][0] = data["elements"][0].replace("x5 -> x5", "x5 ->")
+    with pytest.raises(ValueError, match="'x5 ->'"):
         bnscert.BnsCertificate.from_json(json.dumps(data))
 
 

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -267,8 +266,9 @@ def test_random_conjugators_give_verified_paths():
 
 
 def test_path_json_shape():
+    # the handles' JSON objects, as the assembly report's vertex_order has them
     p = commgraph.conjugate_path(5, {1, 2}, (("L", 2, 3, 1),))
-    data = json.loads(p.to_json())
+    data = [h.to_json_obj() for h in p.handles]
     assert data[0] == {"I": [1, 2], "conjugator": []}
     assert data[-1]["conjugator"] == [["L", 2, 3, 1]]
 

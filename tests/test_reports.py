@@ -10,6 +10,8 @@ are compared by the acceptance tests that already run those suites at the
 committed parameters, through assert_matches_committed.
 """
 
+import inspect
+import json
 import pathlib
 import re
 import time
@@ -64,3 +66,35 @@ def test_iaab_and_kernel_claim_reports_match_committed():
 
 def test_sp_orbit_and_sl_reduction_reports_match_committed():
     _check_reports(SP_ORBIT_AND_SL_REDUCTION_RUNS, SP_ORBIT_AND_SL_REDUCTION_BUDGET_S)
+
+
+# every suite's default parameters, as the reports name them
+DEFAULT_PARAMS = {
+    "iaab": {"n_values": [3, 4, 5]},
+    "tau-identities": {
+        "n": 5, "k_values": [2, 3], "trials": 50, "seed": 7, "subalphabet": [1, 2, 3]
+    },
+    "kernel-claim": {"n": 4, "k": 2, "full_closure": True},
+    "sp-orbit": {"g_values": [3, 4], "extended_sp_generators": False},
+    "sl-reduction": {"n": 5, "k_values": [2, 3], "trials": 20, "seed": 7},
+    "paths": {"n": 5, "m": 2, "trials": 100, "seed": 7, "max_len": 8},
+    "certificates": {"n": 5, "m": 2},
+    "depth-table": {"n": 5, "k_values": [2, 3], "subalphabet": [1, 2, 3]},
+}
+
+
+def test_suite_defaults_are_pinned():
+    assert set(suites.SUITE_NAMES) == set(DEFAULT_PARAMS)
+    t0 = time.perf_counter()
+    for name, expected in DEFAULT_PARAMS.items():
+        given = {}
+        if name == "tau-identities":
+            # its 50 default trials take seconds: run none, with a key the
+            # suite ignores, and read the trials default off the signature
+            given = {"trials": 0, "unknown": 1}
+            expected = {**expected, "trials": 0}
+        params = json.loads(suites.run(name, given).to_json())["params"]
+        assert params == expected, name
+    trials = inspect.signature(suites.suite_tau_identities).parameters["trials"]
+    assert trials.default == DEFAULT_PARAMS["tau-identities"]["trials"]
+    assert time.perf_counter() - t0 < 1.0
