@@ -478,13 +478,19 @@ def parse_word(text, rank):
 
 
 def _parse_images(text):
-    pieces = [p.strip() for p in text.strip().split(";") if p.strip()]
-    m = _RANK.match(pieces[0]) if pieces else None
+    pieces = [p.strip() for p in text.strip().split(";")]
+    m = _RANK.match(pieces[0])
     if not m:
         raise ValueError("automorphism text must start with rank=n")
     rank = int(m.group(1))
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {pieces[0]!r}")
     images = [None] * rank
     for piece in pieces[1:]:
+        if not piece:
+            raise ValueError(
+                "empty piece in automorphism text: a doubled or trailing ';'"
+            )
         lhs, arrow, rhs = piece.partition("->")
         if not (arrow and rhs.strip()):
             raise ValueError(f"piece {piece!r} is not of the form xi -> word")

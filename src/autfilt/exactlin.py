@@ -175,6 +175,16 @@ class TensorVector:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _trusted(cls, space, coords):
+        """Trusted constructor: coords must already be exact (ints, or
+        non-integral Fractions), nonzero and on labels of space; it is
+        stored as it is, not copied."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "space", space)
+        object.__setattr__(vec, "coords", coords)
+        return vec
+
     def __setattr__(self, name, value):
         raise AttributeError("TensorVector is immutable")
 
@@ -241,6 +251,11 @@ class LinearOperator:
             vec = self._fn(label)
             if not isinstance(vec, TensorVector):
                 vec = TensorVector(self.space_out, vec)
+            elif vec.space != self.space_out:
+                raise ValueError(
+                    f"operator {self.name or '?'} maps {label!r} into "
+                    f"{vec.space.descriptor}, not {self.space_out.descriptor}"
+                )
             self._cache[label] = vec
         return vec
 
@@ -250,10 +265,15 @@ class LinearOperator:
                 f"operator {self.name or '?'} expects {self.space_in.descriptor}, "
                 f"got {vec.space.descriptor}"
             )
+        # the images are checked vectors of space_out; only Fraction
+        # arithmetic can leave a term outside the exact form (an integral
+        # Fraction), so only then is the sum converted
         out = {}
         for label, c in vec.coords.items():
             lie.tensor_add_into(out, self.image_of(label).coords, c)
-        return TensorVector(self.space_out, out)
+        if not all(type(c) is int for c in out.values()):
+            out = {k: _exact(c) for k, c in out.items()}
+        return TensorVector._trusted(self.space_out, out)
 
     __call__ = apply
 
@@ -289,15 +309,20 @@ def _moving_pair(space, moves_fwd, moves_bwd, name):
 
 
 def _int_row(coords):
-    """Clear denominators, drop zeros and strip content; the caller fixes the sign."""
-    if not coords:
-        return {}
-    den = lcm(*(v.denominator for v in coords.values()))
-    row = {k: int(v * den) for k, v in coords.items() if v}
-    g = gcd(*row.values())
-    if g > 1:
-        row = {k: v // g for k, v in row.items()}
-    return row
+    """A new dict: denominators cleared, zeros dropped and content
+    stripped; the caller fixes the sign."""
+    if all(type(v) is int for v in coords.values()):
+        row = {k: v for k, v in coords.items() if v}
+    else:
+        den = lcm(*(v.denominator for v in coords.values()))
+        row = {k: int(v * den) for k, v in coords.items() if v}
+    return _divide_content(row)
+
+
+def _divide_content(row, sign=1):
+    """The int row with no zeros divided by sign times its content."""
+    g = sign * gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
 class SubspaceBasis:
@@ -308,12 +333,17 @@ class SubspaceBasis:
     clearing one pivot from a vector leaves its other pivot entries merely
     scaled, and reduce clears each pivot label the vector holds once, in
     one pass, with no search for the least label.
+
+    _holders indexes the rows by label: each non-pivot label maps to the
+    set of pivots whose row holds it (a set may be left empty), so insert
+    finds the rows to back-substitute without scanning them all.
     """
 
     def __init__(self, space):
         self.space = space
         self._key = space.sort_key
         self.rows = {}
+        self._holders = {}
 
     @property
     def dim(self):
@@ -344,17 +374,26 @@ class SubspaceBasis:
         residue = self.reduce(vec)
         if not residue:
             return None
-        residue = _int_row(residue)
         p = min(residue, key=self._key)
-        if residue[p] < 0:
-            residue = {k: -v for k, v in residue.items()}
-        for q, row in self.rows.items():
-            if p in row:
-                # the residue's entries all sit past q, so q stays the pivot
-                # and its entry stays positive
-                row = dict(row)
-                _eliminate(row, residue, p)
-                self.rows[q] = _int_row(row)
+        residue = _divide_content(residue, 1 if residue[p] > 0 else -1)
+        holders = self._holders
+        for q in holders.pop(p, ()):
+            # the residue's entries all sit past q, so q stays the pivot
+            # and its entry stays positive
+            old = self.rows[q]
+            row = dict(old)
+            _eliminate(row, residue, p)
+            row = self.rows[q] = _divide_content(row)
+            # only the residue's labels can enter or leave the row
+            for f in residue:
+                if f not in row:
+                    if f != p:
+                        holders[f].discard(q)
+                elif f not in old:
+                    holders.setdefault(f, set()).add(q)
+        for f in residue:
+            if f != p:
+                holders.setdefault(f, set()).add(p)
         self.rows[p] = residue
         return residue
 
@@ -399,16 +438,11 @@ def kernel_basis(op):
     for row in matrix.values():
         row_space.insert(row)
     rows = row_space.rows
-    holders = {}  # free label -> the pivots whose row holds it
-    for p, row in rows.items():
-        for f in row:
-            if f != p:
-                holders.setdefault(f, []).append(p)
     kernel = SubspaceBasis(op.space_in)
     for f in op.space_in.labels():
         if f in rows:
             continue
-        pivots = holders.get(f, ())
+        pivots = row_space._holders.get(f, ())
         L = lcm(*(rows[p][p] for p in pivots))
         vec = {f: L}
         for p in pivots:
@@ -471,7 +505,7 @@ def orbit_saturate(generators, seeds, stop_at_dim=None):
         rounds += 1
         next_queue = []
         for row in queue:
-            vec = TensorVector(space, row)
+            vec = TensorVector._trusted(space, row)
             for op in ops:
                 applications += 1
                 residue = basis.insert(op.apply(vec))

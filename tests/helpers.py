@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from autfilt import autf, commgraph, lie, magnus
+from autfilt import autf, commgraph, exactlin, lie, magnus
 from autfilt.exactlin import (
     MkSpace,
     SubspaceBasis,
@@ -229,6 +229,82 @@ def assert_reduced(basis):
         assert not any(q in row for q in basis.rows if q != p)
 
 
+class ScanningBasis(SubspaceBasis):
+    """SubspaceBasis whose insert searches every row for the new pivot
+    instead of reading the label index: oracle for the indexed insert.
+    Its _holders stays empty."""
+
+    def insert(self, vec):
+        residue = self.reduce(vec)
+        if not residue:
+            return None
+        residue = exactlin._int_row(residue)
+        p = min(residue, key=self._key)
+        if residue[p] < 0:
+            residue = {k: -v for k, v in residue.items()}
+        for q, row in self.rows.items():
+            if p in row:
+                row = dict(row)
+                exactlin._eliminate(row, residue, p)
+                self.rows[q] = exactlin._int_row(row)
+        self.rows[p] = residue
+        return residue
+
+
+def holders_from_rows(rows):
+    """The label index rebuilt from reduced rows: non-pivot label -> the
+    pivots whose row holds it."""
+    holders = {}
+    for p, row in rows.items():
+        for f in row:
+            if f != p:
+                holders.setdefault(f, set()).add(p)
+    return holders
+
+
+def assert_index_matches_rows(basis):
+    """basis._holders equals the index rebuilt from its rows, empty sets
+    left out."""
+    kept = {f: pivots for f, pivots in basis._holders.items() if pivots}
+    assert kept == holders_from_rows(basis.rows)
+
+
+def scanning_kernel_rows(op):
+    """Rows of kernel_basis(op), by ScanningBasis and the index rebuilt
+    from the reduced matrix rows."""
+    matrix = {}
+    for lab in op.space_in.labels():
+        for out_label, c in op.image_of(lab).coords.items():
+            matrix.setdefault(out_label, {})[lab] = c
+    row_space = ScanningBasis(op.space_in)
+    for row in matrix.values():
+        row_space.insert(row)
+    rows = row_space.rows
+    holders = holders_from_rows(rows)
+    kernel = ScanningBasis(op.space_in)
+    for f in op.space_in.labels():
+        if f not in rows:
+            pivots = holders.get(f, ())
+            L = lcm(*(rows[p][p] for p in pivots))
+            vec = {f: L} | {p: -(L // rows[p][p]) * rows[p][f] for p in pivots}
+            kernel.insert(vec)
+    return kernel.rows
+
+
+def scanning_orbit_rows(generators, seeds):
+    """Rows of orbit_saturate(generators, seeds).basis, by ScanningBasis,
+    with every image rebuilt by the checking TensorVector constructor."""
+    space = seeds[0].space
+    basis = ScanningBasis(space)
+    queue = [seed for seed in seeds if basis.insert(seed) is not None]
+    while queue:
+        images = [
+            TensorVector(space, op.apply(vec).coords) for vec in queue for op in generators
+        ]
+        queue = [v for v in images if basis.insert(v) is not None]
+    return basis.rows
+
+
 def _random_coords(rng, labels, rational):
     support = rng.sample(labels, rng.randint(1, min(4, len(labels))))
     if rational:
@@ -249,6 +325,7 @@ def check_against_min_pivot_oracle(space, rng, rational):
     oracle = echelon_span_by_min_pivot(vectors, key)
     assert basis.dim == len(oracle)
     assert_reduced(basis)
+    assert_index_matches_rows(basis)
     assert all(basis.contains(row) for row in oracle.values())
     assert not any(min_pivot_reduce(oracle, r, key) for r in basis.rows.values())
     probes = [_random_coords(rng, labels, rational) for _ in range(10)]

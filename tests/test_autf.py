@@ -286,6 +286,33 @@ def test_parser_names_a_piece_without_an_image(piece, side):
         autf.parse_automorphism(text, inverse_text=inverse)
 
 
+MALFORMED_TEXTS = [
+    # (mangle the text, what the error names)
+    (lambda t: t.replace(";", ";;"), "empty piece"),
+    (lambda t: t + ";", "empty piece"),
+    (lambda t: t + "; ", "empty piece"),
+    (lambda t: "rank=0", "rank must be at least 1"),
+]
+MALFORMED_IDS = ["doubled-semicolon", "trailing-semicolon", "trailing-piece", "rank-zero"]
+
+
+@pytest.mark.parametrize("mangle, message", MALFORMED_TEXTS, ids=MALFORMED_IDS)
+@pytest.mark.parametrize("side", ["text", "inverse"])
+def test_parser_rejects_empty_pieces_and_rank_zero(mangle, message, side):
+    # empty pieces were skipped and rank=0 gave a rank-0 automorphism
+    text = "rank=2; x1 -> x2 x1"
+    inverse = "rank=2; x1 -> x2^-1 x1"
+    if side == "text":
+        text = mangle(text)
+    else:
+        inverse = mangle(inverse)
+    with pytest.raises(ValueError, match=message):
+        autf.parse_automorphism(text, inverse_text=inverse)
+    if side == "text":
+        with pytest.raises(ValueError, match=message):
+            autf.parse_automorphism(text)
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -253,6 +253,22 @@ def test_from_json_names_an_element_piece_without_an_image():
         bnscert.BnsCertificate.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda t: t.replace("; ", ";; ", 1), "empty piece"),
+        (lambda t: t + ";", "empty piece"),
+        (lambda t: "rank=0", "rank must be at least 1"),
+    ],
+    ids=["doubled-semicolon", "trailing-semicolon", "rank-zero"],
+)
+def test_from_json_rejects_empty_element_pieces_and_rank_zero(mangle, message):
+    data = _certificate_data()
+    data["elements"][0] = mangle(data["elements"][0])
+    with pytest.raises(ValueError, match=message):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
 def test_from_json_rejects_null_inverse():
     # to_json writes one inverse text per element; null is only allowed for
     # the whole field, where it means "derive the inverses"

@@ -17,11 +17,14 @@ from autfilt.exactlin import (
 
 from helpers import (
     REDUCED_BASIS_SPACES,
+    assert_index_matches_rows,
     assert_reduced,
     brute_necklace_count,
     check_against_min_pivot_oracle,
     cyclic_invariant_basis,
     cyclic_shift,
+    scanning_kernel_rows,
+    scanning_orbit_rows,
 )
 
 
@@ -281,6 +284,61 @@ def test_two_generator_orbit_work_is_pinned(n, k, terms, rounds, applications):
     assert (res.rounds, res.applications) == (rounds, applications)
 
 
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3), (6, 3)])
+def test_indexed_insert_matches_scanning_oracle_on_kernel_claim(n, k):
+    # a span has one reduced basis, so the rows must be identical
+    space = MkSpace(n, k)
+    _, seeds = _kernel_claim_setup(n, k)
+    gens = _two_generators_on(space)
+    phi = exactlin.phi_operator(n, k)
+    orbit = exactlin.orbit_saturate(gens, seeds).basis
+    kernel = exactlin.kernel_basis(phi)
+    assert orbit.rows == scanning_orbit_rows(gens, seeds)
+    assert kernel.rows == scanning_kernel_rows(phi)
+    assert_index_matches_rows(orbit)
+    assert_index_matches_rows(kernel)
+
+
+def _exact_form(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def _induced_test_operators(family):
+    if family == "wVsymp":
+        gens = _sp_wedge3_generators(3)
+    else:
+        space = TensorSpace(3, 3) if family == "T" else MkSpace(3, 2)
+        gens = _two_generators_on(space)
+    return gens + [g.inverse for g in gens]
+
+
+@pytest.mark.parametrize("family", ["T", "Mk", "wVsymp"])
+def test_apply_output_agrees_with_checking_constructor(family):
+    # apply builds its output with the trusted constructor
+    rng = random.Random(family)
+    for op in _induced_test_operators(family):
+        labels = op.space_in.labels()
+        for _ in range(10):
+            support = rng.sample(labels, rng.randint(1, 4))
+            v = TensorVector(
+                op.space_in,
+                {l: Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for l in support},
+            )
+            out = op.apply(v)
+            assert out == TensorVector(op.space_out, out.coords)
+            assert all(map(_exact_form, out.coords.values()))
+
+
+def test_apply_turns_integral_fraction_sums_into_ints():
+    # E(1,2) sends e_(2,2) and e_(1,2) to sums sharing (1,2) and (1,1)
+    space = TensorSpace(3, 2)
+    op = exactlin.induced_on(exactlin.elementary_sl(1, 2, 3), space)
+    half = Fraction(1, 2)
+    out = op.apply(TensorVector(space, {(2, 2): half, (1, 2): half}))
+    assert out.coords == {(2, 2): half, (2, 1): half, (1, 2): 1, (1, 1): 1}
+    assert all(map(_exact_form, out.coords.values()))
+
+
 def test_integral_inputs_stay_int():
     op = exactlin.induced_on(exactlin.elementary_sl(1, 2, 4), MkSpace(4, 2))
     vectors = [op.image_of(label) for label in MkSpace(4, 2).labels()]
@@ -321,6 +379,13 @@ def test_orbit_saturate_requires_inverse():
     bad = exactlin.LinearOperator(v, v, lambda lab: unit(v, lab))
     with pytest.raises(ValueError):
         exactlin.orbit_saturate([bad], [unit(v, 1)])
+
+
+def test_operator_rejects_an_image_in_another_space():
+    # apply trusts its images, so image_of checks their space
+    op = exactlin.LinearOperator(VSpace(3), VSpace(3), lambda lab: unit(VSpace(4), lab))
+    with pytest.raises(ValueError, match=r"into V\(n=4\), not V\(n=3\)"):
+        op.apply(unit(VSpace(3), 1))
 
 
 def test_orbit_output_is_generator_stable():
@@ -554,6 +619,13 @@ def test_kernel_claim_small():
     assert rep.equal and rep.seeds_in_kernel and rep.saturation_closed
     assert rep.ambient_dimension == 80
     assert rep.kernel_dimension == 64
+
+
+def test_kernel_claim_reaches_n6_k3():
+    rep = exactlin.kernel_claim_check(6, 3)
+    assert (rep.ambient_dimension, rep.seed_count) == (1890, 900)
+    assert rep.orbit_dimension == rep.kernel_dimension == 1674
+    assert rep.equal and rep.seeds_in_kernel and rep.saturation_closed
 
 
 def test_kernel_claim_early_stop_mode():

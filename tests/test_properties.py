@@ -12,6 +12,8 @@ from autfilt.autf import FreeWord
 
 from helpers import (
     REDUCED_BASIS_SPACES,
+    ScanningBasis,
+    assert_index_matches_rows,
     check_against_min_pivot_oracle,
     cyclic_invariant_basis,
     cyclic_shift,
@@ -230,6 +232,40 @@ def test_johnson_images_are_lie(seed):
 @settings(max_examples=30, deadline=None)
 def test_reduced_basis_matches_min_pivot_oracle(space, rational, seed):
     check_against_min_pivot_oracle(space, random.Random(seed), rational)
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def insert_sequences(draw):
+    """A space and coordinate dicts over it, some combinations of earlier ones."""
+    space = draw(st.sampled_from(REDUCED_BASIS_SPACES))
+    labels = space.labels()
+    vectors = []
+    for _ in range(draw(st.integers(1, 20))):
+        if len(vectors) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            vectors.append(lie.tensor_add(lie.tensor_scale(a, draw(coefficients)), b))
+        else:
+            support = draw(
+                st.lists(st.sampled_from(labels), min_size=1, max_size=5, unique=True)
+            )
+            vectors.append({label: draw(coefficients) for label in support})
+    return space, vectors
+
+
+@given(insert_sequences())
+@settings(max_examples=40, deadline=None)
+def test_label_index_follows_every_insert(case):
+    space, vectors = case
+    basis, oracle = exactlin.SubspaceBasis(space), ScanningBasis(space)
+    for coords in vectors:
+        assert basis.insert(coords) == oracle.insert(coords)
+        assert basis.rows == oracle.rows
+        assert_index_matches_rows(basis)
 
 
 # -- input boundaries: mutated JSON and automorphism text --------------------
