@@ -452,6 +452,12 @@ def m_nielsen_word(i, j, k):
 _TOKEN = re.compile(r"^x([0-9]+)(\^-1)?$")
 _RANK = re.compile(r"^rank=([0-9]+)$")
 
+# The largest rank the readers of outside input accept (the text format,
+# its inverse lines, certificate elements and assembly specs), checked
+# before anything is allocated by it.  The suites use n <= 5 and the
+# kernel claim has been run at n = 7.
+MAX_RANK = 1000
+
 
 def format_word(w):
     return w.tokens() if w.letters else "1"
@@ -485,6 +491,8 @@ def _parse_images(text):
     rank = int(m.group(1))
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {pieces[0]!r}")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is over the bound MAX_RANK = {MAX_RANK}")
     images = [None] * rank
     for piece in pieces[1:]:
         if not piece:

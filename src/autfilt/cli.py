@@ -76,7 +76,16 @@ def _load_automorphism(path):
     return autf.parse_automorphism(text, inverse_text=inverse_text)
 
 
+# The largest --cutoff depth accepts: the expansion of an image with a
+# letters holds about a^cutoff coefficients.
+MAX_CUTOFF = 10
+
+
 def cmd_depth(args):
+    if args.cutoff > MAX_CUTOFF:
+        raise ValueError(
+            f"--cutoff {args.cutoff} is over the bound MAX_CUTOFF = {MAX_CUTOFF}"
+        )
     phi = _load_automorphism(args.file)
     report = magnus.johnson_depth(phi, args.cutoff)
     out = {
@@ -145,6 +154,8 @@ def _assemble(spec):
         _require(autf.is_json_int(value), name, "an integer", value)
     if not 2 <= m <= n:
         raise ValueError(f"assembly spec needs 2 <= m <= n, got n={n}, m={m}")
+    if n > autf.MAX_RANK:
+        raise ValueError(f"assembly n={n} is over the bound MAX_RANK = {autf.MAX_RANK}")
     targets = spec.get("targets", [])
     _require(isinstance(targets, list), "targets", "a list", targets)
     chi_seed = spec.get("chi_seed", {})

@@ -15,8 +15,11 @@ Every space is one Space value: a family name and its integer parameters,
 with one constructor per family the computations need: VSpace(n) for
 V = Q^n, TensorSpace(n, m) for its tensor powers, MkSpace(n, k) for
 dual-vector (x) degree-(k+1) free-Lie values (basis e_i^* (x) Lyndon
-bracketing), whose k = 1 case is Hom(V, wedge^2 V), and SympVSpace(g) and
-SympWedgeSpace(g, m) for a symplectic Q^{2g} and its wedge powers.
+bracketing), whose k = 1 case is Hom(V, wedge^2 V), and WedgeSpace(n, m)
+for its wedge powers.  Every label set is in its natural sorted order.
+An operator on V lifts to the other families through induced_on.  The
+symplectic space is VSpace(2g) with a_i = 2i - 1 and b_i = 2i; the form
+lives only in symplectic_pairing.
 """
 
 from __future__ import annotations
@@ -34,36 +37,23 @@ from . import autf, lie
 # ---------------------------------------------------------------------------
 
 
-def symp_symbol_key(sym):
-    letter, i = sym
-    return (i, 0 if letter == "a" else 1)
-
-
-def _symp_labels(g):
-    return [(letter, i) for i in range(1, g + 1) for letter in ("a", "b")]
-
-
-# family -> (descriptor format over the parameters, labels in space order,
-# sort key or None for the labels' own order)
+# family -> (descriptor format over the parameters, labels in their
+# natural order, which is the space order)
 _FAMILIES = {
-    "V": ("V(n={0})", lambda n: list(range(1, n + 1)), None),
+    "V": ("V(n={0})", lambda n: list(range(1, n + 1))),
     "T": (
         "T(n={0},m={1})",
         lambda n, m: list(itertools.product(range(1, n + 1), repeat=m)),
-        None,
     ),
     "Mk": (
         "Mk(n={0},k={1})",
         lambda n, k: [
             (i, w) for i in range(1, n + 1) for w in lie.lyndon_words(n, k + 1)
         ],
-        None,
     ),
-    "Vsymp": ("Vsymp(g={0})", _symp_labels, symp_symbol_key),
-    "wVsymp": (
-        "w{1}Vsymp(g={0})",
-        lambda g, m: list(itertools.combinations(_symp_labels(g), m)),
-        lambda label: tuple(symp_symbol_key(s) for s in label),
+    "W": (
+        "w{1}V(n={0})",
+        lambda n, m: list(itertools.combinations(range(1, n + 1), m)),
     ),
 }
 
@@ -86,17 +76,13 @@ class Space:
         return _FAMILIES[self.family][0].format(*self.params)
 
     def labels(self):
-        """The basis labels in space order, that is sorted by sort_key."""
+        """The basis labels in space order, which is sorted order."""
         return _FAMILIES[self.family][1](*self.params)
 
     @functools.cached_property
     def label_set(self):
         """The basis labels as a frozenset, shared by equal spaces."""
         return _label_set(self.family, self.params)
-
-    @property
-    def sort_key(self):
-        return _FAMILIES[self.family][2]
 
     @property
     def dimension(self):
@@ -122,31 +108,18 @@ def MkSpace(n, k):
     return Space("Mk", (n, k))
 
 
-def SympVSpace(g):
-    """Q^{2g} with symplectic basis labels ('a', i) and ('b', i)."""
-    return Space("Vsymp", (g,))
+def WedgeSpace(n, m):
+    """wedge^m V with labels the strictly increasing m-tuples of indices."""
+    return Space("W", (n, m))
 
 
-def SympWedgeSpace(g, m=3):
-    """wedge^m of the symplectic space; labels are strictly sorted tuples."""
-    return Space("wVsymp", (g, m))
-
-
-def sort_symplectic_label(symbols):
-    """Sort wedge factors, returning (sign, tuple) or (0, None) on repeats."""
-    symbols = list(symbols)
-    keys = [symp_symbol_key(s) for s in symbols]
-    if len(set(keys)) != len(keys):
-        return 0, None
-    sign = 1
-    for i in range(1, len(keys)):
-        j = i
-        while j > 0 and keys[j - 1] > keys[j]:
-            keys[j - 1], keys[j] = keys[j], keys[j - 1]
-            symbols[j - 1], symbols[j] = symbols[j], symbols[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(symbols)
+def wedge_label(indices):
+    """(sign of the permutation sorting indices, the sorted tuple); the
+    sign is 0 when an index repeats."""
+    label = tuple(sorted(indices))
+    if len(set(label)) < len(label):
+        return 0, label
+    return (-1) ** sum(a > b for a, b in itertools.combinations(indices, 2)), label
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +282,13 @@ def _moving_pair(space, moves_fwd, moves_bwd, name):
 
 
 def _int_row(coords):
-    """A new dict: denominators cleared, zeros dropped and content
-    stripped; the caller fixes the sign."""
+    """A new dict from exact nonzero coords: denominators cleared and
+    content stripped; the caller fixes the sign."""
     if all(type(v) is int for v in coords.values()):
-        row = {k: v for k, v in coords.items() if v}
+        row = dict(coords)
     else:
         den = lcm(*(v.denominator for v in coords.values()))
-        row = {k: int(v * den) for k, v in coords.items() if v}
+        row = {k: int(v * den) for k, v in coords.items()}
     return _divide_content(row)
 
 
@@ -341,7 +314,6 @@ class SubspaceBasis:
 
     def __init__(self, space):
         self.space = space
-        self._key = space.sort_key
         self.rows = {}
         self._holders = {}
 
@@ -350,17 +322,15 @@ class SubspaceBasis:
         return len(self.rows)
 
     def reduce(self, vec):
-        """Reduce a vector of this space, or a coordinate dict, against the
-        basis; returns an int row with no entry at any pivot, empty exactly
-        when vec is in the span."""
-        if isinstance(vec, TensorVector):
-            if vec.space != self.space:
-                raise ValueError(
-                    f"space mismatch: basis of {self.space.descriptor}, "
-                    f"vector of {vec.space.descriptor}"
-                )
-            vec = vec.coords
-        v = _int_row(vec)
+        """Reduce a TensorVector of this space against the basis; returns an
+        int row with no entry at any pivot, empty exactly when vec is in
+        the span."""
+        if not isinstance(vec, TensorVector) or vec.space != self.space:
+            got = vec.space.descriptor if isinstance(vec, TensorVector) else type(vec)
+            raise ValueError(
+                f"space mismatch: basis of {self.space.descriptor}, vector of {got}"
+            )
+        v = _int_row(vec.coords)
         for p in v.keys() & self.rows.keys():
             _eliminate(v, self.rows[p], p)
         return v
@@ -374,7 +344,7 @@ class SubspaceBasis:
         residue = self.reduce(vec)
         if not residue:
             return None
-        p = min(residue, key=self._key)
+        p = min(residue)
         residue = _divide_content(residue, 1 if residue[p] > 0 else -1)
         holders = self._holders
         for q in holders.pop(p, ()):
@@ -416,7 +386,9 @@ def subspace_equal(a, b):
         raise ValueError("space mismatch")
     if a.dim != b.dim:
         return False
-    return all(b.contains(row) for row in a.rows.values())
+    return all(
+        b.contains(TensorVector._trusted(a.space, row)) for row in a.rows.values()
+    )
 
 
 def kernel_basis(op):
@@ -430,16 +402,17 @@ def kernel_basis(op):
     holds f, with L the lcm of those pivot entries.  The reduced basis of a
     subspace is unique, so the result does not depend on the row order.
     """
+    space = op.space_in
     matrix = {}
-    for lab in op.space_in.labels():
+    for lab in space.labels():
         for out_label, c in op.image_of(lab).coords.items():
             matrix.setdefault(out_label, {})[lab] = c
-    row_space = SubspaceBasis(op.space_in)
+    row_space = SubspaceBasis(space)
     for row in matrix.values():
-        row_space.insert(row)
+        row_space.insert(TensorVector._trusted(space, row))
     rows = row_space.rows
-    kernel = SubspaceBasis(op.space_in)
-    for f in op.space_in.labels():
+    kernel = SubspaceBasis(space)
+    for f in space.labels():
         if f in rows:
             continue
         pivots = row_space._holders.get(f, ())
@@ -447,7 +420,7 @@ def kernel_basis(op):
         vec = {f: L}
         for p in pivots:
             vec[p] = -(L // rows[p][p]) * rows[p][f]
-        kernel.insert(vec)
+        kernel.insert(TensorVector._trusted(space, vec))
     return kernel
 
 
@@ -636,9 +609,16 @@ def _act_on_lyndon_word(base, w):
 
 
 def induced_on(base, space):
-    """Functorial lift of an invertible operator on V to a structured space."""
+    """Functorial lift of an invertible operator on V = VSpace(n) to a
+    structured space over the same n."""
     if space in base._induced:
         return base._induced[space]
+    v = VSpace(space.params[0])
+    if base.space_in != v or base.space_out != v:
+        raise ValueError(
+            f"{base.name or '?'} is not an endomorphism of {v.descriptor}, "
+            f"so it does not lift to {space.descriptor}"
+        )
     fwd = _induce_one(base, space)
     bwd = _induce_one(base.inverse, space)
     fwd.inverse, bwd.inverse = bwd, fwd
@@ -648,17 +628,24 @@ def induced_on(base, space):
 
 
 def _induce_one(base, space):
-    name = f"{base.name} on {space.descriptor}"
     if space.family == "V":
         return base
     if space.family == "T":
-        return LinearOperator(
-            space,
-            space,
-            lambda mono: TensorVector(space, _product_expand(base, mono)),
-            name=name,
-        )
-    if space.family == "Mk":
+
+        def fn(mono):
+            return TensorVector(space, _product_expand(base, mono))
+
+    elif space.family == "W":
+
+        def fn(label):
+            # each term of the tensor image sorted into a wedge label
+            out = {}
+            for combo, c in _product_expand(base, label).items():
+                sign, key = wedge_label(combo)
+                out[key] = out.get(key, 0) + sign * c
+            return TensorVector(space, out)
+
+    else:
         dual = _dual_images(base)
         # the Lie image depends on the word only, not on the dual index
         word_image = functools.cache(lambda w: _act_on_lyndon_word(base, w))
@@ -675,12 +662,11 @@ def _induce_one(base, space):
                 },
             )
 
-        return LinearOperator(space, space, fn, name=name)
-    raise ValueError(f"no induced action on {space.descriptor}")
+    return LinearOperator(space, space, fn, name=f"{base.name} on {space.descriptor}")
 
 
 # ---------------------------------------------------------------------------
-# symplectic generators and wedge lifts
+# symplectic generators on VSpace(2g): a_i = 2i - 1, b_i = 2i
 # ---------------------------------------------------------------------------
 
 
@@ -691,26 +677,21 @@ def sp_generator(kind, i, j=None, g=None):
         raise ValueError("genus g is required")
     if not 1 <= i <= g:
         raise ValueError("index out of range")
-    space = SympVSpace(g)
+    a_i, b_i = 2 * i - 1, 2 * i
     if kind == "sigma":
-        moves_fwd = {("a", i): {("b", i): 1}, ("b", i): {("a", i): -1}}
-        moves_bwd = {("b", i): {("a", i): 1}, ("a", i): {("b", i): -1}}
+        moves_fwd = {a_i: {b_i: 1}, b_i: {a_i: -1}}
+        moves_bwd = {b_i: {a_i: 1}, a_i: {b_i: -1}}
         name = f"sigma({i})"
     elif kind == "tau":
         if j is None or j == i or not 1 <= j <= g:
             raise ValueError("tau needs a second index distinct from the first")
-        moves_fwd = {
-            ("b", i): {("b", i): 1, ("a", j): 1},
-            ("b", j): {("b", j): 1, ("a", i): 1},
-        }
-        moves_bwd = {
-            ("b", i): {("b", i): 1, ("a", j): -1},
-            ("b", j): {("b", j): 1, ("a", i): -1},
-        }
+        a_j, b_j = 2 * j - 1, 2 * j
+        moves_fwd = {b_i: {b_i: 1, a_j: 1}, b_j: {b_j: 1, a_i: 1}}
+        moves_bwd = {b_i: {b_i: 1, a_j: -1}, b_j: {b_j: 1, a_i: -1}}
         name = f"tau({i},{j})"
     else:
         raise ValueError("kind must be 'sigma' or 'tau'")
-    return _moving_pair(space, moves_fwd, moves_bwd, name)
+    return _moving_pair(VSpace(2 * g), moves_fwd, moves_bwd, name)
 
 
 def sp_transvection(v_coords, g):
@@ -720,7 +701,7 @@ def sp_transvection(v_coords, g):
     Used as the documented extended generating set when the rotation and
     double transvection generators alone are suspected of stalling.
     """
-    space = SympVSpace(g)
+    space = VSpace(2 * g)
     vvec = TensorVector(space, v_coords)
 
     def fn_of(sign):
@@ -730,7 +711,7 @@ def sp_transvection(v_coords, g):
 
         return fn
 
-    tag = "+".join(f"{l}{i}" for (l, i) in sorted(vvec.coords, key=symp_symbol_key))
+    tag = "+".join(map(str, sorted(vvec.coords)))
     return _operator_pair(space, fn_of(1), fn_of(-1), f"transvection({tag})")
 
 
@@ -738,45 +719,25 @@ def extended_sp_generators(g):
     """Transvections about a_i, b_i, a_i + a_j and a_i + b_j for all pairs."""
     out = []
     for i in range(1, g + 1):
-        out.append(sp_transvection({("a", i): 1}, g))
-        out.append(sp_transvection({("b", i): 1}, g))
+        out.append(sp_transvection({2 * i - 1: 1}, g))
+        out.append(sp_transvection({2 * i: 1}, g))
         for j in range(1, g + 1):
             if i == j:
                 continue
-            out.append(sp_transvection({("a", i): 1, ("a", j): 1}, g))
-            out.append(sp_transvection({("a", i): 1, ("b", j): 1}, g))
+            out.append(sp_transvection({2 * i - 1: 1, 2 * j - 1: 1}, g))
+            out.append(sp_transvection({2 * i - 1: 1, 2 * j: 1}, g))
     return out
-
-
-def wedge_lift(op, m=3):
-    """Multilinear lift to wedge^m with sorted labels and sign bookkeeping."""
-    if op.space_in.family != "Vsymp":
-        raise ValueError("wedge_lift expects an operator on the symplectic space")
-    space = SympWedgeSpace(*op.space_in.params, m)
-
-    def lift_of(base):
-        def fn(label):
-            out = {}
-            for combo, c in _product_expand(base, label).items():
-                sgn, key = sort_symplectic_label(combo)
-                if sgn:
-                    lie.tensor_add_into(out, {key: c}, sgn)
-            return TensorVector(space, out)
-
-        return fn
-
-    return _operator_pair(space, lift_of(op), lift_of(op.inverse), f"w{m} {op.name}")
 
 
 def symplectic_pairing(u, v):
     """<a_i, b_i> = 1 = -<b_i, a_i>, zero on all other basis pairs."""
     total = 0
-    for (lu, iu), cu in u.coords.items():
-        for (lv, iv), cv in v.coords.items():
-            if iu == iv and lu == "a" and lv == "b":
-                total += cu * cv
-            elif iu == iv and lu == "b" and lv == "a":
-                total -= cu * cv
+    for x, cu in u.coords.items():
+        # a_i = x odd pairs with b_i = x + 1, b_i = x even with a_i = x - 1
+        if x % 2:
+            total += cu * v.coords.get(x + 1, 0)
+        else:
+            total -= cu * v.coords.get(x - 1, 0)
     return total
 
 

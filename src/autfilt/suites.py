@@ -259,25 +259,25 @@ def suite_sp_orbit(rec, g_values=(3, 4), extended_sp_generators=False):
 
     def check_identities():
         g = max(2, min(g_values))
-        w2 = exactlin.SympWedgeSpace(g, 2)
+        w2 = exactlin.WedgeSpace(2 * g, 2)
 
-        def unit(*syms):
-            return exactlin.TensorVector.unit(w2, tuple(syms))
+        def wedge(x, y):
+            sign, label = exactlin.wedge_label((x, y))
+            return exactlin.TensorVector(w2, {label: sign})
 
         results = {}
         ok = True
         for t, u in itertools.permutations(range(1, g + 1), 2):
-            sig_t = exactlin.wedge_lift(exactlin.sp_generator("sigma", t, g=g), 2)
-            sig_u = exactlin.wedge_lift(exactlin.sp_generator("sigma", u, g=g), 2)
-            tau_tu = exactlin.wedge_lift(exactlin.sp_generator("tau", t, u, g=g), 2)
-            at_bt = unit(("a", t), ("b", t))
-            at_au = _wedge2(w2, ("a", t), ("a", u))
+            sig_t, sig_u, tau_tu = (
+                exactlin.induced_on(exactlin.sp_generator(*args, g=g), w2)
+                for args in (("sigma", t), ("sigma", u), ("tau", t, u))
+            )
+            at, bt, au, bu = 2 * t - 1, 2 * t, 2 * u - 1, 2 * u
             checks = [
-                tau_tu.apply(at_bt) == at_bt + at_au,
-                sig_t.apply(at_au) == _wedge2(w2, ("b", t), ("a", u)),
-                sig_u.apply(at_au) == _wedge2(w2, ("a", t), ("b", u)),
-                sig_t.apply(_wedge2(w2, ("a", t), ("b", u)))
-                == _wedge2(w2, ("b", t), ("b", u)),
+                tau_tu.apply(wedge(at, bt)) == wedge(at, bt) + wedge(at, au),
+                sig_t.apply(wedge(at, au)) == wedge(bt, au),
+                sig_u.apply(wedge(at, au)) == wedge(at, bu),
+                sig_t.apply(wedge(at, bu)) == wedge(bt, bu),
             ]
             ok = ok and all(checks)
             results[f"(t={t},u={u})"] = all(checks)
@@ -298,19 +298,18 @@ def suite_sp_orbit(rec, g_values=(3, 4), extended_sp_generators=False):
     for g in g_values:
 
         def check_orbit():
-            space = exactlin.SympWedgeSpace(g, 3)
-            gens = []
+            space = exactlin.WedgeSpace(2 * g, 3)
+            base = []
             for i in range(1, g + 1):
-                gens.append(exactlin.wedge_lift(exactlin.sp_generator("sigma", i, g=g), 3))
-                for j in range(i + 1, g + 1):
-                    gens.append(
-                        exactlin.wedge_lift(exactlin.sp_generator("tau", i, j, g=g), 3)
-                    )
-            if extended_sp_generators:
-                gens.extend(
-                    exactlin.wedge_lift(t, 3) for t in exactlin.extended_sp_generators(g)
+                base.append(exactlin.sp_generator("sigma", i, g=g))
+                base.extend(
+                    exactlin.sp_generator("tau", i, j, g=g) for j in range(i + 1, g + 1)
                 )
-            seed = exactlin.TensorVector.unit(space, (("a", 1), ("a", 2), ("b", 2)))
+            if extended_sp_generators:
+                base.extend(exactlin.extended_sp_generators(g))
+            gens = [exactlin.induced_on(op, space) for op in base]
+            # a_1 ^ a_2 ^ b_2
+            seed = exactlin.TensorVector.unit(space, (1, 3, 4))
             sat = exactlin.orbit_saturate(gens, [seed])
             full = sat.basis.dim == space.dimension
             return full, {
@@ -326,11 +325,6 @@ def suite_sp_orbit(rec, g_values=(3, 4), extended_sp_generators=False):
         # a stalled saturation under this particular generating set would be
         # inconclusive about the full symplectic orbit, not a refutation
         rec.timed(f"wedge3-orbit-spans(g={g})", check_orbit, inconclusive_on_false=True)
-
-
-def _wedge2(space, s1, s2):
-    sgn, key = exactlin.sort_symplectic_label((s1, s2))
-    return exactlin.TensorVector(space, {key: sgn})
 
 
 def suite_sl_reduction(rec, n=5, k_values=(2, 3), trials=20, seed=7):

@@ -16,10 +16,10 @@ from autfilt import autf, commgraph, exactlin, lie, magnus
 from autfilt.exactlin import (
     MkSpace,
     SubspaceBasis,
-    SympWedgeSpace,
     TensorSpace,
     TensorVector,
     VSpace,
+    WedgeSpace,
     subspace_equal,
 )
 
@@ -180,12 +180,12 @@ def _primitive_row(coords):
     return {k: v // g for k, v in row.items()}
 
 
-def min_pivot_reduce(rows, coords, sort_key=None):
+def min_pivot_reduce(rows, coords):
     """Reduce coords against {pivot: row} by clearing its least label, one
     copied vector per step; returns the residue (empty iff in the span)."""
     v = _primitive_row(coords)
     while v:
-        p = min(v, key=sort_key)
+        p = min(v)
         row = rows.get(p)
         if row is None:
             break
@@ -199,7 +199,7 @@ def min_pivot_reduce(rows, coords, sort_key=None):
     return v
 
 
-def echelon_span_by_min_pivot(vectors, sort_key=None):
+def echelon_span_by_min_pivot(vectors):
     """Min-pivot integer echelon rows {pivot: row} of the span of coordinate
     dicts: oracle for the reduced exactlin.SubspaceBasis.
 
@@ -208,23 +208,22 @@ def echelon_span_by_min_pivot(vectors, sort_key=None):
     """
     rows = {}
     for coords in vectors:
-        v = min_pivot_reduce(rows, coords, sort_key)
+        v = min_pivot_reduce(rows, coords)
         if v:
             v = _primitive_row(v)
-            p = min(v, key=sort_key)
+            p = min(v)
             rows[p] = {k: c if v[p] > 0 else -c for k, c in v.items()}
     return rows
 
 
-REDUCED_BASIS_SPACES = [VSpace(4), TensorSpace(3, 2), MkSpace(4, 2), SympWedgeSpace(3, 3)]
+REDUCED_BASIS_SPACES = [VSpace(4), TensorSpace(3, 2), MkSpace(4, 2), WedgeSpace(6, 3)]
 
 
 def assert_reduced(basis):
     """Pivot = least label, positive pivot entry, content 1, and no entry at
     another row's pivot."""
-    key = basis.space.sort_key
     for p, row in basis.rows.items():
-        assert p == min(row, key=key) and row[p] > 0
+        assert p == min(row) and row[p] > 0
         assert all(type(c) is int for c in row.values()) and gcd(*row.values()) == 1
         assert not any(q in row for q in basis.rows if q != p)
 
@@ -239,7 +238,7 @@ class ScanningBasis(SubspaceBasis):
         if not residue:
             return None
         residue = exactlin._int_row(residue)
-        p = min(residue, key=self._key)
+        p = min(residue)
         if residue[p] < 0:
             residue = {k: -v for k, v in residue.items()}
         for q, row in self.rows.items():
@@ -278,7 +277,7 @@ def scanning_kernel_rows(op):
             matrix.setdefault(out_label, {})[lab] = c
     row_space = ScanningBasis(op.space_in)
     for row in matrix.values():
-        row_space.insert(row)
+        row_space.insert(TensorVector(op.space_in, row))
     rows = row_space.rows
     holders = holders_from_rows(rows)
     kernel = ScanningBasis(op.space_in)
@@ -287,7 +286,7 @@ def scanning_kernel_rows(op):
             pivots = holders.get(f, ())
             L = lcm(*(rows[p][p] for p in pivots))
             vec = {f: L} | {p: -(L // rows[p][p]) * rows[p][f] for p in pivots}
-            kernel.insert(vec)
+            kernel.insert(TensorVector(op.space_in, vec))
     return kernel.rows
 
 
@@ -314,30 +313,51 @@ def _random_coords(rng, labels, rational):
 
 def check_against_min_pivot_oracle(space, rng, rational):
     """Insert random vectors and their combinations; compare with the oracle."""
-    labels, key = space.labels(), space.sort_key
+    labels = space.labels()
     vectors = [_random_coords(rng, labels, rational) for _ in range(len(labels) // 2)]
     for _ in range(3):
         a, b = rng.sample(vectors, 2)
         vectors.append(lie.tensor_add(lie.tensor_scale(a, rng.randint(-2, 2)), b))
     basis = SubspaceBasis(space)
     for coords in vectors:
-        basis.insert(coords)
-    oracle = echelon_span_by_min_pivot(vectors, key)
+        basis.insert(TensorVector(space, coords))
+    oracle = echelon_span_by_min_pivot(vectors)
     assert basis.dim == len(oracle)
     assert_reduced(basis)
     assert_index_matches_rows(basis)
-    assert all(basis.contains(row) for row in oracle.values())
-    assert not any(min_pivot_reduce(oracle, r, key) for r in basis.rows.values())
+    assert all(basis.contains(TensorVector(space, row)) for row in oracle.values())
+    assert not any(min_pivot_reduce(oracle, r) for r in basis.rows.values())
     probes = [_random_coords(rng, labels, rational) for _ in range(10)]
     probes += [lie.tensor_add(a, lie.tensor_scale(b, 3)) for a, b in zip(vectors, vectors[1:])]
     for coords in probes:
-        assert basis.contains(coords) == (not min_pivot_reduce(oracle, coords, key))
+        vec = TensorVector(space, coords)
+        assert basis.contains(vec) == (not min_pivot_reduce(oracle, coords))
     # a span has one reduced basis, whatever the vectors and their order
     for others in (rng.sample(vectors, len(vectors)), list(oracle.values())):
         again = SubspaceBasis(space)
         for coords in others:
-            again.insert(coords)
+            again.insert(TensorVector(space, coords))
         assert again.rows == basis.rows and subspace_equal(basis, again)
+
+
+def matrix_of(op):
+    """{(row, column): entry} of an operator on VSpace(n): the column of
+    label c holds the coordinates of op e_c."""
+    return {
+        (r, c): v for c in op.space_in.labels() for r, v in op.image_of(c).coords.items()
+    }
+
+
+def minor(matrix, rows, cols):
+    """det of matrix[rows, cols] by Laplace expansion along the first row:
+    the minors oracle for the wedge lift, which sorts index tuples instead."""
+    if not rows:
+        return 1
+    r, rest = rows[0], rows[1:]
+    return sum(
+        (-1) ** p * matrix.get((r, c), 0) * minor(matrix, rest, cols[:p] + cols[p + 1:])
+        for p, c in enumerate(cols)
+    )
 
 
 def random_nielsen_word(rng, n, length):

@@ -313,6 +313,21 @@ def test_parser_rejects_empty_pieces_and_rank_zero(mangle, message, side):
             autf.parse_automorphism(text)
 
 
+@pytest.mark.parametrize("side", ["text", "inverse"])
+def test_parser_rejects_a_rank_over_the_bound(side):
+    # the parser allocated one word per generator of any header rank first
+    over = f"rank={autf.MAX_RANK + 1}"
+    text, inverse = ("rank=2; x1 -> x2 x1", "rank=2; x1 -> x2^-1 x1")
+    if side == "text":
+        text = over
+    else:
+        inverse = over
+    with pytest.raises(ValueError, match=f"over the bound MAX_RANK = {autf.MAX_RANK}"):
+        autf.parse_automorphism(text, inverse_text=inverse)
+    at_bound = autf.parse_automorphism(f"rank={autf.MAX_RANK}; x1 -> x2 x1")
+    assert at_bound.rank == autf.MAX_RANK
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -269,6 +269,14 @@ def test_from_json_rejects_empty_element_pieces_and_rank_zero(mangle, message):
         bnscert.BnsCertificate.from_json(json.dumps(data))
 
 
+def test_from_json_rejects_an_element_rank_over_the_bound():
+    data = _certificate_data()
+    data["elements"][0] = f"rank={autf.MAX_RANK + 1}"
+    data["inverses"] = None
+    with pytest.raises(ValueError, match="over the bound MAX_RANK"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
 def test_from_json_rejects_null_inverse():
     # to_json writes one inverse text per element; null is only allowed for
     # the whole field, where it means "derive the inverses"

@@ -145,6 +145,39 @@ def test_kernel_claim_cli_no_full_closure(tmp_path):
     assert values["saturation_closed"] is False
 
 
+def test_sp_orbit_cli_extended_generators(tmp_path):
+    out = tmp_path / "sp.json"
+    code = cli.main(
+        ["verify", "sp-orbit", "--g", "3", "--extended-sp-generators", "--out", str(out)]
+    )
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["params"] == {"g_values": [3], "extended_sp_generators": True}
+    (orbit,) = [r for r in data["records"] if r["claim"] == "wedge3-orbit-spans(g=3)"]
+    assert orbit["status"] == "PASS"
+    values = orbit["values"]
+    assert values["generator_set"] == "sigma/tau+extended"
+    assert (values["orbit_span"], values["closed"]) == (20, True)
+
+
+def test_cert_assemble_rejects_n_over_the_rank_bound(tmp_path):
+    spec = {"n": autf.MAX_RANK + 1, "m": 2, "targets": []}
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match="over the bound MAX_RANK"):
+        cli.main(["cert", "assemble", str(f)])
+
+
+def test_depth_rejects_a_cutoff_over_the_bound(tmp_path):
+    # the expansion allocates per degree: a cutoff of 10^9 ran for minutes
+    f = tmp_path / "auto.txt"
+    f.write_text(autf.format_automorphism(autf.make_magnus_C(1, 2, 4)) + "\n")
+    over = str(cli.MAX_CUTOFF + 1)
+    with pytest.raises(ValueError, match="over the bound MAX_CUTOFF"):
+        cli.main(["depth", str(f), "--cutoff", over])
+    assert cli.main(["depth", str(f), "--cutoff", str(cli.MAX_CUTOFF)]) == 0
+
+
 @pytest.mark.parametrize("missing", ["n", "m", "kind", "args"])
 def test_cert_assemble_rejects_missing_key(tmp_path, missing):
     spec = {"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}]}

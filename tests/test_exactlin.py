@@ -8,11 +8,10 @@ import pytest
 from autfilt import autf, exactlin, lie, magnus
 from autfilt.exactlin import (
     MkSpace,
-    SympVSpace,
-    SympWedgeSpace,
     TensorSpace,
     TensorVector,
     VSpace,
+    WedgeSpace,
 )
 
 from helpers import (
@@ -23,6 +22,8 @@ from helpers import (
     check_against_min_pivot_oracle,
     cyclic_invariant_basis,
     cyclic_shift,
+    matrix_of,
+    minor,
     scanning_kernel_rows,
     scanning_orbit_rows,
 )
@@ -40,21 +41,9 @@ SPACES = [
     (lambda: TensorSpace(3, 2), "T(n=3,m=2)", 9, (1, 1), (3, 3)),
     (lambda: MkSpace(4, 2), "Mk(n=4,k=2)", 80, (1, (1, 1, 2)), (4, (3, 4, 4))),
     (lambda: MkSpace(3, 1), "Mk(n=3,k=1)", 9, (1, (1, 2)), (3, (2, 3))),
-    (lambda: SympVSpace(2), "Vsymp(g=2)", 4, ("a", 1), ("b", 2)),
-    (
-        lambda: SympWedgeSpace(3),
-        "w3Vsymp(g=3)",
-        20,
-        (("a", 1), ("b", 1), ("a", 2)),
-        (("b", 2), ("a", 3), ("b", 3)),
-    ),
-    (
-        lambda: SympWedgeSpace(2, 2),
-        "w2Vsymp(g=2)",
-        6,
-        (("a", 1), ("b", 1)),
-        (("a", 2), ("b", 2)),
-    ),
+    (lambda: WedgeSpace(6, 3), "w3V(n=6)", 20, (1, 2, 3), (4, 5, 6)),
+    (lambda: WedgeSpace(4, 2), "w2V(n=4)", 6, (1, 2), (3, 4)),
+    (lambda: WedgeSpace(3, 3), "w3V(n=3)", 1, (1, 2, 3), (1, 2, 3)),
 ]
 SPACE_IDS = [row[1] for row in SPACES]
 
@@ -66,7 +55,7 @@ def test_space_family_is_pinned(make, descriptor, dim, first, last):
     assert space.descriptor == descriptor
     assert space.dimension == len(labels) == dim
     assert (labels[0], labels[-1]) == (first, last)
-    assert labels == sorted(labels, key=space.sort_key)
+    assert labels == sorted(labels)
     assert len(set(labels)) == dim
 
 
@@ -79,11 +68,11 @@ def test_space_equality_and_hash_use_family_and_parameters(make):
 
 
 def test_spaces_of_different_families_differ():
-    assert VSpace(3) != SympVSpace(3)
+    assert VSpace(3) != WedgeSpace(3, 1)
     assert VSpace(3) != TensorSpace(3, 1)
-    assert SympWedgeSpace(3, 2) != SympWedgeSpace(3)
+    assert WedgeSpace(6, 2) != WedgeSpace(6, 3)
     with pytest.raises(ValueError):
-        unit(VSpace(3), 1) + unit(SympVSpace(3), 1)
+        unit(VSpace(3), 1) + unit(WedgeSpace(3, 1), (1,))
 
 
 # -- spans and kernels -------------------------------------------------------
@@ -96,10 +85,11 @@ def test_span_dimension():
 
 
 def test_zero_entries_are_ignored():
-    basis = exactlin.SubspaceBasis(VSpace(3))
-    basis.insert({1: 1})
-    assert basis.contains({2: 0})
-    assert basis.insert({2: 0, 3: 1}) == {3: 1}
+    v = VSpace(3)
+    basis = exactlin.SubspaceBasis(v)
+    basis.insert(TensorVector(v, {1: 1}))
+    assert basis.contains(TensorVector(v, {2: 0}))
+    assert basis.insert(TensorVector(v, {2: 0, 3: 1})) == {3: 1}
     assert set(basis.rows) == {1, 3}
 
 
@@ -162,9 +152,13 @@ def test_contraction_kernel_by_rank_nullity_equals_the_orbit(n, k):
 def test_subspace_basis_rejects_a_vector_of_another_space():
     basis = exactlin.w_basis(3, 2)
     stranger = TensorVector(TensorSpace(3, 3), {(1, 2, 3): 1, (2, 3, 1): -1})
-    for method in (basis.insert, basis.contains):
+    for method in (basis.insert, basis.contains, basis.reduce):
         with pytest.raises(ValueError, match=r"T\(n=3,m=2\).*T\(n=3,m=3\)"):
             method(stranger)
+        # a coordinate dict went unchecked: {(9, 9): 1} entered the basis
+        for coords in ({(9, 9): 1}, {(1, 2): 1}):
+            with pytest.raises(ValueError, match=r"T\(n=3,m=2\), vector of .*dict"):
+                method(coords)
     assert basis.rows == exactlin.w_basis(3, 2).rows
     with pytest.raises(ValueError, match="space mismatch"):
         exactlin.span_basis([unit(VSpace(3), 1), unit(VSpace(4), 1)])
@@ -214,20 +208,23 @@ def test_orbit_saturate_rank2():
     assert res.basis.dim == 2 and res.closed
 
 
-def _sp_wedge3_generators(g):
-    gens = []
+def _sigma_tau(g):
+    """sigma_i and tau_ij (i < j) on VSpace(2g)."""
+    ops = []
     for i in range(1, g + 1):
-        gens.append(exactlin.wedge_lift(exactlin.sp_generator("sigma", i, g=g), 3))
-        for j in range(i + 1, g + 1):
-            gens.append(exactlin.wedge_lift(exactlin.sp_generator("tau", i, j, g=g), 3))
-    return gens
+        ops.append(exactlin.sp_generator("sigma", i, g=g))
+        ops.extend(exactlin.sp_generator("tau", i, j, g=g) for j in range(i + 1, g + 1))
+    return ops
+
+
+def _sp_wedge3_generators(g):
+    return [exactlin.induced_on(op, WedgeSpace(2 * g, 3)) for op in _sigma_tau(g)]
 
 
 def test_orbit_saturate_matches_saturation_with_inverses():
     # applying the inverses as extra generators spans the same subspace
     mk_gens, mk_seeds = _kernel_claim_setup(4, 2)
-    w3 = SympWedgeSpace(3, 3)
-    w3_seeds = [unit(w3, (("a", 1), ("a", 2), ("b", 2)))]
+    w3_seeds = [unit(WedgeSpace(6, 3), (1, 3, 4))]  # a_1 ^ a_2 ^ b_2
     for gens, seeds in ((mk_gens, mk_seeds), (_sp_wedge3_generators(3), w3_seeds)):
         plain = exactlin.orbit_saturate(gens, seeds)
         both = exactlin.orbit_saturate(gens + [g.inverse for g in gens], seeds)
@@ -304,15 +301,15 @@ def _exact_form(c):
 
 
 def _induced_test_operators(family):
-    if family == "wVsymp":
-        gens = _sp_wedge3_generators(3)
+    if family == "W":
+        gens = _sp_wedge3_generators(3) + _two_generators_on(WedgeSpace(4, 2))
     else:
         space = TensorSpace(3, 3) if family == "T" else MkSpace(3, 2)
         gens = _two_generators_on(space)
     return gens + [g.inverse for g in gens]
 
 
-@pytest.mark.parametrize("family", ["T", "Mk", "wVsymp"])
+@pytest.mark.parametrize("family", ["T", "Mk", "W"])
 def test_apply_output_agrees_with_checking_constructor(family):
     # apply builds its output with the trusted constructor
     rng = random.Random(family)
@@ -429,7 +426,8 @@ def test_e_delta_rejects_out_of_range_indices(dual_index, tail):
         (MkSpace(3, 1), (1, (2, 1))),
         (VSpace(3), 0),
         (TensorSpace(3, 2), (1, 2, 3)),
-        (SympWedgeSpace(2, 2), (("b", 1), ("a", 1))),
+        (WedgeSpace(4, 2), (2, 1)),
+        (WedgeSpace(4, 2), (1, 1)),
     ],
 )
 def test_tensor_vector_rejects_labels_outside_its_space(space, label):
@@ -554,9 +552,22 @@ def test_elementary_rejects_equal_indices():
         exactlin.elementary_sl(1, 1, 3)
 
 
-def test_induced_on_rejects_a_family_without_a_lift():
-    with pytest.raises(ValueError, match="no induced action on Vsymp"):
-        exactlin.induced_on(exactlin.elementary_sl(1, 2, 3), SympVSpace(2))
+@pytest.mark.parametrize(
+    "base, space",
+    [
+        # E(4,5) on V(5) lifted to Mk(n=3) gave an operator fixing every label
+        (exactlin.elementary_sl(4, 5, 5), MkSpace(3, 1)),
+        (exactlin.elementary_sl(1, 2, 3), VSpace(2)),
+        (exactlin.elementary_sl(1, 2, 3), TensorSpace(4, 2)),
+        (exactlin.sp_generator("sigma", 1, g=2), WedgeSpace(6, 3)),
+        (exactlin.phi_operator(3, 1), MkSpace(3, 1)),
+    ],
+    ids=["E45-on-Mk3", "E12-on-V2", "E12-on-T4", "sigma-g2-on-w3V6", "Phi-on-Mk3"],
+)
+def test_induced_on_rejects_a_base_of_another_v(base, space):
+    with pytest.raises(ValueError, match="is not an endomorphism of V"):
+        exactlin.induced_on(base, space)
+    assert space not in base._induced
 
 
 def _product_images(*ops):
@@ -640,7 +651,7 @@ def test_kernel_claim_early_stop_mode():
 def test_sigma_has_order_four():
     g = 2
     sig = exactlin.sp_generator("sigma", 1, g=g)
-    space = SympVSpace(g)
+    space = VSpace(2 * g)
     for lab in space.labels():
         v = unit(space, lab)
         w = v
@@ -657,26 +668,33 @@ def test_sp_generators_preserve_form():
         assert exactlin.preserves_symplectic_form(t)
 
 
+def test_symplectic_pairing_on_the_int_basis():
+    # a_i = 2i - 1 and b_i = 2i: <a_i, b_i> = 1 = -<b_i, a_i>, all else 0
+    space = VSpace(6)
+    pairs = {(1, 2): 1, (2, 1): -1, (3, 4): 1, (4, 3): -1, (5, 6): 1, (6, 5): -1}
+    for x, y in itertools.product(space.labels(), repeat=2):
+        form = exactlin.symplectic_pairing(unit(space, x), unit(space, y))
+        assert form == pairs.get((x, y), 0)
+
+
 def test_tau_lift_identity_with_spectator():
     g = 3
-    w3 = SympWedgeSpace(g, 3)
-    tau12 = exactlin.wedge_lift(exactlin.sp_generator("tau", 1, 2, g=g), 3)
-    x = ("b", 3)  # fixed by tau_12
-    lhs = tau12.apply(unit(w3, (("a", 1), ("b", 1), x)))
-    rhs = unit(w3, (("a", 1), ("b", 1), x)) + unit(w3, (("a", 1), ("a", 2), x))
-    assert lhs == rhs
+    w3 = WedgeSpace(2 * g, 3)
+    tau12 = exactlin.induced_on(exactlin.sp_generator("tau", 1, 2, g=g), w3)
+    # a_1 ^ b_1 ^ b_3 -> a_1 ^ b_1 ^ b_3 + a_1 ^ a_2 ^ b_3 (b_3 = 6 is fixed)
+    lhs = tau12.apply(unit(w3, (1, 2, 6)))
+    assert lhs == unit(w3, (1, 2, 6)) + unit(w3, (1, 3, 6))
 
 
 def test_sigma_lift_identity():
     g = 3
-    w3 = SympWedgeSpace(g, 3)
-    sig1 = exactlin.wedge_lift(exactlin.sp_generator("sigma", 1, g=g), 3)
-    x = ("b", 3)
-    lhs = sig1.apply(unit(w3, (("a", 1), ("a", 2), x)))
-    assert lhs == unit(w3, (("b", 1), ("a", 2), x))
+    w3 = WedgeSpace(2 * g, 3)
+    sig1 = exactlin.induced_on(exactlin.sp_generator("sigma", 1, g=g), w3)
+    # a_1 ^ a_2 ^ b_3 -> b_1 ^ a_2 ^ b_3
+    assert sig1.apply(unit(w3, (1, 3, 6))) == unit(w3, (2, 3, 6))
 
 
-def test_wedge_lift_is_multiplicative_sampled():
+def test_wedge_induced_action_is_multiplicative_sampled():
     g = 2
     rng = random.Random(9)
     ops = [
@@ -684,20 +702,19 @@ def test_wedge_lift_is_multiplicative_sampled():
         exactlin.sp_generator("sigma", 2, g=g),
         exactlin.sp_generator("tau", 1, 2, g=g),
     ]
-    w2 = SympWedgeSpace(g, 2)
+    w2 = WedgeSpace(2 * g, 2)
     for _ in range(20):
         a, b = rng.choice(ops), rng.choice(ops)
-        la, lb = exactlin.wedge_lift(a, 2), exactlin.wedge_lift(b, 2)
+        la, lb = exactlin.induced_on(a, w2), exactlin.induced_on(b, w2)
+        lifted_product = exactlin.induced_on(_compose_base(a, b, g), w2)
         for lab in w2.labels():
             v = unit(w2, lab)
             # lift of the composite equals the composite of the lifts
-            composed = la.apply(lb.apply(v))
-            base_then_lift = exactlin.wedge_lift(_compose_base(a, b, g), 2).apply(v)
-            assert composed == base_then_lift
+            assert la.apply(lb.apply(v)) == lifted_product.apply(v)
 
 
 def _compose_base(a, b, g):
-    space = SympVSpace(g)
+    space = VSpace(2 * g)
 
     def fn(label):
         return a.apply(b.image_of(label))
@@ -708,10 +725,36 @@ def _compose_base(a, b, g):
     return exactlin._operator_pair(space, fn, fn_inv, "comp")
 
 
+def _assert_wedge_action_is_minors(base, m):
+    """Cauchy-Binet: the coefficient of e_J in g e_I on wedge^m is det g[J, I]."""
+    space = WedgeSpace(base.space_in.dimension, m)
+    lifted = exactlin.induced_on(base, space)
+    matrix = matrix_of(base)
+    for I in space.labels():
+        minors = {J: minor(matrix, J, I) for J in space.labels()}
+        assert lifted.image_of(I).coords == {J: d for J, d in minors.items() if d}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("g", [2, 3])
+def test_wedge_action_of_sp_generators_is_minors(g, m):
+    ops = _sigma_tau(g) + exactlin.extended_sp_generators(g)
+    for op in ops + [op.inverse for op in ops]:
+        _assert_wedge_action_is_minors(op, m)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_wedge_action_of_sl_generators_is_minors(n, m):
+    for op in exactlin.sl_generators(n):
+        _assert_wedge_action_is_minors(op, m)
+        _assert_wedge_action_is_minors(op.inverse, m)
+
+
 def test_wedge3_orbit_dimensions():
     for g, expected in ((3, 20), (4, 56)):
-        space = SympWedgeSpace(g, 3)
+        space = WedgeSpace(2 * g, 3)
         assert space.dimension == expected
-        seed = unit(space, (("a", 1), ("a", 2), ("b", 2)))
+        seed = unit(space, (1, 3, 4))
         res = exactlin.orbit_saturate(_sp_wedge3_generators(g), [seed])
         assert res.basis.dim == expected and res.closed

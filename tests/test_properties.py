@@ -263,7 +263,8 @@ def test_label_index_follows_every_insert(case):
     space, vectors = case
     basis, oracle = exactlin.SubspaceBasis(space), ScanningBasis(space)
     for coords in vectors:
-        assert basis.insert(coords) == oracle.insert(coords)
+        vec = exactlin.TensorVector(space, coords)
+        assert basis.insert(vec) == oracle.insert(vec)
         assert basis.rows == oracle.rows
         assert_index_matches_rows(basis)
 

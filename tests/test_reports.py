@@ -4,7 +4,8 @@ Each report must match its file in reports/ byte for byte once the
 wall_time_s fields are blanked; each test's budget is the stated limit for
 its runs together.  Between them the two tests reach every space family:
 iaab and kernel-claim use V, Mk and T (the contraction's target),
-sl-reduction the Mk lifts of transvections, sp-orbit the symplectic spaces.
+sl-reduction the Mk lifts of transvections, sp-orbit the wedge powers W of
+the symplectic space VSpace(2g).
 The other four reports (tau-identities, paths, certificates, depth-table)
 are compared by the acceptance tests that already run those suites at the
 committed parameters, through assert_matches_committed.
