@@ -5,7 +5,7 @@ Submodules:
 * autf     - words, automorphisms, generator families, support/complexity
 * lie      - free Lie algebra over Q in the Lyndon basis
 * magnus   - truncated Magnus expansion, filtration depth, degree-k images
-* exactlin - exact rational linear algebra on labeled tensor spaces
+* exactlin - exact integer linear algebra on labeled tensor spaces
 * commgraph- parabolic subgroup handles, commutation test, path builder
 * bnscert  - finite-generation certificates (checker and assembler)
 * suites   - named verification suites with JSON reports

@@ -76,9 +76,25 @@ def _load_automorphism(path):
     return autf.parse_automorphism(text, inverse_text=inverse_text)
 
 
-# The largest --cutoff depth accepts: the expansion of an image with a
-# letters holds about a^cutoff coefficients.
+# The largest --cutoff depth accepts, and the largest cost L * a^cutoff of
+# expanding a deviation word of L letters over a distinct indices: it holds
+# about a^cutoff coefficients, and each letter adds into all of them.
 MAX_CUTOFF = 10
+MAX_EXPANSION_COST = 25_000_000
+
+
+def _check_expansion_cost(phi, cutoff):
+    """ValueError when the reduced deviation word x_i^-1 phi(x_i) of some
+    generator costs more than MAX_EXPANSION_COST to expand."""
+    for i, img in enumerate(phi.images, 1):
+        letters = (autf.FreeWord.generator(phi.rank, i, -1) * img).letters
+        a = len({j for j, _ in letters})
+        if len(letters) * a**cutoff > MAX_EXPANSION_COST:
+            raise ValueError(
+                f"x{i}^-1 phi(x{i}) has {len(letters)} letters over {a} indices, "
+                f"and {len(letters)} * {a}^{cutoff} is over the bound "
+                f"MAX_EXPANSION_COST = {MAX_EXPANSION_COST}"
+            )
 
 
 def cmd_depth(args):
@@ -87,6 +103,7 @@ def cmd_depth(args):
             f"--cutoff {args.cutoff} is over the bound MAX_CUTOFF = {MAX_CUTOFF}"
         )
     phi = _load_automorphism(args.file)
+    _check_expansion_cost(phi, args.cutoff)
     report = magnus.johnson_depth(phi, args.cutoff)
     out = {
         "rank": phi.rank,

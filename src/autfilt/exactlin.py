@@ -1,10 +1,10 @@
-"""Exact rational linear algebra on labeled tensor spaces.
+"""Exact integer linear algebra on labeled tensor spaces.
 
-Vectors are sparse maps from basis labels to exact coefficients: ints
-when integral (every operator the suites use is integral with an integral
-inverse), Fractions only for non-integral input.  Every space carries an
-explicit label set with a fixed total order, so spans, kernels and
-subspace comparisons are deterministic.
+Vectors are sparse maps from basis labels to nonzero int coefficients:
+every operator the computations use is integral with an integral inverse,
+and a rational span or kernel always has an integer basis.  Every space
+carries an explicit label set with a fixed total order, so spans, kernels
+and subspace comparisons are deterministic.
 There is one elimination, SubspaceBasis: a reduced integer echelon basis
 (content stripped, each pivot cleared from the other rows), which avoids
 fill-in and coefficient blowup during the larger orbit saturations.  Spans,
@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from . import autf, lie
@@ -127,32 +126,28 @@ def wedge_label(indices):
 # ---------------------------------------------------------------------------
 
 
-def _exact(v):
-    """An int stays an int; other numbers become exact, integral ones ints."""
-    if type(v) is int:
-        return v
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
-
 class TensorVector:
-    """Sparse exact-rational vector over a labeled space."""
+    """Sparse integer vector over a labeled space."""
 
     __slots__ = ("space", "coords")
 
     def __init__(self, space, coords=()):
-        coords = {k: _exact(v) for k, v in dict(coords).items() if v}
-        if not space.label_set.issuperset(coords):
-            stray = sorted(map(repr, coords.keys() - space.label_set))
+        nonzero = {}
+        for label, v in dict(coords).items():
+            if type(v) is not int:
+                raise ValueError(f"coefficient of {label!r} is not an int: {v!r}")
+            if v:
+                nonzero[label] = v
+        if not space.label_set.issuperset(nonzero):
+            stray = sorted(map(repr, nonzero.keys() - space.label_set))
             raise ValueError(f"labels not in {space.descriptor}: {', '.join(stray)}")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", nonzero)
 
     @classmethod
     def _trusted(cls, space, coords):
-        """Trusted constructor: coords must already be exact (ints, or
-        non-integral Fractions), nonzero and on labels of space; it is
-        stored as it is, not copied."""
+        """Trusted constructor: coords must already be nonzero ints on
+        labels of space; it is stored as it is, not copied."""
         vec = object.__new__(cls)
         object.__setattr__(vec, "space", space)
         object.__setattr__(vec, "coords", coords)
@@ -190,7 +185,9 @@ class TensorVector:
         return self + other.scale(-1)
 
     def scale(self, c):
-        return TensorVector(self.space, lie.tensor_scale(self.coords, _exact(c)))
+        if type(c) is not int:
+            raise ValueError(f"scalar is not an int: {c!r}")
+        return TensorVector._trusted(self.space, lie.tensor_scale(self.coords, c))
 
     def _check(self, other):
         if self.space != other.space:
@@ -238,14 +235,9 @@ class LinearOperator:
                 f"operator {self.name or '?'} expects {self.space_in.descriptor}, "
                 f"got {vec.space.descriptor}"
             )
-        # the images are checked vectors of space_out; only Fraction
-        # arithmetic can leave a term outside the exact form (an integral
-        # Fraction), so only then is the sum converted
         out = {}
         for label, c in vec.coords.items():
             lie.tensor_add_into(out, self.image_of(label).coords, c)
-        if not all(type(c) is int for c in out.values()):
-            out = {k: _exact(c) for k, c in out.items()}
         return TensorVector._trusted(self.space_out, out)
 
     __call__ = apply
@@ -279,17 +271,6 @@ def _moving_pair(space, moves_fwd, moves_bwd, name):
 # ---------------------------------------------------------------------------
 # spans, kernels, saturation
 # ---------------------------------------------------------------------------
-
-
-def _int_row(coords):
-    """A new dict from exact nonzero coords: denominators cleared and
-    content stripped; the caller fixes the sign."""
-    if all(type(v) is int for v in coords.values()):
-        row = dict(coords)
-    else:
-        den = lcm(*(v.denominator for v in coords.values()))
-        row = {k: int(v * den) for k, v in coords.items()}
-    return _divide_content(row)
 
 
 def _divide_content(row, sign=1):
@@ -330,7 +311,7 @@ class SubspaceBasis:
             raise ValueError(
                 f"space mismatch: basis of {self.space.descriptor}, vector of {got}"
             )
-        v = _int_row(vec.coords)
+        v = _divide_content(dict(vec.coords))
         for p in v.keys() & self.rows.keys():
             _eliminate(v, self.rows[p], p)
         return v
@@ -379,16 +360,6 @@ def span_basis(vectors):
     for v in vectors:
         basis.insert(v)
     return basis
-
-
-def subspace_equal(a, b):
-    if a.space != b.space:
-        raise ValueError("space mismatch")
-    if a.dim != b.dim:
-        return False
-    return all(
-        b.contains(TensorVector._trusted(a.space, row)) for row in a.rows.values()
-    )
 
 
 def kernel_basis(op):
@@ -603,9 +574,7 @@ def _act_on_lyndon_word(base, w):
     out = {}
     for mono, c in lie.lyndon_word_tensor(w).items():
         lie.tensor_add_into(out, _product_expand(base, mono), c)
-    if not out:
-        return {}
-    return lie._coords_from_lie_tensor(out)
+    return lie.lie_from_tensor_coords(out)
 
 
 def induced_on(base, space):
@@ -907,10 +876,11 @@ def kernel_claim_check(n, k, full_closure=True):
     inside the dual-Lie space.
 
     Seeds are the unit vectors e_i^* (x) (Lyndon bracketing avoiding i).
-    When full_closure is false the saturation stops as soon as the kernel
-    dimension is reached; equality is then certified by the verified
-    containment (every orbit basis vector is checked to lie in the kernel)
-    plus the dimension count, which is exact.
+    Every orbit basis row is checked to lie in the kernel, and a subspace
+    of the kernel with the kernel's dimension is the kernel, so equality
+    is containment plus the dimension count, with or without full
+    closure.  When full_closure is false the saturation stops as soon as
+    the kernel dimension is reached.
     """
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n - 2")
@@ -930,11 +900,8 @@ def kernel_claim_check(n, k, full_closure=True):
     )
     orbit = result.basis
     inside = all(
-        not phi.apply(TensorVector(space, row)) for row in orbit.rows.values()
+        not phi.apply(TensorVector._trusted(space, row)) for row in orbit.rows.values()
     )
-    equal = inside and orbit.dim == kernel.dim
-    if full_closure:
-        equal = equal and subspace_equal(orbit, kernel)
     return KernelClaimReport(
         n=n,
         k=k,
@@ -945,5 +912,5 @@ def kernel_claim_check(n, k, full_closure=True):
         kernel_dimension=kernel.dim,
         orbit_inside_kernel=inside,
         saturation_closed=result.closed,
-        equal=equal,
+        equal=inside and orbit.dim == kernel.dim,
     )

@@ -4,10 +4,10 @@ Words over the alphabet 1..n are tuples of ints, ordered by 1 < 2 < ... < n
 and compared lexicographically.  A Lyndon word is strictly smaller than all
 of its proper rotations; the standard bracketings of Lyndon words of length
 m form a basis of the degree-m component.  Tensors of homogeneous degree m
-are plain dicts mapping length-m words to exact coefficients (ints for
-integral input, Fractions only when a caller supplies them), which keeps
-this module free of dependencies; the structured TensorVector wrapper lives
-in the linear algebra layer.
+are plain dicts mapping length-m words to exact coefficients of any one
+numeric type (the package passes ints), which keeps this module free of
+dependencies; the structured TensorVector wrapper lives in the linear
+algebra layer.
 
 A Lie element is held in Lyndon coordinates, a plain dict mapping Lyndon
 words to their coefficients; these are the labels MkSpace vectors carry,
@@ -17,7 +17,8 @@ so there is no separate bracket type.  Brackets are taken on tensors
 Conversion from a Lie tensor back to Lyndon coordinates eliminates leading
 terms in lexicographic order: the expansion of the standard bracketing of a
 Lyndon word w is w plus lexicographically larger rearrangements, so the
-elimination is an exact triangular solve.
+elimination is an exact triangular solve, and it is also the Lie test: the
+least word of a nonzero Lie element is Lyndon.
 """
 
 from __future__ import annotations
@@ -151,12 +152,20 @@ def dynkin_defect(t):
 class NotLieTensorError(ValueError):
     def __init__(self, defect):
         self.defect = defect
-        super().__init__("tensor fails the Dynkin criterion (defect attached)")
+        super().__init__("tensor is not a Lie element (Dynkin defect attached)")
 
 
-def _coords_from_lie_tensor(t):
-    """Triangular elimination of Lyndon leading terms; assumes t is Lie
-    and ignores zero entries."""
+def lie_from_tensor_coords(t):
+    """Lyndon coordinates of a homogeneous Lie tensor dict; the zero tensor
+    gives {} and zero entries are ignored.
+
+    Each step subtracts c P_w for the least word w of the rest, P_w the
+    standard bracketing of w: P_w is w plus larger words, so the least
+    word rises at every step and the loop ends.  A Lie element is a sum
+    of such P_w, so its least word is Lyndon; the loop raises
+    NotLieTensorError, with the Dynkin defect attached, exactly when t is
+    not a Lie element.
+    """
     rest = {w: c for w, c in t.items() if c}
     coords = {}
     while rest:
@@ -175,14 +184,4 @@ def left_normed_of_generators(indices):
     indices = tuple(indices)
     if not indices:
         raise ValueError("need at least one index")
-    return _coords_from_lie_tensor(dynkin_map({indices: 1}))
-
-
-def lie_from_tensor_coords(t):
-    """Lyndon coordinates of a homogeneous Lie tensor dict; the zero tensor
-    gives {}.  Raises NotLieTensorError, with the Dynkin defect attached,
-    when t is not a Lie element."""
-    defect = dynkin_defect(t)
-    if defect:
-        raise NotLieTensorError(defect)
-    return _coords_from_lie_tensor(t)
+    return lie_from_tensor_coords(dynkin_map({indices: 1}))

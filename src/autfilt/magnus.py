@@ -243,9 +243,10 @@ def johnson_image(phi, k):
     depth >= k automorphisms.
 
     Requires every deviation series to vanish in degrees 1..k; violations
-    raise DepthError with the offending index and degree.  Each L_i is
-    checked against the Dynkin criterion, which the theory guarantees for
-    genuine depth >= k automorphisms.
+    raise DepthError with the offending index and degree.  The conversion
+    of each L_i is itself the Lie test (lie.NotLieTensorError otherwise),
+    which the theory guarantees to pass for genuine depth >= k
+    automorphisms.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -188,7 +188,7 @@ def test_c10_property_suites():
             for _ in range(3)
         )
         uv, vw, wu = br(u, v), br(v, w), br(w, u)
-        # every bracket is a Lie tensor (Dynkin-checked conversion)
+        # every bracket is a Lie tensor (the conversion is the Lie test)
         for t in (uv, vw, wu, br(u, vw), br(v, wu), br(w, uv)):
             lie.lie_from_tensor_coords(t)
         if lie.tensor_add(uv, br(v, u)):

@@ -178,6 +178,17 @@ def test_depth_rejects_a_cutoff_over_the_bound(tmp_path):
     assert cli.main(["depth", str(f), "--cutoff", str(cli.MAX_CUTOFF)]) == 0
 
 
+def test_depth_rejects_an_expansion_over_the_cost_bound(tmp_path):
+    # 94 letters over 6 indices: 94 * 6^10 is about 5.7e9, minutes to expand
+    f = tmp_path / "auto.txt"
+    f.write_text(autf.format_automorphism(autf.make_T(1, (2, 3, 4, 5, 6, 7), 7)) + "\n")
+    with pytest.raises(ValueError, match="94 letters over 6 indices.*MAX_EXPANSION_COST"):
+        cli.main(["depth", str(f), "--cutoff", "10"])
+    # 22 letters over 4 indices: 22 * 4^10 is under the bound; its
+    # expansion takes over a second, so only the check runs here
+    cli._check_expansion_cost(autf.make_T(1, (2, 3, 4, 5), 5), 10)
+
+
 @pytest.mark.parametrize("missing", ["n", "m", "kind", "args"])
 def test_cert_assemble_rejects_missing_key(tmp_path, missing):
     spec = {"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}]}

@@ -5,6 +5,8 @@ mentions it outside its own definition: as a name, as an attribute, or as
 a string constant equal to the name (perfbench's tracer wraps functions by
 their string names).  Assignments to __all__ do not count.  Code that only
 tests call belongs in tests/helpers.py, not in the package.
+
+Every module-level import of a package module is used in that module.
 """
 
 import ast
@@ -55,3 +57,30 @@ def test_every_module_level_definition_has_a_caller():
         and not any(stmt.name in names for _, other, names in statements if other is not stmt)
     ]
     assert not unused, f"defined but never used outside tests: {unused}"
+
+
+def _bound_names(stmt):
+    """The names a module-level import binds; __future__ imports bind none."""
+    if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return []
+    if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+        return []
+    return [(alias.asname or alias.name).split(".")[0] for alias in stmt.names]
+
+
+def test_every_module_level_import_is_used_in_its_module():
+    unused = []
+    # __init__ imports the submodules to export them
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        body = ast.parse(path.read_text()).body
+        for stmt in body:
+            names = _bound_names(stmt)
+            if names:
+                used = set()
+                for other in body:
+                    if other is not stmt:
+                        _mentions(other, used)
+                unused += [f"{path.stem}: {name}" for name in names if name not in used]
+    assert not unused, f"imported but never used: {unused}"

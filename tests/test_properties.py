@@ -224,19 +224,35 @@ def test_johnson_images_are_lie(seed):
         assert not lie.dynkin_defect(lyndon_tensor(v))
 
 
-@given(
-    st.sampled_from(REDUCED_BASIS_SPACES),
-    st.booleans(),
-    st.integers(0, 10_000),
-)
+@st.composite
+def homogeneous_tensors(draw):
+    """A homogeneous int tensor: a Lie element from Lyndon coordinates
+    plus up to three random words, which may or may not leave it Lie."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    words = lie.lyndon_words(n, m)
+    t = lyndon_tensor({w: draw(coeffs) for w in draw(st.lists(st.sampled_from(words)))})
+    monomials = st.tuples(*[st.integers(1, n)] * m)
+    for mono in draw(st.lists(monomials, max_size=3)):
+        lie.tensor_add_into(t, {mono: draw(st.integers(-2, 2))}, 1)
+    return t
+
+
+@given(homogeneous_tensors())
+@settings(max_examples=200, deadline=None)
+def test_lie_conversion_raises_exactly_off_the_dynkin_kernel(t):
+    defect = lie.dynkin_defect(t)
+    try:
+        coords = lie.lie_from_tensor_coords(t)
+    except lie.NotLieTensorError as exc:
+        assert defect and exc.defect == defect
+    else:
+        assert not defect and lyndon_tensor(coords) == t
+
+
+@given(st.sampled_from(REDUCED_BASIS_SPACES), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
-def test_reduced_basis_matches_min_pivot_oracle(space, rational, seed):
-    check_against_min_pivot_oracle(space, random.Random(seed), rational)
-
-
-coefficients = st.one_of(
-    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
-)
+def test_reduced_basis_matches_min_pivot_oracle(space, seed):
+    check_against_min_pivot_oracle(space, random.Random(seed))
 
 
 @st.composite
@@ -248,12 +264,12 @@ def insert_sequences(draw):
     for _ in range(draw(st.integers(1, 20))):
         if len(vectors) >= 2 and draw(st.booleans()):
             a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
-            vectors.append(lie.tensor_add(lie.tensor_scale(a, draw(coefficients)), b))
+            vectors.append(lie.tensor_add(lie.tensor_scale(a, draw(coeffs)), b))
         else:
             support = draw(
                 st.lists(st.sampled_from(labels), min_size=1, max_size=5, unique=True)
             )
-            vectors.append({label: draw(coefficients) for label in support})
+            vectors.append({label: draw(coeffs) for label in support})
     return space, vectors
 
 
