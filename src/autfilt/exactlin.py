@@ -58,8 +58,13 @@ _FAMILIES = {
 
 
 @functools.cache
+def _labels(family, params):
+    return tuple(_FAMILIES[family][1](*params))
+
+
+@functools.cache
 def _label_set(family, params):
-    return frozenset(_FAMILIES[family][1](*params))
+    return frozenset(_labels(family, params))
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,9 @@ class Space:
         return _FAMILIES[self.family][0].format(*self.params)
 
     def labels(self):
-        """The basis labels in space order, which is sorted order."""
-        return _FAMILIES[self.family][1](*self.params)
+        """The basis labels in space order, which is sorted order, as one
+        tuple shared by equal spaces."""
+        return _labels(self.family, self.params)
 
     @functools.cached_property
     def label_set(self):
@@ -522,8 +528,7 @@ def elementary_sl(i, j, n):
     """
     if i == j:
         raise ValueError("need i != j")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("index out of range")
+    autf._check_indices(n, i, j)
     return _moving_pair(VSpace(n), {j: {j: 1, i: 1}}, {j: {j: 1, i: -1}}, f"E({i},{j})")
 
 
@@ -644,16 +649,16 @@ def sp_generator(kind, i, j=None, g=None):
     tau_ij (b_i -> b_i + a_j, b_j -> b_j + a_i); all other basis vectors fixed."""
     if g is None:
         raise ValueError("genus g is required")
-    if not 1 <= i <= g:
-        raise ValueError("index out of range")
+    autf._check_indices(g, i)
     a_i, b_i = 2 * i - 1, 2 * i
     if kind == "sigma":
         moves_fwd = {a_i: {b_i: 1}, b_i: {a_i: -1}}
         moves_bwd = {b_i: {a_i: 1}, a_i: {b_i: -1}}
         name = f"sigma({i})"
     elif kind == "tau":
-        if j is None or j == i or not 1 <= j <= g:
+        if j is None or j == i:
             raise ValueError("tau needs a second index distinct from the first")
+        autf._check_indices(g, j)
         a_j, b_j = 2 * j - 1, 2 * j
         moves_fwd = {b_i: {b_i: 1, a_j: 1}, b_j: {b_j: 1, a_i: 1}}
         moves_bwd = {b_i: {b_i: 1, a_j: -1}, b_j: {b_j: 1, a_i: -1}}
@@ -876,11 +881,13 @@ def kernel_claim_check(n, k, full_closure=True):
     inside the dual-Lie space.
 
     Seeds are the unit vectors e_i^* (x) (Lyndon bracketing avoiding i).
-    Every orbit basis row is checked to lie in the kernel, and a subspace
-    of the kernel with the kernel's dimension is the kernel, so equality
-    is containment plus the dimension count, with or without full
-    closure.  When full_closure is false the saturation stops as soon as
-    the kernel dimension is reached.
+    The kernel dimension is the ambient dimension minus the rank of the
+    contraction, the span of its images in TensorSpace(n, k), so no
+    kernel basis is built.  Every orbit basis row is checked to lie in the
+    kernel, and a subspace of the kernel with the kernel's dimension is
+    the kernel, so equality is containment plus the dimension count, with
+    or without full closure.  When full_closure is false the saturation
+    stops as soon as the kernel dimension is reached.
     """
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n - 2")
@@ -892,11 +899,11 @@ def kernel_claim_check(n, k, full_closure=True):
         if d not in w
     ]
     seeds_ok = all(not phi.apply(s) for s in seeds)
-    kernel = kernel_basis(phi)
+    kernel_dim = space.dimension - span_basis(map(phi.image_of, space.labels())).dim
     result = orbit_saturate(
         [induced_on(g, space) for g in sl_generators(n)],
         seeds,
-        stop_at_dim=None if full_closure else kernel.dim,
+        stop_at_dim=None if full_closure else kernel_dim,
     )
     orbit = result.basis
     inside = all(
@@ -909,8 +916,8 @@ def kernel_claim_check(n, k, full_closure=True):
         seed_count=len(seeds),
         seeds_in_kernel=seeds_ok,
         orbit_dimension=orbit.dim,
-        kernel_dimension=kernel.dim,
+        kernel_dimension=kernel_dim,
         orbit_inside_kernel=inside,
         saturation_closed=result.closed,
-        equal=inside and orbit.dim == kernel.dim,
+        equal=inside and orbit.dim == kernel_dim,
     )

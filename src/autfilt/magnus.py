@@ -13,12 +13,14 @@ L_{k+1}, which is exactlin.MkSpace(n, k); johnson_image returns a
 TensorVector of that space, the one representation the linear algebra,
 the suites and the reports use.
 
-magnus_expand multiplies letter by letter on packed blocks: one exact int
+The expansion multiplies letter by letter on packed blocks: one exact int
 per degree d holding the a^d coefficients of the monomials in the word's
 own a letters (not rank^d) as fixed-width signed fields, so a letter is
 one shift-add per degree; the field width comes from a proven bound on
-the coefficients of a word of that length.  TruncatedSeries
-multiplication is sparse.
+the coefficients of a word of that length.  A degree vanishes exactly
+when its block is 0, so johnson_depth decodes nothing and johnson_image
+decodes only degree k+1; magnus_expand decodes every degree.
+TruncatedSeries multiplication is sparse.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from . import lie
@@ -43,43 +45,19 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class TruncatedSeries:
-    """Element of the free associative algebra on X_1..X_n modulo degree > K."""
+    """Element of the free associative algebra on X_1..X_n modulo degree > K:
+    coeffs maps monomials (index tuples of length at most cutoff) to their
+    nonzero coefficients."""
 
-    __slots__ = ("rank", "cutoff", "coeffs")
-
-    def __init__(self, rank, cutoff, coeffs=()):
-        if cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
-        coeffs = dict(coeffs)
-        for mono, c in list(coeffs.items()):
-            if len(mono) > cutoff:
-                raise ValueError("stored monomial exceeds the cutoff")
-            if not c:
-                del coeffs[mono]
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def homogeneous_part(self, d):
-        return {k: v for k, v in self.coeffs.items() if len(k) == d}
-
-    def lowest_positive_degree(self):
-        degrees = [len(k) for k in self.coeffs if k]
-        return min(degrees) if degrees else None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and (self.rank, self.cutoff) == (other.rank, other.cutoff)
-            and self.coeffs == other.coeffs
-        )
+    rank: int
+    cutoff: int
+    coeffs: dict = field(repr=False)
 
     def __mul__(self, other):
-        self._check(other)
+        if (self.rank, self.cutoff) != (other.rank, other.cutoff):
+            raise ValueError("rank or cutoff mismatch")
         K = self.cutoff
         out = {}
         for ka, va in self.coeffs.items():
@@ -95,14 +73,6 @@ class TruncatedSeries:
                     out.pop(k, None)
         return TruncatedSeries(self.rank, self.cutoff, out)
 
-    def _check(self, other):
-        if (self.rank, self.cutoff) != (other.rank, other.cutoff):
-            raise ValueError("rank or cutoff mismatch")
-
-    def __repr__(self):
-        n_terms = len(self.coeffs)
-        return f"TruncatedSeries(rank={self.rank}, cutoff={self.cutoff}, {n_terms} terms)"
-
 
 @functools.cache
 def _monomials(alphabet, d):
@@ -112,23 +82,26 @@ def _monomials(alphabet, d):
     return tuple(m[::-1] for m in itertools.product(alphabet, repeat=d))
 
 
-def magnus_expand(w, cutoff):
-    """Image of the word w under the truncated Magnus embedding.
+def _packed(w, cutoff):
+    """The expansion of the word w as (alphabet, nbytes, blocks).
 
-    Holds one int per degree d: the a^d coefficients of the degree-d
-    monomials in the a letters of w (positions p = 0..a-1 in sorted
-    order) as signed fields of B bits, field j being the base-a reading of
-    the monomial with its first letter least significant.  The monomials
-    m X_p of degree d+1 are then the fields [p a^d, (p+1) a^d), aligned
-    with the whole degree-d block, so each letter costs one shift-add per
-    degree.  The packed ints are exact; only the decode at the end, which
-    adds 2^(B-1) to every field and reads the fields back as unsigned
-    B-bit numbers, relies on the width.  Each letter's series has at most
-    one monomial, of coefficient +-1, per degree, so a degree-d
-    coefficient of an L-letter word is a sum over the weak compositions
-    of d into L parts: |c| <= C(L+d-1, d) <= C(L+K-1, K), attained by
-    x_i^-L.  B is that bound's bit length plus a sign bit and a spare
-    bit, rounded up to whole bytes.
+    blocks[d] is one int holding the a^d coefficients of the degree-d
+    monomials in the a letters of w (the alphabet, positions p = 0..a-1 in
+    sorted order) as signed fields of B = 8 nbytes bits, field j being the
+    base-a reading of the monomial with its first letter least
+    significant.  The monomials m X_p of degree d+1 are then the fields
+    [p a^d, (p+1) a^d), aligned with the whole degree-d block, so each
+    letter costs one shift-add per degree.  The packed ints are exact.
+    Each letter's series has at most one monomial, of coefficient +-1, per
+    degree, so a degree-d coefficient of an L-letter word is a sum over
+    the weak compositions of d into L parts: |c| <= C(L+d-1, d) <=
+    C(L+K-1, K), attained by x_i^-L.  B is that bound's bit length plus a
+    sign bit and a spare bit, rounded up to whole bytes.
+
+    A block is 0 exactly when every field of its degree is 0: a block is
+    sum_j c_j 2^(Bj) with |c_j| < 2^(B-2), and if some c_j is nonzero,
+    the least such j gives block = c_j 2^(Bj) modulo 2^(B(j+1)), which is
+    not 0.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -152,26 +125,40 @@ def magnus_expand(w, cutoff):
             # c' (1 + X_p) = c: c'(m X_p) = c(m X_p) - c'(m), lowest degree first
             for d in range(cutoff):
                 blocks[d + 1] -= blocks[d] << shift[d]
-    # biased by 2^(B-1), every field is a nonnegative B-bit number; spread
-    # into slots of whole 64-bit limbs, struct reads them in one call
-    half = 1 << (width - 1)
-    field_bias = half.to_bytes(nbytes, "little")
+    return alphabet, nbytes, blocks
+
+
+def _decode(alphabet, nbytes, block, d):
+    """The nonzero coefficients {monomial: c} of the packed degree-d block.
+
+    Biased by 2^(B-1), every field is a nonnegative B-bit number, which
+    is where the width matters; the fields are spread into slots of whole
+    64-bit limbs, and struct reads them in one call.
+    """
+    count = len(alphabet) ** d
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
+    raw = (block + bias).to_bytes(nbytes * count, "little")
     limbs = (nbytes + 7) // 8
+    slots = bytearray(8 * limbs * count)
+    for i in range(nbytes):
+        slots[i::8 * limbs] = raw[i::nbytes]
+    limb_values = struct.unpack(f"<{limbs * count}Q", slots)
+    values = limb_values[::limbs]
+    for t in range(1, limbs):
+        values = [v | u << 64 * t for v, u in zip(values, limb_values[t::limbs])]
+    return {
+        m: v - half for m, v in zip(_monomials(alphabet, d), values) if v != half
+    }
+
+
+def magnus_expand(w, cutoff):
+    """Image of the word w under the truncated Magnus embedding: the packed
+    expansion, every degree decoded."""
+    alphabet, nbytes, blocks = _packed(w, cutoff)
     coeffs = {}
     for d, block in enumerate(blocks):
-        count = a**d
-        raw = (block + int.from_bytes(field_bias * count, "little")).to_bytes(
-            nbytes * count, "little"
-        )
-        slots = bytearray(8 * limbs * count)
-        for i in range(nbytes):
-            slots[i::8 * limbs] = raw[i::nbytes]
-        limb_values = struct.unpack(f"<{limbs * count}Q", slots)
-        values = limb_values[::limbs]
-        for t in range(1, limbs):
-            values = [v | u << 64 * t for v, u in zip(values, limb_values[t::limbs])]
-        monomials = _monomials(alphabet, d)
-        coeffs.update((m, v - half) for m, v in zip(monomials, values) if v != half)
+        coeffs.update(_decode(alphabet, nbytes, block, d))
     return TruncatedSeries(w.rank, cutoff, coeffs)
 
 
@@ -203,12 +190,12 @@ class DepthError(ValueError):
 
 
 def _deviation_series(phi, i, cutoff):
-    """Expansion of x_i^-1 phi(x_i), or None if x_i is fixed."""
+    """Packed expansion (alphabet, nbytes, blocks) of x_i^-1 phi(x_i), or
+    None if x_i is fixed."""
     img = phi.images[i - 1]
     if img.letters == ((i, 1),):
         return None
-    w = FreeWord._reduced(phi.rank, (((i, -1),), img.letters))
-    return magnus_expand(w, cutoff)
+    return _packed(FreeWord._reduced(phi.rank, (((i, -1),), img.letters)), cutoff)
 
 
 def johnson_depth(phi, cutoff):
@@ -216,21 +203,18 @@ def johnson_depth(phi, cutoff):
 
     Returns DepthReport(cutoff, None) when every tested degree vanishes,
     which is reported as ">=cutoff".  Depth 0 means phi moves the
-    abelianization, i.e. phi is not IA.
+    abelianization, i.e. phi is not IA.  A degree vanishes exactly when
+    its packed block is 0 (see _packed), so nothing is decoded.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    lowest = None
+    lowest = cutoff + 1
     for i in range(1, phi.rank + 1):
-        s = _deviation_series(phi, i, cutoff)
-        if s is None:
-            continue
-        d = s.lowest_positive_degree()
-        if d is not None and (lowest is None or d < lowest):
-            lowest = d
-    if lowest is None:
-        return DepthReport(cutoff, None)
-    return DepthReport(cutoff, lowest - 1)
+        packed = _deviation_series(phi, i, cutoff)
+        if packed is not None:
+            blocks = packed[2]
+            lowest = next((d for d in range(1, lowest) if blocks[d]), lowest)
+    return DepthReport(cutoff, lowest - 1 if lowest <= cutoff else None)
 
 
 def johnson_image(phi, k):
@@ -242,24 +226,26 @@ def johnson_image(phi, k):
     the Lyndon word w in L_i.  The map is additive on products of
     depth >= k automorphisms.
 
-    Requires every deviation series to vanish in degrees 1..k; violations
-    raise DepthError with the offending index and degree.  The conversion
-    of each L_i is itself the Lie test (lie.NotLieTensorError otherwise),
-    which the theory guarantees to pass for genuine depth >= k
-    automorphisms.
+    Requires every deviation series to vanish in degrees 1..k, that is
+    every packed block below k+1 to be 0 (see _packed); violations raise
+    DepthError with the offending index and degree.  Only block k+1 is
+    decoded.  The conversion of each L_i is itself the Lie test
+    (lie.NotLieTensorError otherwise), which the theory guarantees to pass
+    for genuine depth >= k automorphisms.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     cutoff = k + 1
     coords = {}
     for i in range(1, phi.rank + 1):
-        s = _deviation_series(phi, i, cutoff)
-        if s is None:
+        packed = _deviation_series(phi, i, cutoff)
+        if packed is None:
             continue
-        low = s.lowest_positive_degree()
-        if low is not None and low <= k:
+        alphabet, nbytes, blocks = packed
+        low = next((d for d in range(1, cutoff) if blocks[d]), None)
+        if low is not None:
             raise DepthError(i, low)
-        part = s.homogeneous_part(k + 1)
+        part = _decode(alphabet, nbytes, blocks[cutoff], cutoff)
         if part:
             value = lie.lie_from_tensor_coords(part)
             coords.update(((i, w), c) for w, c in value.items())

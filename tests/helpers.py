@@ -22,6 +22,13 @@ from autfilt.exactlin import (
 )
 
 
+def is_identity(x):
+    """True for the empty word and for the identity automorphism."""
+    if isinstance(x, autf.FreeWord):
+        return not x.letters
+    return x == autf.identity_automorphism(x.rank)
+
+
 def derivation_apply(D, tensor):
     """Extend D: {i: tensor dict} to a derivation and apply to a tensor."""
     out = {}
@@ -71,7 +78,7 @@ def generator_derivation(phi, n):
         from autfilt.autf import FreeWord
 
         dev = magnus_expand(FreeWord.generator(n, i).inverse() * img, 2)
-        part = dev.homogeneous_part(2)
+        part = {m: c for m, c in dev.coeffs.items() if len(m) == 2}
         if part:
             out[i] = part
     return out
@@ -168,6 +175,65 @@ def magnus_expand_dense(w, cutoff):
         monos = itertools.product(alphabet, repeat=d)
         coeffs.update((m, v) for m, v in zip(monos, c[start[d]:start[d + 1]]) if v)
     return magnus.TruncatedSeries(w.rank, cutoff, coeffs)
+
+
+def _deviation_expansion(phi, i, cutoff):
+    """magnus_expand of x_i^-1 phi(x_i), or None if x_i is fixed."""
+    img = phi.images[i - 1]
+    if img.letters == ((i, 1),):
+        return None
+    return magnus.magnus_expand(autf.FreeWord.generator(phi.rank, i).inverse() * img, cutoff)
+
+
+def _lowest_degree(series):
+    return min((len(m) for m in series.coeffs if m), default=None)
+
+
+def johnson_depth_by_expansion(phi, cutoff):
+    """magnus.johnson_depth with every degree decoded: the oracle for the
+    route that reads the packed blocks."""
+    lows = []
+    for i in range(1, phi.rank + 1):
+        s = _deviation_expansion(phi, i, cutoff)
+        if s is not None and _lowest_degree(s) is not None:
+            lows.append(_lowest_degree(s))
+    return magnus.DepthReport(cutoff, min(lows) - 1 if lows else None)
+
+
+def johnson_image_by_expansion(phi, k):
+    """magnus.johnson_image with every degree decoded: the oracle for the
+    route that reads the packed blocks."""
+    coords = {}
+    for i in range(1, phi.rank + 1):
+        s = _deviation_expansion(phi, i, k + 1)
+        if s is None:
+            continue
+        low = _lowest_degree(s)
+        if low is not None and low <= k:
+            raise magnus.DepthError(i, low)
+        part = {m: c for m, c in s.coeffs.items() if len(m) == k + 1}
+        if part:
+            coords.update(((i, w), c) for w, c in lie.lie_from_tensor_coords(part).items())
+    return TensorVector(MkSpace(phi.rank, k), coords)
+
+
+def image_or_depth_error(image, phi, k):
+    """image(phi, k), or ("DepthError", index, degree) if it raises one."""
+    try:
+        return image(phi, k)
+    except magnus.DepthError as e:
+        return ("DepthError", e.index, e.degree)
+
+
+def check_blocks_match_expansion(phi):
+    """Depth and images from the packed blocks against the routes that
+    decode every degree of magnus_expand."""
+    for cutoff in range(2, 6):
+        assert magnus.johnson_depth(phi, cutoff) == johnson_depth_by_expansion(phi, cutoff)
+    for k in range(1, 5):
+        assert image_or_depth_error(magnus.johnson_image, phi, k) == image_or_depth_error(
+            johnson_image_by_expansion, phi, k
+        ), k
 
 
 def _primitive_row(coords):
@@ -415,7 +481,7 @@ def commutes_by_conjugating_both(h1, h2):
     its verdicts per (rank, I, J, relative conjugator)."""
     gens2 = parabolic_generators(h2)
     return all(
-        autf.group_commutator(g1, g2).is_identity
+        is_identity(autf.group_commutator(g1, g2))
         for g1 in parabolic_generators(h1)
         for g2 in gens2
     )
@@ -490,6 +556,54 @@ def random_automorphism(rng, n, length=4):
     for _ in range(length):
         acc = acc.compose(random_generator(rng, n))
     return acc
+
+
+def random_deep_word(rng, n, avoid, nesting):
+    """A random word free of x_avoid, inside the (nesting+1)-st lower
+    central term, built so that its low Magnus degrees cancel.  Nesting 0
+    is a short word; nesting 1 a commutator of short words, [x_a^L, x_b^L]
+    or the conjugate x_a^L c x_a^-L of such a commutator c; more nesting
+    brackets a word of one less with a short word."""
+    letters = [a for a in range(1, n + 1) if a != avoid]
+
+    def short():
+        length = rng.randrange(1, 4)
+        return autf.FreeWord(
+            n, [(rng.choice(letters), rng.choice((1, -1))) for _ in range(length)]
+        )
+
+    if nesting == 0:
+        return short()
+    if nesting > 1:
+        return autf.word_commutator(random_deep_word(rng, n, avoid, nesting - 1), short())
+    kind = rng.choice(("commutator", "powers", "conjugate"))
+    if kind == "commutator":
+        return autf.word_commutator(short(), short())
+    a, b = rng.choice(letters), rng.choice(letters)
+    power = autf.FreeWord(n, [(a, 1)] * rng.randrange(1, 6))
+    if kind == "powers":
+        return autf.word_commutator(power, autf.FreeWord(n, [(b, 1)] * len(power)))
+    return power * autf.word_commutator(short(), short()) * power.inverse()
+
+
+def random_deep_automorphism(rng, n, max_letters=300):
+    """A product of one to three moves x_i -> u x_i v with u and v from
+    random_deep_word at one nesting of 0 to 3, sometimes with a degree-1
+    generator factor; drawn again until no image has over max_letters
+    letters (composed moves substitute into each other and can grow to
+    10^5 letters)."""
+    while True:
+        nesting = rng.randrange(4)
+        acc = autf.identity_automorphism(n)
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.1:
+                acc = acc.compose(random_generator(rng, n))
+                continue
+            i = rng.randrange(1, n + 1)
+            u, v = (random_deep_word(rng, n, i, nesting) for _ in range(2))
+            acc = acc.compose(autf._single_move(n, i, u.letters, v.letters, check=True))
+        if all(len(w) <= max_letters for w in acc.images):
+            return acc
 
 
 def brute_lyndon_count(n, m):

@@ -5,11 +5,11 @@ import pytest
 from autfilt import autf
 from autfilt.autf import word
 
-from helpers import make_signed_permutation
+from helpers import is_identity, make_signed_permutation
 
 
 def test_reduce_cancelling_pair():
-    assert word(3, 1, -1).is_identity
+    assert is_identity(word(3, 1, -1))
 
 
 def test_reduce_inner_cancellation():
@@ -28,20 +28,20 @@ def test_word_index_out_of_range():
 
 def test_word_inverse_and_product():
     w = word(3, 1, -2, 3)
-    assert (w * w.inverse()).is_identity
+    assert is_identity(w * w.inverse())
     assert w.inverse().letters == ((3, -1), (2, 1), (1, -1))
 
 
 def test_compose_with_inverse_is_identity():
     phi = autf.make_nielsen("L", 1, 2, 1, 4).compose(autf.make_magnus_C(3, 4, 4))
-    assert phi.compose(phi.inverse()).is_identity
-    assert phi.inverse().compose(phi).is_identity
+    assert is_identity(phi.compose(phi.inverse()))
+    assert is_identity(phi.inverse().compose(phi))
 
 
 def test_disjoint_nielsen_commute():
     L12 = autf.make_nielsen("L", 1, 2, 1, 4)
     L34 = autf.make_nielsen("L", 3, 4, 1, 4)
-    assert autf.group_commutator(L12, L34).is_identity
+    assert is_identity(autf.group_commutator(L12, L34))
 
 
 def test_apply_conjugation_generator():
@@ -326,6 +326,32 @@ def test_parser_rejects_a_rank_over_the_bound(side):
         autf.parse_automorphism(text, inverse_text=inverse)
     at_bound = autf.parse_automorphism(f"rank={autf.MAX_RANK}; x1 -> x2 x1")
     assert at_bound.rank == autf.MAX_RANK
+
+
+def _letters_text(letters):
+    """x1 -> x1 x2 ... x2 on two generators, with the given letter count."""
+    return "rank=2; x1 -> x1" + " x2" * (letters - 1)
+
+
+@pytest.mark.parametrize("side", ["text", "inverse"])
+def test_parser_rejects_more_letters_than_the_bound(side):
+    # counted over all images together, before any token is read
+    over = _letters_text(autf.MAX_LETTERS + 1)
+    text, inverse = ("rank=2; x1 -> x2 x1", "rank=2; x1 -> x2^-1 x1")
+    if side == "text":
+        text = over
+    else:
+        inverse = over
+    with pytest.raises(ValueError, match=f"over the bound MAX_LETTERS = {autf.MAX_LETTERS}"):
+        autf.parse_automorphism(text, inverse_text=inverse)
+    split = "rank=2; x1 -> x1 x2; x2 -> x2" + " x1" * (autf.MAX_LETTERS - 2)
+    with pytest.raises(ValueError, match="MAX_LETTERS"):
+        autf.parse_automorphism(split, inverse_text=split)
+
+
+def test_parser_accepts_a_text_at_the_letter_bound():
+    phi = autf.parse_automorphism(_letters_text(autf.MAX_LETTERS))
+    assert len(phi.images[0].letters) == autf.MAX_LETTERS
 
 
 @pytest.mark.parametrize(

@@ -277,6 +277,14 @@ def test_from_json_rejects_an_element_rank_over_the_bound():
         bnscert.BnsCertificate.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("field", ["elements", "inverses"])
+def test_from_json_rejects_an_element_over_the_letter_bound(field):
+    data = _certificate_data()
+    data[field][0] += " x1" * autf.MAX_LETTERS
+    with pytest.raises(ValueError, match="over the bound MAX_LETTERS"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
 def test_from_json_rejects_null_inverse():
     # to_json writes one inverse text per element; null is only allowed for
     # the whole field, where it means "derive the inverses"

@@ -1,4 +1,6 @@
-"""Every module-level function and class of the package has a caller.
+"""Every module-level function and class of the package has a caller, and
+so does every public method or property of a package class (dunder and
+_-prefixed names are exempt).
 
 A name counts as used when a non-test file of src/, scripts/ or perfbench/
 mentions it outside its own definition: as a name, as an attribute, or as
@@ -41,14 +43,19 @@ def _mentions(node, out):
     return out
 
 
-def test_every_module_level_definition_has_a_caller():
-    # one name set per top-level statement, so a definition's own body
-    # (a recursive call, say) does not count as a use of it
-    statements = [
+def _statements():
+    """(path, statement, names it mentions) for each top-level statement of
+    the caller files: one name set per statement, so a definition's own
+    body (a recursive call, say) does not count as a use of it."""
+    return [
         (path, stmt, _mentions(stmt, set()))
         for path in _caller_files()
         for stmt in ast.parse(path.read_text()).body
     ]
+
+
+def test_every_module_level_definition_has_a_caller():
+    statements = _statements()
     unused = [
         f"{path.stem}.{stmt.name}"
         for path, stmt, _ in statements
@@ -57,6 +64,27 @@ def test_every_module_level_definition_has_a_caller():
         and not any(stmt.name in names for _, other, names in statements if other is not stmt)
     ]
     assert not unused, f"defined but never used outside tests: {unused}"
+
+
+def test_every_public_method_has_a_caller():
+    # a method counts as used when a statement other than its class, or
+    # another member of its class, mentions it
+    statements = _statements()
+    unused = []
+    for path, cls, _ in statements:
+        if path.parent != PACKAGE or not isinstance(cls, ast.ClassDef):
+            continue
+        outside = [names for _, other, names in statements if other is not cls]
+        members = [(item, _mentions(item, set())) for item in cls.body]
+        for item, _ in members:
+            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            inside = [names for other, names in members if other is not item]
+            if not item.name.startswith("_") and not any(
+                item.name in names for names in outside + inside
+            ):
+                unused.append(f"{path.stem}.{cls.name}.{item.name}")
+    assert not unused, f"public methods never used outside tests: {unused}"
 
 
 def _bound_names(stmt):

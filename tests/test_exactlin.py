@@ -57,8 +57,10 @@ def test_space_family_is_pinned(make, descriptor, dim, first, last):
     assert space.descriptor == descriptor
     assert space.dimension == len(labels) == dim
     assert (labels[0], labels[-1]) == (first, last)
-    assert labels == sorted(labels)
+    assert list(labels) == sorted(labels)
     assert len(set(labels)) == dim
+    # one tuple per space, built once
+    assert make().labels() is labels
 
 
 @pytest.mark.parametrize("make", [row[0] for row in SPACES], ids=SPACE_IDS)
@@ -540,6 +542,27 @@ def test_elementary_rejects_equal_indices():
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda: exactlin.elementary_sl(True, 2, 3),
+        lambda: exactlin.elementary_sl(1, 2.0, 3),
+        lambda: exactlin.elementary_sl(1, 4, 3),
+        lambda: exactlin.sp_generator("sigma", 1.0, g=2),
+        lambda: exactlin.sp_generator("sigma", True, g=2),
+        lambda: exactlin.sp_generator("tau", 1, 2.0, g=2),
+        lambda: exactlin.sp_generator("tau", 2, True, g=2),
+    ],
+    ids=["sl-bool", "sl-float", "sl-range", "sigma-float", "sigma-bool", "tau-float",
+         "tau-bool"],
+)
+def test_generator_indices_are_ints_in_range(make):
+    # elementary_sl(True, 2, 3) mapped e_2 to {2: 1, True: 1}, and
+    # sp_generator("sigma", 1.0, g=2) moved a_1 to the label 2.0
+    with pytest.raises(ValueError, match="is not an int in"):
+        make()
+
+
+@pytest.mark.parametrize(
     "base, space",
     [
         # E(4,5) on V(5) lifted to Mk(n=3) gave an operator fixing every label
@@ -617,6 +640,13 @@ def test_kernel_claim_small():
     assert rep.equal and rep.seeds_in_kernel and rep.saturation_closed
     assert rep.ambient_dimension == 80
     assert rep.kernel_dimension == 64
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3), (6, 3)])
+def test_kernel_claim_dimension_is_the_kernel_basis_dimension(n, k):
+    # the claim counts the kernel by rank-nullity; kernel_basis builds one
+    rep = exactlin.kernel_claim_check(n, k, full_closure=False)
+    assert rep.kernel_dimension == exactlin.kernel_basis(exactlin.phi_operator(n, k)).dim
 
 
 def test_kernel_claim_reaches_n6_k3():

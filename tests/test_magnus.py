@@ -8,13 +8,16 @@ from autfilt import autf, exactlin, lie, magnus
 from autfilt.autf import word
 
 from helpers import (
+    check_blocks_match_expansion,
     dual_components,
     has_depth_at_least,
+    image_or_depth_error,
     left_normed_derivation,
     lyndon_tensor,
     make_signed_permutation,
     magnus_expand_by_letters,
     magnus_expand_dense,
+    random_deep_automorphism,
     random_word,
 )
 
@@ -37,9 +40,8 @@ def test_expand_inverse_generator_geometric_series():
 def test_expand_commutator_lowest_degree():
     c = autf.word_commutator(word(2, 1), word(2, 2))
     s = magnus.magnus_expand(c, 3)
-    assert s.coeffs.get((), 0) == 1
-    assert s.homogeneous_part(1) == {}
-    assert s.homogeneous_part(2) == {(1, 2): 1, (2, 1): -1}
+    low = {m: c for m, c in s.coeffs.items() if len(m) <= 2}
+    assert low == {(): 1, (1, 2): 1, (2, 1): -1}
 
 
 def test_packed_expansion_matches_letter_oracle():
@@ -193,6 +195,42 @@ def test_depth_s_family_cutoff4():
 
 def test_depth_zero_for_non_ia():
     assert magnus.johnson_depth(autf.make_nielsen("L", 1, 2, 1, 3), 4).value == 0
+
+
+def test_depth_and_image_from_blocks_match_full_expansion():
+    # moves whose deviation words are commutators, [x_a^L, x_b^L] and
+    # conjugated commutators cancel in low degrees; the sample must reach
+    # every depth the cutoffs can tell apart, and both image outcomes
+    rng = random.Random(47)
+    depths, errors = set(), 0
+    for _ in range(60):
+        phi = random_deep_automorphism(rng, rng.choice((3, 4)))
+        check_blocks_match_expansion(phi)
+        depths.add(magnus.johnson_depth(phi, 5).value)
+        errors += isinstance(image_or_depth_error(magnus.johnson_image, phi, 2), tuple)
+    assert {0, 1, 2, 3} <= depths
+    assert 0 < errors < 60
+
+
+def test_depth_and_image_decode_only_the_image_degree(monkeypatch):
+    # depth decodes nothing; the image decodes degree k+1 once per moved
+    # generator
+    decoded = []
+    decode = magnus._decode
+    monkeypatch.setattr(
+        magnus, "_decode", lambda *args: decoded.append(args[3]) or decode(*args)
+    )
+    phi = autf.make_T(1, (2, 3, 4), 5).compose(autf.make_T(2, (1, 3, 5), 5))
+    moved = sum(w != autf.FreeWord.generator(5, i) for i, w in enumerate(phi.images, 1))
+    assert moved == 2
+    assert magnus.johnson_depth(phi, 5).value == 2
+    assert decoded == []
+    assert magnus.johnson_image(phi, 2)
+    assert decoded == [3] * moved
+    decoded.clear()
+    with pytest.raises(magnus.DepthError):
+        magnus.johnson_image(phi, 3)
+    assert decoded == []
 
 
 def test_image_conjugation_generator():

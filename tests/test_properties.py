@@ -15,14 +15,17 @@ from helpers import (
     ScanningBasis,
     assert_index_matches_rows,
     check_against_min_pivot_oracle,
+    check_blocks_match_expansion,
     cyclic_invariant_basis,
     cyclic_shift,
     dual_components,
     has_depth_at_least,
+    is_identity,
     jacobi_sum,
     lyndon_tensor,
     magnus_expand_by_letters,
     random_automorphism,
+    random_deep_automorphism,
     random_generator,
 )
 
@@ -135,6 +138,14 @@ def _degree1(values):
     return {(i,): Fraction(c) for i, c in enumerate(values, 1) if c}
 
 
+@given(st.integers(0, 10_000), st.sampled_from((3, 4)))
+@settings(max_examples=60, deadline=None)
+def test_depth_and_image_from_blocks_match_full_expansion(seed, n):
+    # the random moves include commutators, [x_a^L, x_b^L] and conjugated
+    # commutators, whose low degrees cancel
+    check_blocks_match_expansion(random_deep_automorphism(random.Random(seed), n))
+
+
 @given(st.lists(coeffs, min_size=3, max_size=3), st.lists(coeffs, min_size=3, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_bracket_antisymmetry(a, b):
@@ -173,7 +184,7 @@ def test_disjoint_supports_commute_seeded():
         J = rng.sample(rest, 2)
         g = autf.make_nielsen("L", I[0], I[1], rng.choice((1, -1)), n)
         h = autf.make_magnus_C(J[0], J[1], n)
-        assert autf.group_commutator(g, h).is_identity
+        assert is_identity(autf.group_commutator(g, h))
 
 
 @given(st.integers(0, 10_000))
