@@ -145,19 +145,28 @@ def left_normed_word_commutator(words):
     return acc
 
 
-def _apply_images(images, w):
-    """Substitute images[i-1] for x_i in the word w."""
+def _apply_images(images, w, inverted=None):
+    """Substitute images[i-1] for x_i in the word w.
+
+    inverted maps an index i to the inverse letters of images[i-1]; each
+    is built on the first x_i^-1 that needs it, and a caller substituting
+    into several words shares one dict so an image is inverted once."""
     letters = w.letters
     if len(letters) == 1 and letters[0][1] == 1:
         return images[letters[0][0] - 1]  # words are immutable: share the image
+    if inverted is None:
+        inverted = {}
+    pieces = []
+    for i, s in letters:
+        if s == 1:
+            pieces.append(images[i - 1].letters)
+        else:
+            piece = inverted.get(i)
+            if piece is None:
+                piece = inverted[i] = _inverse_letters(images[i - 1].letters)
+            pieces.append(piece)
     rank = images[0].rank if images else w.rank
-    return FreeWord._reduced(
-        rank,
-        (
-            images[i - 1].letters if s == 1 else _inverse_letters(images[i - 1].letters)
-            for i, s in letters
-        ),
-    )
+    return FreeWord._reduced(rank, pieces)
 
 
 class FreeAutomorphism:
@@ -203,9 +212,11 @@ class FreeAutomorphism:
         """self after other: (self.compose(other))(w) = self(other(w))."""
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        images = tuple(_apply_images(self.images, w) for w in other.images)
+        inverted, inverse_inverted = {}, {}
+        images = tuple(_apply_images(self.images, w, inverted) for w in other.images)
         inverse_images = tuple(
-            _apply_images(other.inverse_images, w) for w in self.inverse_images
+            _apply_images(other.inverse_images, w, inverse_inverted)
+            for w in self.inverse_images
         )
         return FreeAutomorphism(self.rank, images, inverse_images, check=False)
 

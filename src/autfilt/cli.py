@@ -78,7 +78,9 @@ def _load_automorphism(path):
 
 # The largest --cutoff depth accepts, and the largest cost L * a^cutoff of
 # expanding a deviation word of L letters over a distinct indices: it holds
-# about a^cutoff coefficients, and each letter adds into all of them.
+# about a^cutoff coefficients; each letter adds into the degrees below the
+# top one and into one a^(cutoff-1)-field sum of the top degree, which is
+# shifted into place once per word, so L * a^cutoff bounds the work.
 MAX_CUTOFF = 10
 MAX_EXPANSION_COST = 25_000_000
 

@@ -36,21 +36,24 @@ from . import autf, lie
 # ---------------------------------------------------------------------------
 
 
-# family -> (descriptor format over the parameters, labels in their
-# natural order, which is the space order)
+# family -> (parameter names, descriptor format over the parameters,
+# labels in their natural order, which is the space order)
 _FAMILIES = {
-    "V": ("V(n={0})", lambda n: list(range(1, n + 1))),
+    "V": (("n",), "V(n={0})", lambda n: list(range(1, n + 1))),
     "T": (
+        ("n", "m"),
         "T(n={0},m={1})",
         lambda n, m: list(itertools.product(range(1, n + 1), repeat=m)),
     ),
     "Mk": (
+        ("n", "k"),
         "Mk(n={0},k={1})",
         lambda n, k: [
             (i, w) for i in range(1, n + 1) for w in lie.lyndon_words(n, k + 1)
         ],
     ),
     "W": (
+        ("n", "m"),
         "w{1}V(n={0})",
         lambda n, m: list(itertools.combinations(range(1, n + 1), m)),
     ),
@@ -59,7 +62,7 @@ _FAMILIES = {
 
 @functools.cache
 def _labels(family, params):
-    return tuple(_FAMILIES[family][1](*params))
+    return tuple(_FAMILIES[family][2](*params))
 
 
 @functools.cache
@@ -67,17 +70,29 @@ def _label_set(family, params):
     return frozenset(_labels(family, params))
 
 
+def _check_size(name, value):
+    """ValueError unless value is a nonnegative int (bool is not one):
+    the check on every size parameter of a space, n, m, k or the genus g."""
+    if not (autf.is_json_int(value) and value >= 0):
+        raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Space:
     """A labeled basis space: a family name from _FAMILIES and its integer
-    parameters, which alone decide equality and hashing."""
+    parameters, which alone decide equality and hashing.  Each parameter
+    is checked by _check_size, so 3.0 or True never stands for an int."""
 
     family: str
     params: tuple
 
+    def __post_init__(self):
+        for name, value in zip(_FAMILIES[self.family][0], self.params, strict=True):
+            _check_size(name, value)
+
     @property
     def descriptor(self):
-        return _FAMILIES[self.family][0].format(*self.params)
+        return _FAMILIES[self.family][1].format(*self.params)
 
     def labels(self):
         """The basis labels in space order, which is sorted order, as one
@@ -528,6 +543,7 @@ def elementary_sl(i, j, n):
     """
     if i == j:
         raise ValueError("need i != j")
+    _check_size("n", n)
     autf._check_indices(n, i, j)
     return _moving_pair(VSpace(n), {j: {j: 1, i: 1}}, {j: {j: 1, i: -1}}, f"E({i},{j})")
 
@@ -545,6 +561,7 @@ def sl_generators(n):
     stable under the group, and by the argument in orbit_saturate under
     their inverses too.
     """
+    _check_size("n", n)
     sign = (-1) ** (n - 1)
     fwd = {j: {j + 1: 1} for j in range(1, n)} | {n: {1: sign}}
     bwd = {j + 1: {j: 1} for j in range(1, n)} | {1: {n: sign}}
@@ -647,8 +664,7 @@ def _induce_one(base, space):
 def sp_generator(kind, i, j=None, g=None):
     """The rotation sigma_i (a_i -> b_i, b_i -> -a_i) or the transvection
     tau_ij (b_i -> b_i + a_j, b_j -> b_j + a_i); all other basis vectors fixed."""
-    if g is None:
-        raise ValueError("genus g is required")
+    _check_size("g", g)
     autf._check_indices(g, i)
     a_i, b_i = 2 * i - 1, 2 * i
     if kind == "sigma":
@@ -675,6 +691,7 @@ def sp_transvection(v_coords, g):
     Used as the documented extended generating set when the rotation and
     double transvection generators alone are suspected of stalling.
     """
+    _check_size("g", g)
     space = VSpace(2 * g)
     vvec = TensorVector(space, v_coords)
 
@@ -691,6 +708,7 @@ def sp_transvection(v_coords, g):
 
 def extended_sp_generators(g):
     """Transvections about a_i, b_i, a_i + a_j and a_i + b_j for all pairs."""
+    _check_size("g", g)
     out = []
     for i in range(1, g + 1):
         out.append(sp_transvection({2 * i - 1: 1}, g))

@@ -16,10 +16,12 @@ the suites and the reports use.
 The expansion multiplies letter by letter on packed blocks: one exact int
 per degree d holding the a^d coefficients of the monomials in the word's
 own a letters (not rank^d) as fixed-width signed fields, so a letter is
-one shift-add per degree; the field width comes from a proven bound on
-the coefficients of a word of that length.  A degree vanishes exactly
-when its block is 0, so johnson_depth decodes nothing and johnson_image
-decodes only degree k+1; magnus_expand decodes every degree.
+one shift-add per degree below the cutoff; the top degree is summed per
+last letter and shifted into place once per word.  The field width comes
+from a proven bound on the coefficients of a word of that length.  A
+degree vanishes exactly when its block is 0, so johnson_depth decodes
+nothing and johnson_image decodes only degree k+1; magnus_expand decodes
+every degree.
 TruncatedSeries multiplication is sparse.
 """
 
@@ -91,12 +93,24 @@ def _packed(w, cutoff):
     base-a reading of the monomial with its first letter least
     significant.  The monomials m X_p of degree d+1 are then the fields
     [p a^d, (p+1) a^d), aligned with the whole degree-d block, so each
-    letter costs one shift-add per degree.  The packed ints are exact.
-    Each letter's series has at most one monomial, of coefficient +-1, per
-    degree, so a degree-d coefficient of an L-letter word is a sum over
-    the weak compositions of d into L parts: |c| <= C(L+d-1, d) <=
-    C(L+K-1, K), attained by x_i^-L.  B is that bound's bit length plus a
-    sign bit and a spare bit, rounded up to whole bytes.
+    letter costs one shift-add per degree below K = cutoff.  The packed
+    ints are exact.  Each letter's series has at most one monomial, of
+    coefficient +-1, per degree, so a degree-d coefficient of an L-letter
+    word is a sum over the weak compositions of d into L parts: |c| <=
+    C(L+d-1, d) <= C(L+K-1, K), attained by x_i^-L.  B is that bound's
+    bit length plus a sign bit and a spare bit, rounded up to whole bytes.
+
+    Degree K is never read while the word is multiplied out, so it is
+    kept as one accumulator of a^(K-1) fields per position p, acc[p]
+    holding the coefficients of the monomials m X_p: a letter x_p adds
+    the old degree K-1 block into acc[p], and x_p^-1 subtracts the new
+    one, after the lower degrees are updated.  After the last letter
+    blocks[K] is the sum of acc[p] shifted to field p a^(K-1), one shift
+    per position, the same int the per-letter shift-add gives: field j
+    of acc[p] is always field p a^(K-1) + j of that top block after the
+    same prefix of letters, so every partial sum is a coefficient of a
+    prefix word, of at most as many letters, and fits its field by the
+    bound above.
 
     A block is 0 exactly when every field of its degree is 0: a block is
     sum_j c_j 2^(Bj) with |c_j| < 2^(B-2), and if some c_j is nonzero,
@@ -110,21 +124,27 @@ def _packed(w, cutoff):
     bound = comb(len(w.letters) + cutoff - 1, cutoff)
     nbytes = (bound.bit_length() + 2 + 7) // 8
     width = 8 * nbytes
+    below = cutoff - 1
     shifts = {
-        letter: [width * p * a**d for d in range(cutoff)]
+        letter: (p, [width * p * a**d for d in range(below)])
         for p, letter in enumerate(alphabet)
     }
     blocks = [1] + [0] * cutoff
+    acc = [0] * a
     for letter, sign in w.letters:
-        shift = shifts[letter]
+        p, shift = shifts[letter]
         if sign == 1:
             # c (1 + X_p): c'(m X_p) = c(m X_p) + c(m), all from old values
-            for d in range(cutoff - 1, -1, -1):
+            acc[p] += blocks[below]
+            for d in range(below - 1, -1, -1):
                 blocks[d + 1] += blocks[d] << shift[d]
         else:
             # c' (1 + X_p) = c: c'(m X_p) = c(m X_p) - c'(m), lowest degree first
-            for d in range(cutoff):
+            for d in range(below):
                 blocks[d + 1] -= blocks[d] << shift[d]
+            acc[p] -= blocks[below]
+    span = width * a**below
+    blocks[cutoff] = sum(part << span * p for p, part in enumerate(acc))
     return alphabet, nbytes, blocks
 
 

@@ -9,7 +9,7 @@ expansion route, so agreement is a genuine dual-route check.
 
 import itertools
 import random
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from autfilt import autf, commgraph, exactlin, lie, magnus
 from autfilt.exactlin import (
@@ -175,6 +175,34 @@ def magnus_expand_dense(w, cutoff):
         monos = itertools.product(alphabet, repeat=d)
         coeffs.update((m, v) for m, v in zip(monos, c[start[d]:start[d + 1]]) if v)
     return magnus.TruncatedSeries(w.rank, cutoff, coeffs)
+
+
+def packed_by_shift_add(w, cutoff):
+    """magnus._packed as one shift-add per degree per letter, the top
+    degree included: the block-level oracle for the kernel that sums its
+    top degree per letter and shifts it once per word.  Same alphabet,
+    field width and field order, so the triples compare as ints."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
+    alphabet = tuple(sorted({i for i, _ in w.letters}))
+    a = len(alphabet)
+    bound = comb(len(w.letters) + cutoff - 1, cutoff)
+    nbytes = (bound.bit_length() + 2 + 7) // 8
+    width = 8 * nbytes
+    shifts = {
+        letter: [width * p * a**d for d in range(cutoff)]
+        for p, letter in enumerate(alphabet)
+    }
+    blocks = [1] + [0] * cutoff
+    for letter, sign in w.letters:
+        shift = shifts[letter]
+        if sign == 1:
+            for d in range(cutoff - 1, -1, -1):
+                blocks[d + 1] += blocks[d] << shift[d]
+        else:
+            for d in range(cutoff):
+                blocks[d + 1] -= blocks[d] << shift[d]
+    return alphabet, nbytes, blocks
 
 
 def _deviation_expansion(phi, i, cutoff):
@@ -530,6 +558,27 @@ def lyndon_tensor(coords):
     for w, c in coords.items():
         lie.tensor_add_into(out, lie.lyndon_word_tensor(w), c)
     return out
+
+
+def substitute_per_occurrence(images, w):
+    """Substitute images[i-1] for x_i in w by raw concatenation, inverting
+    the image again at every x_i^-1, reduced by the checking constructor:
+    the oracle for autf substitution, which inverts each image once."""
+    out = []
+    for i, s in w.letters:
+        img = images[i - 1].letters
+        out.extend(img if s == 1 else [(j, -t) for j, t in reversed(img)])
+    return autf.FreeWord(w.rank, out)
+
+
+def compose_per_occurrence(phi, psi):
+    """phi.compose(psi) through substitute_per_occurrence."""
+    return autf.FreeAutomorphism(
+        phi.rank,
+        [substitute_per_occurrence(phi.images, w) for w in psi.images],
+        [substitute_per_occurrence(psi.inverse_images, w) for w in phi.inverse_images],
+        check=False,
+    )
 
 
 def random_word(rng, n, length):

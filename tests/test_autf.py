@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -5,7 +6,13 @@ import pytest
 from autfilt import autf
 from autfilt.autf import word
 
-from helpers import is_identity, make_signed_permutation
+from helpers import (
+    compose_per_occurrence,
+    is_identity,
+    make_signed_permutation,
+    random_automorphism,
+    substitute_per_occurrence,
+)
 
 
 def test_reduce_cancelling_pair():
@@ -24,6 +31,31 @@ def test_reduce_already_reduced():
 def test_word_index_out_of_range():
     with pytest.raises(ValueError):
         word(2, 3)
+
+
+def test_compose_matches_per_occurrence_substitution():
+    # compose inverts each image at most once and reuses it at every
+    # x_i^-1; the oracle inverts it again at every occurrence.  The
+    # substituted words are drawn until each side of compose has met words
+    # with the same inverse letter at least twice
+    rng = random.Random(61)
+    repeated = {"images": 0, "inverse_images": 0}
+    for _ in range(200):
+        n = rng.randint(3, 5)
+        phi, psi = (random_automorphism(rng, n, rng.randint(1, 8)) for _ in "ab")
+        for side, words in (
+            ("images", psi.images),
+            ("inverse_images", phi.inverse_images),
+        ):
+            for w in words:
+                inverse_letters = [i for i, s in w.letters if s == -1]
+                repeated[side] += len(inverse_letters) > len(set(inverse_letters))
+        got, want = phi.compose(psi), compose_per_occurrence(phi, psi)
+        assert got.images == want.images
+        assert got.inverse_images == want.inverse_images
+        w = autf.FreeWord(n, [(rng.randint(1, n), -1) for _ in range(12)])
+        assert phi(w) == substitute_per_occurrence(phi.images, w)
+    assert min(repeated.values()) >= 20, repeated
 
 
 def test_word_inverse_and_product():

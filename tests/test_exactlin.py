@@ -347,6 +347,32 @@ def test_vectors_hold_ints_only(value):
             vec.scale(value)
 
 
+@pytest.mark.parametrize("value", [3.0, True, -1, "3", None], ids=repr)
+def test_space_sizes_are_nonnegative_ints(value):
+    # 3.0 hashes like 3, so it would share the label caches of V(n=3);
+    # True is not 1, and no size is negative
+    cases = [
+        ("n", lambda: VSpace(value)),
+        ("n", lambda: TensorSpace(value, 2)),
+        ("m", lambda: TensorSpace(3, value)),
+        ("n", lambda: MkSpace(value, 2)),
+        ("k", lambda: MkSpace(5, value)),
+        ("n", lambda: WedgeSpace(value, 2)),
+        ("m", lambda: WedgeSpace(4, value)),
+        ("n", lambda: exactlin.elementary_sl(1, 2, value)),
+        ("n", lambda: exactlin.sl_generators(value)),
+        ("g", lambda: exactlin.sp_generator("sigma", 1, g=value)),
+        ("g", lambda: exactlin.sp_generator("tau", 1, 2, g=value)),
+        ("g", lambda: exactlin.sp_transvection({1: 1}, value)),
+        ("g", lambda: exactlin.extended_sp_generators(value)),
+    ]
+    for name, build in cases:
+        message = re.escape(f"{name} must be a nonnegative int, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert VSpace(0).labels() == () and exactlin.extended_sp_generators(0) == []
+
+
 def test_induced_images_match_unmemoised_product():
     space = MkSpace(4, 2)
     base = exactlin.elementary_sl(1, 2, 4)

@@ -17,6 +17,7 @@ from helpers import (
     make_signed_permutation,
     magnus_expand_by_letters,
     magnus_expand_dense,
+    packed_by_shift_add,
     random_deep_automorphism,
     random_word,
 )
@@ -62,6 +63,42 @@ def test_packed_expansion_matches_letter_oracle():
                 assert magnus.magnus_expand(w, cutoff) == magnus_expand_by_letters(
                     w, cutoff
                 ), (rank, cutoff, w.letters)
+
+
+def test_packed_blocks_match_shift_add_oracle():
+    # the kernel that sums its top degree per last letter against one
+    # shift-add per degree per letter, compared as whole (alphabet, nbytes,
+    # blocks) triples: ranks 1-5 and cutoffs 1-6 (at cutoff 1 the sums are
+    # the exponent sums and no lower block moves), the empty word,
+    # one-letter alphabets, all-inverse words and alphabets that skip
+    # letters of the rank; then x_i^-m at the lengths where the field width
+    # changes (see test_generator_powers_closed_form)
+    rng = random.Random(53)
+    for rank in range(1, 6):
+        for cutoff in range(1, 7):
+            words = [autf.FreeWord(rank, ())]
+            words += [random_word(rng, rank, rng.randrange(1, 61)) for _ in range(6)]
+            words += [
+                autf.FreeWord(rank, [(rng.randint(1, rank), -1) for _ in range(30)]),
+                autf.FreeWord(rank, [(rank, 1)] * 9),
+                autf.FreeWord(rank, [(1, -1)] * 9),
+            ]
+            if rank == 5:
+                for alphabet in ((2, 5), (3,), (1, 4, 5)):
+                    letters = [
+                        (rng.choice(alphabet), rng.choice((1, -1))) for _ in range(40)
+                    ]
+                    words.append(autf.FreeWord(rank, letters))
+            for w in words:
+                assert magnus._packed(w, cutoff) == packed_by_shift_add(w, cutoff), (
+                    rank, cutoff, w.letters
+                )
+    for cutoff in range(1, 7):
+        for m in sorted(_width_boundary_lengths(cutoff)):
+            w = autf.FreeWord(5, [(3, -1)] * m)
+            assert magnus._packed(w, cutoff) == packed_by_shift_add(w, cutoff), (
+                cutoff, m
+            )
 
 
 def _tau_product(rng, n, k):
@@ -135,18 +172,22 @@ def _least_length(cutoff, smallest_bound):
     return hi
 
 
+def _width_boundary_lengths(cutoff):
+    """The lengths m - 1 and m, up to 40,000 letters, around each least m
+    at which the coefficient bound at this cutoff reaches 2^6, 2^14 or
+    2^62 (the field width grows a byte) or 2^7, 2^15 or 2^63 (a width
+    without the sign bit would overflow)."""
+    ms = [_least_length(cutoff, 1 << bits) for bits in (6, 7, 14, 15, 62, 63)]
+    return {m - d for m in ms if m <= 40_000 for d in (0, 1)}
+
+
 def test_generator_powers_closed_form():
     # x_i^m has X_i^t coefficient C(m, t) and x_i^-m has (-1)^t C(m+t-1, t);
     # an inverse-letter update in the wrong degree order breaks the second.
     # The X_i^K coefficient of x_i^-m is the bound the field width is taken
-    # from, so at rank 5 each cutoff also takes the lengths m - 1 and m
-    # around each point, up to 40,000 letters, where the width grows a byte
-    # (the bound reaching 2^6, 2^14, 2^62, the last past one 64-bit limb)
-    # or where a width without the sign bit would overflow (2^7, 2^15, 2^63)
-    boundary = {}
-    for cutoff in range(1, 6):
-        ms = [_least_length(cutoff, 1 << bits) for bits in (6, 7, 14, 15, 62, 63)]
-        boundary[cutoff] = {m - d for m in ms if m <= 40_000 for d in (0, 1)}
+    # from, so at rank 5 each cutoff also takes the lengths around each
+    # width boundary (2^62 is past one 64-bit limb)
+    boundary = {cutoff: _width_boundary_lengths(cutoff) for cutoff in range(1, 6)}
     for rank in (1, 2, 5):
         for i in sorted({1, rank}):
             for cutoff in range(1, 6):

@@ -16,6 +16,7 @@ from helpers import (
     assert_index_matches_rows,
     check_against_min_pivot_oracle,
     check_blocks_match_expansion,
+    compose_per_occurrence,
     cyclic_invariant_basis,
     cyclic_shift,
     dual_components,
@@ -24,9 +25,11 @@ from helpers import (
     jacobi_sum,
     lyndon_tensor,
     magnus_expand_by_letters,
+    packed_by_shift_add,
     random_automorphism,
     random_deep_automorphism,
     random_generator,
+    substitute_per_occurrence,
 )
 
 N = 4
@@ -34,24 +37,6 @@ N = 4
 letters = st.lists(
     st.tuples(st.integers(1, N), st.sampled_from((1, -1))), max_size=12
 )
-
-
-def _substitute_checked(images, w):
-    """Substitution by raw concatenation, reduced by the checking constructor."""
-    out = []
-    for i, s in w.letters:
-        img = images[i - 1].letters
-        out.extend(img if s == 1 else [(j, -t) for j, t in reversed(img)])
-    return FreeWord(w.rank, out)
-
-
-def _compose_checked(phi, psi):
-    return autf.FreeAutomorphism(
-        phi.rank,
-        [_substitute_checked(phi.images, w) for w in psi.images],
-        [_substitute_checked(psi.inverse_images, w) for w in phi.inverse_images],
-        check=False,
-    )
 
 
 def _assert_same_reduced(got, checked):
@@ -91,15 +76,18 @@ def test_trusted_words_match_checking_constructor(u, seed):
     )
     rng = random.Random(seed)
     phi, psi, g = (random_automorphism(rng, N, rng.randint(0, 5)) for _ in "abc")
-    _assert_same_reduced(phi(uw), _substitute_checked(phi.images, uw))
+    _assert_same_reduced(phi(uw), substitute_per_occurrence(phi.images, uw))
     move = _random_single_move_product(rng)
     for w in move.images + move.inverse_images:
         _assert_same_reduced(w, FreeWord(N, w.letters))
     autf.FreeAutomorphism(N, move.images, move.inverse_images, check=True)
     for got, checked in (
-        (phi.compose(psi), _compose_checked(phi, psi)),
-        (phi.conjugate(g), _compose_checked(_compose_checked(g.inverse(), phi), g)),
-        (phi.compose(move), _compose_checked(phi, move)),
+        (phi.compose(psi), compose_per_occurrence(phi, psi)),
+        (
+            phi.conjugate(g),
+            compose_per_occurrence(compose_per_occurrence(g.inverse(), phi), g),
+        ),
+        (phi.compose(move), compose_per_occurrence(phi, move)),
     ):
         words = zip(
             got.images + got.inverse_images, checked.images + checked.inverse_images
@@ -128,6 +116,24 @@ def test_packed_expansion_matches_letter_oracle(data, rank, cutoff):
     )
     w = FreeWord(rank, word_letters)
     assert magnus.magnus_expand(w, cutoff) == magnus_expand_by_letters(w, cutoff)
+
+
+@given(st.data(), st.integers(1, 5), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_packed_blocks_match_shift_add_oracle(data, rank, cutoff):
+    # whole (alphabet, nbytes, blocks) triples; the letters are drawn from a
+    # random subset of the rank, so alphabets skip letters, shrink to one
+    # letter or to none, and all-inverse words come up
+    alphabet = data.draw(st.sets(st.integers(1, rank), min_size=1))
+    signs = data.draw(st.sampled_from(((1, -1), (-1,), (1,))))
+    word_letters = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(alphabet)), st.sampled_from(signs)),
+            max_size=40,
+        )
+    )
+    w = FreeWord(rank, word_letters)
+    assert magnus._packed(w, cutoff) == packed_by_shift_add(w, cutoff)
 
 
 coeffs = st.integers(-3, 3)
