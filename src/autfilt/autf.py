@@ -291,20 +291,31 @@ def _single_move(n, i, u, v, check=False):
     return FreeAutomorphism(n, images, inv_images, check=check)
 
 
-def make_nielsen(side, i, j, exponent=1, n=None):
+def nielsen_letter(letter, n):
+    """The one check on a Nielsen letter of rank n: a tuple (side, i, j, exp)
+    of side "L" or "R", int indices i != j in 1..n and the int exp +1 or -1
+    (bool is not int), or else a ValueError naming the letter."""
+    try:
+        side, i, j, exp = letter
+    except (TypeError, ValueError):
+        raise ValueError(f"bad Nielsen letter {letter!r}: not four fields") from None
+    if not (
+        side in ("L", "R")
+        and all(is_json_int(a) and 1 <= a <= n for a in (i, j))
+        and i != j
+        and is_json_int(exp)
+        and exp in (1, -1)
+    ):
+        raise ValueError(f"bad Nielsen letter {letter!r} in rank {n}")
+    return side, i, j, exp
+
+
+def make_nielsen(side, i, j, exponent, n):
     """L_ij sends x_i to x_j x_i, R_ij sends x_i to x_i x_j.
 
     exponent -1 returns the inverse transformation.
     """
-    if n is None:
-        raise ValueError("rank n is required")
-    if i == j:
-        raise ValueError("Nielsen transformation needs i != j")
-    _check_indices(n, i, j)
-    if side not in ("L", "R"):
-        raise ValueError("side must be 'L' or 'R'")
-    if not (is_json_int(exponent) and exponent in (1, -1)):
-        raise ValueError("exponent must be +1 or -1")
+    side, i, j, exponent = nielsen_letter((side, i, j, exponent), n)
     xj = ((j, exponent),)
     return _single_move(n, i, xj, ()) if side == "L" else _single_move(n, i, (), xj)
 
@@ -415,17 +426,18 @@ def complexity(phi):
 # Nielsen letter words (used by the subgroup-graph and certificate layers)
 # ---------------------------------------------------------------------------
 
-def nielsen_automorphism(letter, n):
-    side, i, j, exp = letter
-    return make_nielsen(side, i, j, exp, n)
+def compose_all(n, autos):
+    """The composite a_1 a_2 ... of the automorphisms of F_n in autos, taken
+    left to right, so the last acts first; the identity when there are none."""
+    acc = identity_automorphism(n)
+    for a in autos:
+        acc = acc.compose(a)
+    return acc
 
 
 def eval_nielsen_word(letters, n):
     """Compose a Nielsen word left to right; the last letter acts first."""
-    acc = identity_automorphism(n)
-    for letter in letters:
-        acc = acc.compose(nielsen_automorphism(letter, n))
-    return acc
+    return compose_all(n, (make_nielsen(*nielsen_letter(l, n), n) for l in letters))
 
 
 def nielsen_word_support(letters):

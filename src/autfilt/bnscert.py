@@ -110,18 +110,6 @@ class Verdict:
         return asdict(self)
 
 
-def _eval_word(elements, word):
-    """Evaluate signed positions left to right; the last entry acts first."""
-    if not elements:
-        raise ValueError("empty element list")
-    n = elements[0].rank
-    acc = autf.identity_automorphism(n)
-    for v in word:
-        x = elements[abs(v) - 1]
-        acc = acc.compose(x if v > 0 else x.inverse())
-    return acc
-
-
 def check_certificate(cert):
     """Exact verification; reports the first failing condition and index."""
     r = len(cert.elements)
@@ -169,7 +157,10 @@ def check_certificate(cert):
                 f"character vanishes on cited x{w.earlier}",
             )
         lhs = autf.group_commutator(cert.elements[w.earlier - 1], cert.elements[i - 1])
-        rhs = _eval_word(cert.elements, w.word)
+        # signed positions into the element list; the last entry acts first
+        xs = cert.elements
+        factors = (xs[v - 1] if v > 0 else xs[-v - 1].inverse() for v in w.word)
+        rhs = autf.compose_all(xs[0].rank, factors)
         if lhs != rhs:
             return Verdict(
                 False,

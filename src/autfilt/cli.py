@@ -33,6 +33,8 @@ def _suite_params(args):
     if args.m is not None:
         params["m"] = args.m
     if args.trials is not None:
+        if args.trials < 0:
+            raise ValueError(f"--trials must be at least 0, got {args.trials}")
         params["trials"] = args.trials
     if args.seed is not None:
         params["seed"] = args.seed
@@ -88,8 +90,8 @@ MAX_EXPANSION_COST = 25_000_000
 def _check_expansion_cost(phi, cutoff):
     """ValueError when the reduced deviation word x_i^-1 phi(x_i) of some
     generator costs more than MAX_EXPANSION_COST to expand."""
-    for i, img in enumerate(phi.images, 1):
-        letters = (autf.FreeWord.generator(phi.rank, i, -1) * img).letters
+    for i in range(1, phi.rank + 1):
+        letters = magnus.deviation_word(phi, i).letters
         a = len({j for j, _ in letters})
         if len(letters) * a**cutoff > MAX_EXPANSION_COST:
             raise ValueError(
@@ -100,10 +102,9 @@ def _check_expansion_cost(phi, cutoff):
 
 
 def cmd_depth(args):
-    if args.cutoff > MAX_CUTOFF:
-        raise ValueError(
-            f"--cutoff {args.cutoff} is over the bound MAX_CUTOFF = {MAX_CUTOFF}"
-        )
+    if not 2 <= args.cutoff <= MAX_CUTOFF:
+        side = "under 2" if args.cutoff < 2 else "over the bound MAX_CUTOFF"
+        raise ValueError(f"--cutoff {args.cutoff} is {side}: depth takes 2..{MAX_CUTOFF}")
     phi = _load_automorphism(args.file)
     _check_expansion_cost(phi, args.cutoff)
     report = magnus.johnson_depth(phi, args.cutoff)
@@ -136,15 +137,7 @@ def _is_int_list(value):
     return isinstance(value, list) and all(map(autf.is_json_int, value))
 
 
-def _is_nielsen_word(value):
-    return isinstance(value, list) and all(
-        isinstance(l, list) and len(l) == 4
-        and isinstance(l[0], str) and _is_int_list(l[1:])
-        for l in value
-    )
-
-
-def _target_from_spec(spec):
+def _target_from_spec(spec, n):
     (kind,) = autf.json_fields(spec, ("kind",), "assembly target")
     if kind in ("C", "M"):
         (args,) = autf.json_fields(spec, ("args",), f"{kind} target")
@@ -156,8 +149,8 @@ def _target_from_spec(spec):
     elif kind == "word":
         (letters,) = autf.json_fields(spec, ("letters",), "word target")
         expected = "a list of [side, i, j, exp]"
-        _require(_is_nielsen_word(letters), "letters", expected, letters)
-        word, label = tuple(tuple(l) for l in letters), "word"
+        _require(isinstance(letters, list), "letters", expected, letters)
+        word, label = tuple(autf.nielsen_letter(l, n) for l in letters), "word"
     else:
         raise ValueError(f"unknown target kind {kind!r}")
     label = spec.get("label", label)
@@ -189,7 +182,7 @@ def _assemble(spec):
     return bnscert.assemble_certificate(
         n,
         m,
-        [_target_from_spec(t) for t in targets],
+        [_target_from_spec(t, n) for t in targets],
         chi_seed=chi_seed,
         chooser_value=chooser_value,
     )

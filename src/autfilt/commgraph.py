@@ -31,29 +31,11 @@ class SubgroupHandle:
     conjugator: tuple = ()
 
     def __post_init__(self):
-        for i in self.indices:
-            if not self._valid_index(i):
-                raise ValueError(f"index {i!r} is not an int in 1..{self.rank}")
-        for letter in self.conjugator:
-            try:
-                side, i, j, exp = letter
-            except (TypeError, ValueError):
-                raise ValueError(f"bad Nielsen letter {letter!r}") from None
-            if not (
-                side in ("L", "R")
-                and self._valid_index(i)
-                and self._valid_index(j)
-                and i != j
-                and autf.is_json_int(exp)
-                and exp in (1, -1)
-            ):
-                raise ValueError(f"bad Nielsen letter {letter!r} in rank {self.rank}")
+        autf._check_indices(self.rank, *self.indices)
         # letters given as lists become tuples: conjugators are compared,
         # cancelled letter by letter and used as cache keys
-        object.__setattr__(self, "conjugator", tuple(map(tuple, self.conjugator)))
-
-    def _valid_index(self, i):
-        return autf.is_json_int(i) and 1 <= i <= self.rank
+        conjugator = tuple(autf.nielsen_letter(l, self.rank) for l in self.conjugator)
+        object.__setattr__(self, "conjugator", conjugator)
 
     def conjugator_automorphism(self):
         return autf.eval_nielsen_word(self.conjugator, self.rank)

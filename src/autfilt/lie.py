@@ -12,7 +12,10 @@ algebra layer.
 A Lie element is held in Lyndon coordinates, a plain dict mapping Lyndon
 words to their coefficients; these are the labels MkSpace vectors carry,
 so there is no separate bracket type.  Brackets are taken on tensors
-(tensor_bracket) and converted once, by lie_from_tensor_coords.
+(tensor_bracket) and converted once, by lie_from_tensor_coords.  The
+tensor of a standard bracketing brackets the cached tensors of its standard
+factors; tensor_concat is the one sparse product, truncated by degree for
+magnus.TruncatedSeries.
 
 Conversion from a Lie tensor back to Lyndon coordinates eliminates leading
 terms in lexicographic order: the expansion of the standard bracketing of a
@@ -60,14 +63,6 @@ def standard_factorization(w):
     raise AssertionError("unreachable for Lyndon input")
 
 
-def lyndon_bracketing(w):
-    """Nested-pair bracketing of a Lyndon word; leaves are letters."""
-    if len(w) == 1:
-        return w[0]
-    u, v = standard_factorization(w)
-    return (lyndon_bracketing(u), lyndon_bracketing(v))
-
-
 # -- tensor-level helpers (dicts word -> coefficient) -----------------------
 
 def tensor_add_into(out, b, c):
@@ -91,10 +86,14 @@ def tensor_scale(a, c):
     return {k: c * v for k, v in a.items()}
 
 
-def tensor_concat(a, b):
+def tensor_concat(a, b, max_degree=None):
+    """The product of a and b, words concatenated; given max_degree, the
+    words longer than it are left out (the product truncated above it)."""
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
+            if max_degree is not None and len(ka) + len(kb) > max_degree:
+                continue
             k = ka + kb
             s = out.get(k, 0) + va * vb
             if s:
@@ -108,19 +107,15 @@ def tensor_bracket(a, b):
     return tensor_add_into(tensor_concat(a, b), tensor_concat(b, a), -1)
 
 
-def bracketing_tensor(b):
-    """Expand a nested bracketing into a tensor dict."""
-    if isinstance(b, int):
-        return {(b,): 1}
-    left = bracketing_tensor(b[0])
-    right = bracketing_tensor(b[1])
-    return tensor_bracket(left, right)
-
-
 @functools.cache
 def lyndon_word_tensor(w):
-    """Tensor expansion of the standard bracketing of the Lyndon word w."""
-    return bracketing_tensor(lyndon_bracketing(w))
+    """Tensor expansion of the standard bracketing P_w of the Lyndon word w:
+    w itself for a letter, else [P_u, P_v] for the standard factorization
+    w = uv.  The result is cached and shared, so callers must not mutate it."""
+    if len(w) == 1:
+        return {w: 1}
+    u, v = standard_factorization(w)
+    return tensor_bracket(lyndon_word_tensor(u), lyndon_word_tensor(v))
 
 
 def dynkin_map(t):

@@ -22,7 +22,8 @@ from a proven bound on the coefficients of a word of that length.  A
 degree vanishes exactly when its block is 0, so johnson_depth decodes
 nothing and johnson_image decodes only degree k+1; magnus_expand decodes
 every degree.
-TruncatedSeries multiplication is sparse.
+TruncatedSeries multiplication is the sparse truncated product
+lie.tensor_concat.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "DepthError",
     "johnson_depth",
     "johnson_image",
+    "deviation_word",
 ]
 
 
@@ -60,20 +62,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if (self.rank, self.cutoff) != (other.rank, other.cutoff):
             raise ValueError("rank or cutoff mismatch")
-        K = self.cutoff
-        out = {}
-        for ka, va in self.coeffs.items():
-            la = len(ka)
-            for kb, vb in other.coeffs.items():
-                if la + len(kb) > K:
-                    continue
-                k = ka + kb
-                s = out.get(k, 0) + va * vb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return TruncatedSeries(self.rank, self.cutoff, out)
+        coeffs = lie.tensor_concat(self.coeffs, other.coeffs, self.cutoff)
+        return TruncatedSeries(self.rank, self.cutoff, coeffs)
 
 
 @functools.cache
@@ -209,13 +199,17 @@ class DepthError(ValueError):
         )
 
 
+def deviation_word(phi, i):
+    """The reduced word x_i^-1 phi(x_i), empty exactly when phi fixes x_i."""
+    return FreeWord._reduced(phi.rank, (((i, -1),), phi.images[i - 1].letters))
+
+
 def _deviation_series(phi, i, cutoff):
     """Packed expansion (alphabet, nbytes, blocks) of x_i^-1 phi(x_i), or
     None if x_i is fixed."""
-    img = phi.images[i - 1]
-    if img.letters == ((i, 1),):
+    if phi.images[i - 1].letters == ((i, 1),):
         return None
-    return _packed(FreeWord._reduced(phi.rank, (((i, -1),), img.letters)), cutoff)
+    return _packed(deviation_word(phi, i), cutoff)
 
 
 def johnson_depth(phi, cutoff):

@@ -113,10 +113,16 @@ def _random_t(rng, n, k):
             return autf.make_T(i, omega, n), ("T", i, omega)
 
 
-def _random_s(rng, n, k, subalphabet):
-    mu = tuple(rng.choice(subalphabet) for _ in range(k))
-    i, j = [a for a in range(1, n + 1) if a not in subalphabet][:2]
-    return autf.make_S(mu, i, j, n), ("S", mu, i, j)
+def _free_pair(n, subalphabet):
+    """The two least indices of 1..n outside subalphabet: the i and j of
+    the S family, whose mu is drawn from subalphabet."""
+    free = [a for a in range(1, n + 1) if a not in subalphabet]
+    if len(free) < 2:
+        raise ValueError(
+            f"n={n} leaves fewer than two indices outside the subalphabet "
+            f"{tuple(subalphabet)}; the S family needs two"
+        )
+    return free[0], free[1]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +186,7 @@ def suite_tau_identities(
     families span the same difference space); (c) tau of random products
     of T and S elements lies in that space.
     """
-    i_free, j_free = [a for a in range(1, n + 1) if a not in subalphabet][:2]
+    i_free, j_free = _free_pair(n, subalphabet)
     for k in k_values:
         rng = random.Random(seed)
 
@@ -224,7 +230,8 @@ def suite_tau_identities(
                 factors = []
                 for _ in range(rng.choice((2, 2, 3))):
                     if rng.random() < 0.3:
-                        factors.append(_random_s(rng, n, k, subalphabet)[0])
+                        mu = tuple(rng.choice(subalphabet) for _ in range(k))
+                        factors.append(autf.make_S(mu, i_free, j_free, n))
                     else:
                         factors.append(_random_t(rng, n, k)[0])
                 prod = factors[0]
@@ -256,9 +263,11 @@ def suite_kernel_claim(rec, n=4, k=2, full_closure=True):
 
 def suite_sp_orbit(rec, g_values=(3, 4), extended_sp_generators=False):
     """Rotation/transvection identities and the wedge-cubed orbit span."""
+    if min(g_values) < 2:
+        raise ValueError(f"sp-orbit needs every g >= 2, got g_values={g_values}")
 
     def check_identities():
-        g = max(2, min(g_values))
+        g = min(g_values)
         w2 = exactlin.WedgeSpace(2 * g, 2)
 
         def wedge(x, y):
@@ -287,9 +296,8 @@ def suite_sp_orbit(rec, g_values=(3, 4), extended_sp_generators=False):
 
     def check_form():
         g = min(g_values)
-        ops = [exactlin.sp_generator("sigma", 1, g=g)]
-        if g >= 2:
-            ops.append(exactlin.sp_generator("tau", 1, 2, g=g))
+        gens = (("sigma", 1), ("tau", 1, 2))
+        ops = [exactlin.sp_generator(*args, g=g) for args in gens]
         ok = all(exactlin.preserves_symplectic_form(op) for op in ops)
         return ok, {"g": g, "generators_checked": len(ops)}
 
@@ -478,6 +486,7 @@ def suite_depth_table(rec, n=5, k_values=(2, 3), subalphabet=(1, 2, 3)):
     coincide are skipped for the T family (the commutator word is then
     trivial and the map is the identity).
     """
+    i_free, j_free = _free_pair(n, subalphabet)
 
     def check_cm():
         gens = _all_conjugation_generators(n) + _all_commutator_multipliers(n)
@@ -489,7 +498,6 @@ def suite_depth_table(rec, n=5, k_values=(2, 3), subalphabet=(1, 2, 3)):
         return not bad, {"checked": len(gens), "expected_depth": 1, "failures": bad}
 
     rec.timed("depth-of-degree1-generators", check_cm)
-    i_free, j_free = [a for a in range(1, n + 1) if a not in subalphabet][:2]
     for k in k_values:
 
         def check_t():

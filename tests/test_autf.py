@@ -1,9 +1,10 @@
+import json
 import random
 import re
 
 import pytest
 
-from autfilt import autf
+from autfilt import autf, cli, commgraph
 from autfilt.autf import word
 
 from helpers import (
@@ -225,6 +226,44 @@ def test_single_move_makers_reject_bad_indices(make, args):
     # check every index themselves
     with pytest.raises(ValueError):
         make(*args)
+
+
+def _assemble_word_target(letter, tmp_path):
+    spec = {"n": 5, "m": 2, "targets": [{"kind": "word", "letters": [letter]}]}
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps(spec))
+    cli.main(["cert", "assemble", str(f)])
+
+
+@pytest.mark.parametrize(
+    "letter",
+    [
+        ("L", True, 2, 1),  # bool index
+        ("L", 1, 2, 1.0),  # float exponent
+        ("R", 2, 2, 1),  # i == j
+        ("X", 1, 2, 1),  # unknown side
+        ("L", 0, 2, 1),  # index 0
+        ("L", 1, 6, 1),  # index n + 1
+        ("L", 1, 2),  # three fields
+        "L121",  # a string
+    ],
+)
+@pytest.mark.parametrize(
+    "route",
+    [
+        # make_nielsen takes the fields as arguments; the word evaluator
+        # builds each letter with it, so a letter of any shape can reach it
+        lambda letter, _: autf.eval_nielsen_word([letter], 5),
+        lambda letter, _: commgraph.handle(5, {1, 2}, [letter]),
+        _assemble_word_target,
+    ],
+    ids=["make_nielsen", "handle", "cert-assemble"],
+)
+def test_every_route_rejects_a_malformed_nielsen_letter(route, letter, tmp_path):
+    # JSON has lists, not tuples: the assembly reader gets the letter as one
+    as_json = list(letter) if isinstance(letter, tuple) else letter
+    with pytest.raises(ValueError, match="Nielsen letter"):
+        route(as_json, tmp_path)
 
 
 def test_inverse_witness_is_checked():

@@ -178,6 +178,36 @@ def test_depth_rejects_a_cutoff_over_the_bound(tmp_path):
     assert cli.main(["depth", str(f), "--cutoff", str(cli.MAX_CUTOFF)]) == 0
 
 
+@pytest.mark.parametrize("cutoff", ["-1", "0", "1"])
+def test_depth_rejects_a_cutoff_under_two_before_reading_the_file(tmp_path, cutoff):
+    # a fixed generator has an empty deviation word, and the cost check
+    # computed 0 ** -1; the file does not exist, so reading it would raise
+    # FileNotFoundError, which is not a ValueError
+    message = f"--cutoff {cutoff} is under 2: depth takes 2..{cli.MAX_CUTOFF}"
+    with pytest.raises(ValueError, match=message):
+        cli.main(["depth", str(tmp_path / "missing.txt"), "--cutoff", cutoff])
+
+
+@pytest.mark.parametrize("suite", ["sl-reduction", "paths", "tau-identities"])
+def test_verify_rejects_a_negative_trial_count(suite):
+    # sl-reduction reported PASS with "samples": -1
+    with pytest.raises(ValueError, match="--trials must be at least 0, got -1"):
+        cli.main(["verify", suite, "--trials", "-1"])
+
+
+@pytest.mark.parametrize(
+    "suite, params, message",
+    [
+        ("depth-table", {"n": 3}, r"n=3 leaves fewer than two .* \(1, 2, 3\)"),
+        ("tau-identities", {"n": 4}, r"n=4 leaves fewer than two .* \(1, 2, 3\)"),
+        ("sp-orbit", {"g_values": (1, 3)}, r"every g >= 2, got g_values=\(1, 3\)"),
+    ],
+)
+def test_suites_reject_sizes_too_small(suite, params, message):
+    with pytest.raises(ValueError, match=message):
+        suites.run(suite, params)
+
+
 def test_depth_rejects_an_expansion_over_the_cost_bound(tmp_path):
     # 94 letters over 6 indices: 94 * 6^10 is about 5.7e9, minutes to expand
     f = tmp_path / "auto.txt"

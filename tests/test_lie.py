@@ -15,9 +15,12 @@ def test_lyndon_words_n2_m3():
 def test_lyndon_basis_pairs_words_with_bracketings():
     words = lie.lyndon_words(2, 3)
     assert words == [(1, 1, 2), (1, 2, 2)]
-    brackets = [lie.lyndon_bracketing(w) for w in words]
-    assert brackets[0] == (1, (1, 2))  # [e1, [e1, e2]]
-    assert brackets[1] == ((1, 2), 2)  # [[e1, e2], e2]
+    # the standard bracketings are [e1, [e1, e2]] and [[e1, e2], e2]; the
+    # other orders of the outer bracket would flip the sign
+    e1, e2 = _generator(1), _generator(2)
+    e12 = lie.tensor_bracket(e1, e2)
+    assert lie.lyndon_word_tensor((1, 1, 2)) == lie.tensor_bracket(e1, e12)
+    assert lie.lyndon_word_tensor((1, 2, 2)) == lie.tensor_bracket(e12, e2)
 
 
 def test_lyndon_words_n3_m1():

@@ -217,6 +217,15 @@ def test_homomorphism_property_random():
         ) * magnus.magnus_expand(v, K)
 
 
+def test_deviation_word():
+    n = 4
+    phi = autf.make_magnus_C(1, 2, n).compose(autf.make_T(3, (1, 2), n))
+    for i in range(1, n + 1):
+        expected = autf.FreeWord.generator(n, i, -1) * phi.images[i - 1]
+        assert magnus.deviation_word(phi, i) == expected
+    assert magnus.deviation_word(phi, 2).letters == ()  # phi fixes x2
+
+
 def test_depth_identity():
     d = magnus.johnson_depth(autf.identity_automorphism(3), 6)
     assert d.value is None and d.label == ">=6"
