@@ -30,8 +30,22 @@ def reduce_letters(letters):
     return tuple(out)
 
 
+class _LetterInverses(dict):
+    """Letter -> inverse letter, each entry made on first use: at most two
+    per index of the largest rank seen, and the inverse letters of every
+    word share these tuples."""
+
+    def __missing__(self, letter):
+        i, s = letter
+        inverse = self[letter] = (i, -s)
+        return inverse
+
+
+_INVERSE_LETTER = _LetterInverses()
+
+
 def _inverse_letters(letters):
-    return tuple((a, -s) for a, s in reversed(letters))
+    return tuple(map(_INVERSE_LETTER.__getitem__, reversed(letters)))
 
 
 class FreeWord:
@@ -60,8 +74,8 @@ class FreeWord:
             if not (is_json_int(s) and s in (1, -1)):
                 raise ValueError(f"letter sign must be the int +1 or -1, got {s!r}")
             checked.append((i, s))
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", reduce_letters(checked))
+        FreeWord.rank.__set__(self, rank)
+        FreeWord.letters.__set__(self, reduce_letters(checked))
 
     @classmethod
     def _reduced(cls, rank, pieces):
@@ -69,17 +83,18 @@ class FreeWord:
         `pieces`, taken from valid words of this rank, reduced only where
         consecutive pieces meet."""
         out = []
+        inverse = _INVERSE_LETTER
         for piece in pieces:
-            k, top = 0, min(len(out), len(piece))
-            while k < top and out[-1 - k] == (piece[k][0], -piece[k][1]):
-                k += 1
-            if k:
+            if out and piece and out[-1] == inverse[piece[0]]:
+                k, top = 1, min(len(out), len(piece))
+                while k < top and out[-1 - k] == inverse[piece[k]]:
+                    k += 1
                 del out[-k:]
                 piece = piece[k:]
             out.extend(piece)
         w = object.__new__(cls)
-        object.__setattr__(w, "rank", rank)
-        object.__setattr__(w, "letters", tuple(out))
+        FreeWord.rank.__set__(w, rank)
+        FreeWord.letters.__set__(w, tuple(out))
         return w
 
     def __setattr__(self, name, value):
@@ -174,10 +189,13 @@ class FreeAutomorphism:
 
     The constructor verifies that the witness really inverts the map on
     every basis element, so values of this type are automorphisms by
-    construction, not merely endomorphisms.
+    construction, not merely endomorphisms.  The witness is fixed when a
+    value is made, but a composite computes it only when it is first
+    read: until then it keeps its two factors' witnesses, and the first
+    read of inverse_images substitutes the inner one into the outer one.
     """
 
-    __slots__ = ("rank", "images", "inverse_images")
+    __slots__ = ("rank", "images", "_inverse_images", "_inverse_factors")
 
     def __init__(self, rank, images, inverse_images, check=True):
         images = tuple(images)
@@ -194,12 +212,30 @@ class FreeAutomorphism:
                     raise ValueError("inverse witness fails on x%d (forward)" % i)
                 if _apply_images(inverse_images, images[i - 1]) != xi:
                     raise ValueError("inverse witness fails on x%d (backward)" % i)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "inverse_images", inverse_images)
+        self._fill(rank, images, inverse_images, None)
+
+    def _fill(self, rank, images, inverse_images, inverse_factors):
+        cls = FreeAutomorphism
+        cls.rank.__set__(self, rank)
+        cls.images.__set__(self, images)
+        cls._inverse_images.__set__(self, inverse_images)
+        cls._inverse_factors.__set__(self, inverse_factors)
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeAutomorphism is immutable")
+
+    @property
+    def inverse_images(self):
+        """The inverse witness: images of the basis under the inverse."""
+        factors = self._inverse_factors
+        if factors is not None:
+            outer, inner = factors
+            inverted = {}
+            FreeAutomorphism._inverse_images.__set__(
+                self, tuple(_apply_images(inner, w, inverted) for w in outer)
+            )
+            FreeAutomorphism._inverse_factors.__set__(self, None)
+        return self._inverse_images
 
     def apply(self, w):
         if w.rank != self.rank:
@@ -212,13 +248,14 @@ class FreeAutomorphism:
         """self after other: (self.compose(other))(w) = self(other(w))."""
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        inverted, inverse_inverted = {}, {}
+        inverted = {}
         images = tuple(_apply_images(self.images, w, inverted) for w in other.images)
-        inverse_images = tuple(
-            _apply_images(other.inverse_images, w, inverse_inverted)
-            for w in self.inverse_images
-        )
-        return FreeAutomorphism(self.rank, images, inverse_images, check=False)
+        # (self other)^-1 = other^-1 self^-1; reading both witnesses now
+        # keeps a later first read one substitution deep
+        factors = (self.inverse_images, other.inverse_images)
+        composite = object.__new__(FreeAutomorphism)
+        composite._fill(self.rank, images, None, factors)
+        return composite
 
     __mul__ = compose
 

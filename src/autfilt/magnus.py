@@ -17,7 +17,10 @@ The expansion multiplies letter by letter on packed blocks: one exact int
 per degree d holding the a^d coefficients of the monomials in the word's
 own a letters (not rank^d) as fixed-width signed fields, so a letter is
 one shift-add per degree below the cutoff; the top degree is summed per
-last letter and shifted into place once per word.  The field width comes
+last letter and shifted into place once per word.  The letter loop is
+generated and compiled once per cutoff, with its degrees unrolled into
+locals, so every cutoff runs the same straight-line updates and no loop
+over the degrees.  The field width comes
 from a proven bound on the coefficients of a word of that length.  A
 degree vanishes exactly when its block is 0, so johnson_depth decodes
 nothing and johnson_image decodes only degree k+1; magnus_expand decodes
@@ -74,6 +77,44 @@ def _monomials(alphabet, d):
     return tuple(m[::-1] for m in itertools.product(alphabet, repeat=d))
 
 
+@functools.cache
+def _kernel(cutoff):
+    """The letter loop of _packed for K = cutoff, compiled once per cutoff;
+    its source depends on the cutoff alone.
+
+    The blocks 1..K-1 are the locals b1..b{K-1}, so a letter costs one
+    dict lookup, one tuple unpack, K - 1 shift-adds and one add into acc,
+    with no loop over the degrees.  The table maps a letter (i, s) to
+    (p, s == 1, 1 << s0, s1, .., s{K-2}), s_d being the shift of degree d
+    at position p and 1 << s0 the degree-0 block 1 shifted.  A +1 letter
+    updates the top degree first, since c (1 + X_p) takes every new
+    coefficient c'(m X_p) = c(m X_p) + c(m) from old values; a -1 letter
+    the lowest first, since c' (1 + X_p) = c gives c'(m X_p) = c(m X_p) -
+    c'(m).  The loop returns the blocks 1..K-1 and leaves degree K in acc.
+    """
+    lower = [f"b{d}" for d in range(1, cutoff)]
+    top = lower[-1] if lower else "1"
+    moves = list(zip(lower, ["unit"] + [f"b{d} << s{d}" for d in range(1, cutoff)]))
+    fields = ["p", "plus", "unit"] + [f"s{d}" for d in range(1, cutoff - 1)]
+    lines = ["def letter_loop(letters, table, acc):"]
+    lines += [f"    {' = '.join(lower)} = 0"] if lower else []
+    lines += [
+        "    for letter in letters:",
+        f"        {', '.join(fields)} = table[letter]",
+        "        if plus:",
+        f"            acc[p] += {top}",
+        *(f"            {b} += {step}" for b, step in reversed(moves)),
+        "        else:",
+        *(f"            {b} -= {step}" for b, step in moves),
+        f"            acc[p] -= {top}",
+        f"    return [{', '.join(lower)}]",
+    ]
+    code = compile("\n".join(lines), f"<magnus letter loop, cutoff {cutoff}>", "exec")
+    namespace = {}
+    exec(code, namespace)
+    return namespace["letter_loop"]
+
+
 def _packed(w, cutoff):
     """The expansion of the word w as (alphabet, nbytes, blocks).
 
@@ -102,6 +143,11 @@ def _packed(w, cutoff):
     prefix word, of at most as many letters, and fits its field by the
     bound above.
 
+    The letters run through _kernel(cutoff), the loop generated for this
+    cutoff with its degrees unrolled; the same updates written as a loop
+    over the degrees, the top degree included, are packed_by_shift_add in
+    tests/helpers.py, the oracle the kernel is tested against.
+
     A block is 0 exactly when every field of its degree is 0: a block is
     sum_j c_j 2^(Bj) with |c_j| < 2^(B-2), and if some c_j is nonzero,
     the least such j gives block = c_j 2^(Bj) modulo 2^(B(j+1)), which is
@@ -114,28 +160,16 @@ def _packed(w, cutoff):
     bound = comb(len(w.letters) + cutoff - 1, cutoff)
     nbytes = (bound.bit_length() + 2 + 7) // 8
     width = 8 * nbytes
-    below = cutoff - 1
-    shifts = {
-        letter: (p, [width * p * a**d for d in range(below)])
-        for p, letter in enumerate(alphabet)
-    }
-    blocks = [1] + [0] * cutoff
+    table = {}
+    for p, i in enumerate(alphabet):
+        shifts = tuple(width * p * a**d for d in range(1, cutoff - 1))
+        table[i, 1] = (p, True, 1 << width * p, *shifts)
+        table[i, -1] = (p, False, 1 << width * p, *shifts)
     acc = [0] * a
-    for letter, sign in w.letters:
-        p, shift = shifts[letter]
-        if sign == 1:
-            # c (1 + X_p): c'(m X_p) = c(m X_p) + c(m), all from old values
-            acc[p] += blocks[below]
-            for d in range(below - 1, -1, -1):
-                blocks[d + 1] += blocks[d] << shift[d]
-        else:
-            # c' (1 + X_p) = c: c'(m X_p) = c(m X_p) - c'(m), lowest degree first
-            for d in range(below):
-                blocks[d + 1] -= blocks[d] << shift[d]
-            acc[p] -= blocks[below]
-    span = width * a**below
-    blocks[cutoff] = sum(part << span * p for p, part in enumerate(acc))
-    return alphabet, nbytes, blocks
+    lower = _kernel(cutoff)(w.letters, table, acc)
+    span = width * a ** (cutoff - 1)
+    top = sum(part << span * p for p, part in enumerate(acc))
+    return alphabet, nbytes, [1, *lower, top]
 
 
 def _decode(alphabet, nbytes, block, d):
@@ -218,13 +252,18 @@ def johnson_depth(phi, cutoff):
     Returns DepthReport(cutoff, None) when every tested degree vanishes,
     which is reported as ">=cutoff".  Depth 0 means phi moves the
     abelianization, i.e. phi is not IA.  A degree vanishes exactly when
-    its packed block is 0 (see _packed), so nothing is decoded.
+    its packed block is 0 (see _packed), so nothing is decoded.  Whether
+    a degree's block is 0 does not depend on the cutoff, so each later
+    deviation is expanded only below the lowest nonzero degree found so
+    far, and none once degree 1 is nonzero.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     lowest = cutoff + 1
     for i in range(1, phi.rank + 1):
-        packed = _deviation_series(phi, i, cutoff)
+        if lowest == 1:
+            break
+        packed = _deviation_series(phi, i, lowest - 1)
         if packed is not None:
             blocks = packed[2]
             lowest = next((d for d in range(1, lowest) if blocks[d]), lowest)

@@ -548,6 +548,30 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# The least value of each entry of a suite's *_values parameters, per
+# suite.  Both suites that take k_values run the S family at every k, and
+# its mu has length k >= 2.
+_LEAST_VALUE = {
+    "tau-identities": {"k_values": 2},
+    "depth-table": {"k_values": 2},
+}
+
+
+def _check_least_values(suite, resolved):
+    """A ValueError naming the suite, the parameter and its bound unless
+    every entry of the parameter is an int of at least that bound."""
+    for name, least in _LEAST_VALUE.get(suite, {}).items():
+        values = resolved[name]
+        try:
+            ok = all(autf.is_json_int(v) and v >= least for v in values)
+        except TypeError:  # not a sequence
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"suite {suite}: every entry of {name} must be an int of at "
+                f"least {least}, got {values!r}"
+            )
+
 
 def run(suite, params=None, out_path=None):
     """Execute a named suite; optionally write the JSON report.
@@ -555,7 +579,8 @@ def run(suite, params=None, out_path=None):
     A suite's parameters are the keyword parameters of its function, after
     the recorder.  Values in params override their defaults, keys the suite
     does not take are ignored (the CLI sets n and n_values together), and
-    the report's params are the values the suite ran with.
+    the report's params are the values the suite ran with.  Values under
+    their least value (_LEAST_VALUE) are rejected before any record runs.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
@@ -566,6 +591,7 @@ def run(suite, params=None, out_path=None):
         for name, p in inspect.signature(fn).parameters.items()
         if name != "rec"
     }
+    _check_least_values(suite, resolved)
     rec = _Recorder()
     fn(rec, **resolved)
     report = SuiteReport(suite, resolved, rec.records)

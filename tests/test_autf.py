@@ -59,6 +59,55 @@ def test_compose_matches_per_occurrence_substitution():
     assert min(repeated.values()) >= 20, repeated
 
 
+def test_deferred_witness_is_the_substituted_factor_witnesses():
+    # a composite keeps its factors' witnesses until inverse_images is first
+    # read; the witness it then builds is the inner factor's witness
+    # substituted into the outer one's, and a composite of composites
+    # (whose factor witnesses are read when it is made) agrees too
+    rng = random.Random(67)
+    for _ in range(100):
+        n = rng.randint(3, 5)
+        phi, psi, chi = (random_automorphism(rng, n, rng.randint(1, 6)) for _ in "abc")
+        for outer, inner in ((phi, psi), (phi.compose(psi), chi)):
+            composite = outer.compose(inner)
+            assert composite._inverse_factors is not None
+            want = tuple(
+                substitute_per_occurrence(inner.inverse_images, w)
+                for w in outer.inverse_images
+            )
+            assert composite.inverse_images == want
+            assert composite._inverse_factors is None
+            assert composite.inverse_images == want
+
+
+def test_long_composite_chain_inverts_without_recursion():
+    # 3,000 Nielsen letters: compose_all reads each link's witness before
+    # the next link defers its own, so the final read is one substitution
+    # deep.  R_12 and L_34 commute, so the images stay short
+    rng = random.Random(71)
+    letters = [
+        rng.choice((("R", 1, 2), ("L", 3, 4))) + (rng.choice((1, -1)),)
+        for _ in range(3000)
+    ]
+    phi = autf.eval_nielsen_word(letters, 4)
+    a = sum(e for side, _, _, e in letters if side == "R")
+    b = sum(e for side, _, _, e in letters if side == "L")
+    assert phi.images[0] == word(4, 1, *[2 if a > 0 else -2] * abs(a))
+    assert phi.images[2] == word(4, *[4 if b > 0 else -4] * abs(b), 3)
+    inverse = phi.inverse()
+    assert inverse.images[0] == word(4, 1, *[-2 if a > 0 else 2] * abs(a))
+    assert is_identity(phi.compose(inverse))
+    assert is_identity(inverse.compose(phi))
+
+
+def test_inverse_witness_cannot_be_assigned():
+    phi = autf.make_magnus_C(1, 2, 3).compose(autf.make_magnus_M(2, 1, 3, 3))
+    with pytest.raises(AttributeError):
+        phi.inverse_images = phi.images
+    with pytest.raises(AttributeError):
+        phi._inverse_images = phi.images
+
+
 def test_word_inverse_and_product():
     w = word(3, 1, -2, 3)
     assert is_identity(w * w.inverse())

@@ -208,6 +208,17 @@ def test_suites_reject_sizes_too_small(suite, params, message):
         suites.run(suite, params)
 
 
+@pytest.mark.parametrize("suite", ["tau-identities", "depth-table"])
+@pytest.mark.parametrize("k_values", [(0,), (1,), (-1,), (True,), (2.5,), 3])
+def test_suites_reject_k_values_under_two(suite, k_values):
+    # both suites run the S family at every k; k = 0 and -1 (`verify --k 0`)
+    # raised a stray IndexError, k = 1 and True failed inside make_S
+    # without naming the suite, and 2.5 and a bare 3 raised TypeError
+    message = rf"suite {suite}: every entry of k_values must be an int of at least 2"
+    with pytest.raises(ValueError, match=message):
+        suites.run(suite, {"k_values": k_values})
+
+
 def test_depth_rejects_an_expansion_over_the_cost_bound(tmp_path):
     # 94 letters over 6 indices: 94 * 6^10 is about 5.7e9, minutes to expand
     f = tmp_path / "auto.txt"

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from autfilt import autf, exactlin, lie, magnus
+from autfilt import autf, cli, exactlin, lie, magnus
 from autfilt.autf import word
 
 from helpers import (
@@ -12,6 +12,7 @@ from helpers import (
     dual_components,
     has_depth_at_least,
     image_or_depth_error,
+    johnson_depth_by_expansion,
     left_normed_derivation,
     lyndon_tensor,
     make_signed_permutation,
@@ -66,34 +67,48 @@ def test_packed_expansion_matches_letter_oracle():
 
 
 def test_packed_blocks_match_shift_add_oracle():
-    # the kernel that sums its top degree per last letter against one
-    # shift-add per degree per letter, compared as whole (alphabet, nbytes,
-    # blocks) triples: ranks 1-5 and cutoffs 1-6 (at cutoff 1 the sums are
-    # the exponent sums and no lower block moves), the empty word,
+    # the generated kernel, one per cutoff, against one shift-add per
+    # degree per letter, compared as whole (alphabet, nbytes, blocks)
+    # triples: ranks 1-5 and every cutoff 1..MAX_CUTOFF (at cutoff 1 the
+    # sums are the exponent sums and no lower block moves), the empty word,
     # one-letter alphabets, all-inverse words and alphabets that skip
-    # letters of the rank; then x_i^-m at the lengths where the field width
-    # changes (see test_generator_powers_closed_form)
+    # letters of the rank; above cutoff 6 the words are short and use at
+    # most three letters, since a block holds a^d fields.  Then x_i^-m at
+    # the lengths where the field width changes (see
+    # test_generator_powers_closed_form)
     rng = random.Random(53)
     for rank in range(1, 6):
-        for cutoff in range(1, 7):
+        for cutoff in range(1, cli.MAX_CUTOFF + 1):
+            small = cutoff > 6
+            most = 13 if small else 61
+            pool = range(1, rank + 1)
+            if small:
+                pool = sorted(rng.sample(pool, min(rank, 3)))
             words = [autf.FreeWord(rank, ())]
-            words += [random_word(rng, rank, rng.randrange(1, 61)) for _ in range(6)]
             words += [
-                autf.FreeWord(rank, [(rng.randint(1, rank), -1) for _ in range(30)]),
+                autf.FreeWord(
+                    rank,
+                    [(rng.choice(pool), rng.choice((1, -1)))
+                     for _ in range(rng.randrange(1, most))],
+                )
+                for _ in range(6)
+            ]
+            words += [
+                autf.FreeWord(rank, [(rng.choice(pool), -1) for _ in range(most // 2)]),
                 autf.FreeWord(rank, [(rank, 1)] * 9),
                 autf.FreeWord(rank, [(1, -1)] * 9),
             ]
             if rank == 5:
-                for alphabet in ((2, 5), (3,), (1, 4, 5)):
+                for sub in ((2, 5), (3,), (1, 4, 5)):
                     letters = [
-                        (rng.choice(alphabet), rng.choice((1, -1))) for _ in range(40)
+                        (rng.choice(sub), rng.choice((1, -1))) for _ in range(most - 21)
                     ]
                     words.append(autf.FreeWord(rank, letters))
             for w in words:
                 assert magnus._packed(w, cutoff) == packed_by_shift_add(w, cutoff), (
                     rank, cutoff, w.letters
                 )
-    for cutoff in range(1, 7):
+    for cutoff in range(1, cli.MAX_CUTOFF + 1):
         for m in sorted(_width_boundary_lengths(cutoff)):
             w = autf.FreeWord(5, [(3, -1)] * m)
             assert magnus._packed(w, cutoff) == packed_by_shift_add(w, cutoff), (
@@ -260,6 +275,55 @@ def test_depth_and_image_from_blocks_match_full_expansion():
         errors += isinstance(image_or_depth_error(magnus.johnson_image, phi, 2), tuple)
     assert {0, 1, 2, 3} <= depths
     assert 0 < errors < 60
+
+
+def test_depth_matches_full_cutoff_expansion_per_index():
+    # johnson_depth expands later deviations only below the lowest nonzero
+    # degree found so far; the oracle expands every index to the full
+    # cutoff (random deep automorphisms are compared in
+    # test_depth_and_image_from_blocks_match_full_expansion).  T, S,
+    # Nielsen products (mostly depth 0, so later indices are skipped) and
+    # products of T and S factors moving several indices
+    rng = random.Random(73)
+    n = 5
+    autos = [
+        autf.make_T(1, (2, 3, 4), n),
+        autf.make_T(2, (1, 3, 5, 4), n),
+        autf.make_S((1, 2), 3, 4, n),
+        autf.make_S((1, 2, 1), 4, 5, n),
+        autf.make_T(1, (2, 3), n).compose(autf.make_S((2, 3), 4, 5, n)),
+        autf.make_T(1, (2, 3, 4), n).compose(autf.make_T(5, (2, 3), n)),
+    ]
+    for _ in range(12):
+        autos.append(autf.eval_nielsen_word(
+            [(rng.choice("LR"), *rng.sample(range(1, n + 1), 2), rng.choice((1, -1)))
+             for _ in range(rng.randint(1, 6))],
+            n,
+        ))
+    depths = set()
+    for phi in autos:
+        for cutoff in range(2, 7):
+            got = magnus.johnson_depth(phi, cutoff)
+            assert got == johnson_depth_by_expansion(phi, cutoff), (phi, cutoff)
+        depths.add(got.value)
+    assert {0, 1, 2, 3} <= depths
+
+
+def test_depth_expands_later_indices_only_below_the_lowest_degree(monkeypatch):
+    cutoffs = []
+    packed = magnus._packed
+    monkeypatch.setattr(
+        magnus, "_packed", lambda w, cutoff: cutoffs.append(cutoff) or packed(w, cutoff)
+    )
+    # x1's deviation starts in degree 3, so x5's is expanded to degree 2
+    phi = autf.make_T(1, (2, 3, 4), 5).compose(autf.make_T(5, (2, 3), 5))
+    assert magnus.johnson_depth(phi, 6).value == 1
+    assert cutoffs == [6, 2]
+    cutoffs.clear()
+    # x1's deviation is nonzero in degree 1: x2's is not expanded
+    phi = autf.make_nielsen("L", 1, 2, 1, 3).compose(autf.make_magnus_C(2, 3, 3))
+    assert magnus.johnson_depth(phi, 4).value == 0
+    assert cutoffs == [4]
 
 
 def test_depth_and_image_decode_only_the_image_degree(monkeypatch):

@@ -118,18 +118,23 @@ def test_packed_expansion_matches_letter_oracle(data, rank, cutoff):
     assert magnus.magnus_expand(w, cutoff) == magnus_expand_by_letters(w, cutoff)
 
 
-@given(st.data(), st.integers(1, 5), st.integers(1, 6))
+@given(st.data(), st.integers(1, 5), st.integers(1, cli.MAX_CUTOFF))
 @settings(max_examples=150, deadline=None)
 def test_packed_blocks_match_shift_add_oracle(data, rank, cutoff):
-    # whole (alphabet, nbytes, blocks) triples; the letters are drawn from a
-    # random subset of the rank, so alphabets skip letters, shrink to one
-    # letter or to none, and all-inverse words come up
-    alphabet = data.draw(st.sets(st.integers(1, rank), min_size=1))
+    # whole (alphabet, nbytes, blocks) triples at every cutoff the CLI
+    # takes; the letters are drawn from a random subset of the rank, so
+    # alphabets skip letters, shrink to one letter or to none, and
+    # all-inverse words come up.  Above cutoff 6 words are short and use
+    # at most three letters, since a block holds a^d fields
+    small = cutoff > 6
+    alphabet = data.draw(
+        st.sets(st.integers(1, rank), min_size=1, max_size=3 if small else None)
+    )
     signs = data.draw(st.sampled_from(((1, -1), (-1,), (1,))))
     word_letters = data.draw(
         st.lists(
             st.tuples(st.sampled_from(sorted(alphabet)), st.sampled_from(signs)),
-            max_size=40,
+            max_size=12 if small else 40,
         )
     )
     w = FreeWord(rank, word_letters)
