@@ -21,27 +21,17 @@ from . import autf, bnscert, magnus, suites
 
 
 def _suite_params(args):
+    """Each given flag under <flag>_values as a 1-tuple if the suite takes
+    that, else under <flag>; suites.run rejects a flag it takes neither way."""
+    takes = suites.parameters(args.suite)
     params = {}
-    if args.n is not None:
-        params["n"] = args.n
-        params["n_values"] = (args.n,)
-    if args.k is not None:
-        params["k"] = args.k
-        params["k_values"] = (args.k,)
-    if args.g is not None:
-        params["g_values"] = (args.g,)
-    if args.m is not None:
-        params["m"] = args.m
-    if args.trials is not None:
-        if args.trials < 0:
-            raise ValueError(f"--trials must be at least 0, got {args.trials}")
-        params["trials"] = args.trials
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.extended_sp_generators:
-        params["extended_sp_generators"] = True
-    if args.no_full_closure:
-        params["full_closure"] = False
+    flags = ("n", "k", "g", "m", "trials", "seed", "extended_sp_generators", "full_closure")
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None:
+            if f"{flag}_values" in takes:
+                flag, value = f"{flag}_values", (value,)
+            params[flag] = value
     return params
 
 
@@ -234,12 +224,15 @@ def build_parser():
     p_verify.add_argument("--out", default=None, help="write the JSON report here")
     p_verify.add_argument(
         "--extended-sp-generators",
-        action="store_true",
+        action="store_const",
+        const=True,
         help="add extra symplectic transvections to the sp-orbit saturation",
     )
     p_verify.add_argument(
         "--no-full-closure",
-        action="store_true",
+        dest="full_closure",
+        action="store_const",
+        const=False,
         help="stop kernel-claim saturation at the kernel dimension "
         "(equality is still certified by containment plus dimension)",
     )
@@ -265,8 +258,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Exit status 0 on success, 1 for a failing suite or an invalid
+    certificate, 2 for a rejected input (as for a bad flag)."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"autfilt: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -908,7 +908,7 @@ def kernel_claim_check(n, k, full_closure=True):
     stops as soon as the kernel dimension is reached.
     """
     if not 2 <= k <= n - 2:
-        raise ValueError("need 2 <= k <= n - 2")
+        raise ValueError(f"need 2 <= k <= n - 2, got n={n}, k={k}")
     space = MkSpace(n, k)
     phi = phi_operator(n, k)
     seeds = [

@@ -6,6 +6,9 @@ parameters and seed give byte-identical reports apart from the timing
 fields.  A suite's overall status is FAIL exactly when some record fails;
 INCONCLUSIVE records (used only where a weaker generating set might stall
 a saturation) do not fail the suite but are never silently upgraded.
+A suite runs only on parameters that parameters() accepts: keys its
+function takes, of its defaults' types, at least their least values
+(_LEAST), so no record passes on zero samples or fails a claim not made.
 """
 
 from __future__ import annotations
@@ -263,9 +266,6 @@ def suite_kernel_claim(rec, n=4, k=2, full_closure=True):
 
 def suite_sp_orbit(rec, g_values=(3, 4), extended_sp_generators=False):
     """Rotation/transvection identities and the wedge-cubed orbit span."""
-    if min(g_values) < 2:
-        raise ValueError(f"sp-orbit needs every g >= 2, got g_values={g_values}")
-
     def check_identities():
         g = min(g_values)
         w2 = exactlin.WedgeSpace(2 * g, 2)
@@ -409,7 +409,7 @@ def suite_paths(rec, n=5, m=2, trials=100, seed=7, max_len=8):
         return not failures, {
             "trials": trials,
             "max_word_length": max_len,
-            "max_edges_seen": max(lengths) if lengths else 0,
+            "max_edges_seen": max(lengths),
             "failures": failures,
         }
 
@@ -548,52 +548,68 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# The least value of each entry of a suite's *_values parameters, per
-# suite.  Both suites that take k_values run the S family at every k, and
-# its mu has length k >= 2.
-_LEAST_VALUE = {
-    "tau-identities": {"k_values": 2},
-    "depth-table": {"k_values": 2},
+# The least value of each int parameter, and of every entry of each tuple
+# parameter, per suite: iaab's claim is not made at n = 2 (IA_2 = Inn(F_2)),
+# the S family needs k >= 2 and sl-reduction's negative control reads the
+# indices 3 and 4.  Bounds between parameters stay where they are used:
+# _free_pair, kernel_claim_check, commgraph._check_bound and make_S.
+_LEAST = {
+    "iaab": {"n_values": 3},
+    "tau-identities": {"k_values": 2, "trials": 1, "subalphabet": 1},
+    "kernel-claim": {},
+    "sp-orbit": {"g_values": 2},
+    "sl-reduction": {"n": 4, "k_values": 1, "trials": 1},
+    "paths": {"n": 2, "m": 2, "trials": 1, "max_len": 1},
+    "certificates": {"m": 2},
+    "depth-table": {"k_values": 2, "subalphabet": 1},
 }
 
 
-def _check_least_values(suite, resolved):
-    """A ValueError naming the suite, the parameter and its bound unless
-    every entry of the parameter is an int of at least that bound."""
-    for name, least in _LEAST_VALUE.get(suite, {}).items():
-        values = resolved[name]
-        try:
-            ok = all(autf.is_json_int(v) and v >= least for v in values)
-        except TypeError:  # not a sequence
-            ok = False
+def parameters(suite, given=None):
+    """The values a suite runs with: the keyword parameters of its function,
+    after the recorder, with the values in given overriding the defaults.
+
+    A ValueError naming the suite, the parameter and its bound rejects a key
+    the suite does not take, and a value that is not of its default's type
+    (bool, int, or a nonempty tuple of ints) or is under its least value.
+    """
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    defaults = {
+        name: p.default
+        for name, p in inspect.signature(_SUITES[suite]).parameters.items()
+        if name != "rec"
+    }
+    resolved = {**defaults, **(given or {})}
+    for name, value in resolved.items():
+        if name not in defaults:
+            takes = ", ".join(defaults)
+            raise ValueError(f"suite {suite} takes no parameter {name!r}; it takes {takes}")
+        least = _LEAST[suite].get(name)
+        entry = lambda v: autf.is_json_int(v) and (least is None or v >= least)
+        if type(defaults[name]) is bool:
+            ok, kind = type(value) is bool, "a bool"
+        elif type(defaults[name]) is tuple:
+            ok = type(value) is tuple and value and all(map(entry, value))
+            kind = "a nonempty tuple of ints"
+        else:
+            ok, kind = entry(value), "an int"
         if not ok:
-            raise ValueError(
-                f"suite {suite}: every entry of {name} must be an int of at "
-                f"least {least}, got {values!r}"
-            )
+            bound = "" if least is None else f" of at least {least}"
+            raise ValueError(f"suite {suite}: {name} must be {kind}{bound}, got {value!r}")
+    return resolved
 
 
 def run(suite, params=None, out_path=None):
     """Execute a named suite; optionally write the JSON report.
 
-    A suite's parameters are the keyword parameters of its function, after
-    the recorder.  Values in params override their defaults, keys the suite
-    does not take are ignored (the CLI sets n and n_values together), and
-    the report's params are the values the suite ran with.  Values under
-    their least value (_LEAST_VALUE) are rejected before any record runs.
+    The suite runs with parameters(suite, params), which rejects an unknown
+    key or a bad value before any record runs, and the report's params are
+    those values.
     """
-    if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    fn = _SUITES[suite]
-    given = params or {}
-    resolved = {
-        name: given.get(name, p.default)
-        for name, p in inspect.signature(fn).parameters.items()
-        if name != "rec"
-    }
-    _check_least_values(suite, resolved)
+    resolved = parameters(suite, params)
     rec = _Recorder()
-    fn(rec, **resolved)
+    _SUITES[suite](rec, **resolved)
     report = SuiteReport(suite, resolved, rec.records)
     if out_path is not None:
         with open(out_path, "w") as f:

@@ -1,4 +1,3 @@
-import json
 import random
 import re
 
@@ -277,11 +276,10 @@ def test_single_move_makers_reject_bad_indices(make, args):
         make(*args)
 
 
-def _assemble_word_target(letter, tmp_path):
-    spec = {"n": 5, "m": 2, "targets": [{"kind": "word", "letters": [letter]}]}
-    f = tmp_path / "assembly.json"
-    f.write_text(json.dumps(spec))
-    cli.main(["cert", "assemble", str(f)])
+def _assemble_word_target(letter):
+    # the reader behind `autfilt cert assemble`, which reports the
+    # ValueError on stderr with status 2
+    cli._assemble({"n": 5, "m": 2, "targets": [{"kind": "word", "letters": [letter]}]})
 
 
 @pytest.mark.parametrize(
@@ -302,17 +300,17 @@ def _assemble_word_target(letter, tmp_path):
     [
         # make_nielsen takes the fields as arguments; the word evaluator
         # builds each letter with it, so a letter of any shape can reach it
-        lambda letter, _: autf.eval_nielsen_word([letter], 5),
-        lambda letter, _: commgraph.handle(5, {1, 2}, [letter]),
+        lambda letter: autf.eval_nielsen_word([letter], 5),
+        lambda letter: commgraph.handle(5, {1, 2}, [letter]),
         _assemble_word_target,
     ],
     ids=["make_nielsen", "handle", "cert-assemble"],
 )
-def test_every_route_rejects_a_malformed_nielsen_letter(route, letter, tmp_path):
+def test_every_route_rejects_a_malformed_nielsen_letter(route, letter):
     # JSON has lists, not tuples: the assembly reader gets the letter as one
     as_json = list(letter) if isinstance(letter, tuple) else letter
     with pytest.raises(ValueError, match="Nielsen letter"):
-        route(as_json, tmp_path)
+        route(as_json)
 
 
 def test_inverse_witness_is_checked():

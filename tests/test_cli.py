@@ -1,8 +1,17 @@
 import json
+import re
 
 import pytest
 
-from autfilt import autf, cli, suites
+from autfilt import autf, cli, commgraph, suites
+
+
+def assert_rejected(capsys, argv, match):
+    """cli.main exits with status 2 and one stderr line that matches."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("autfilt: error: ") and err.count("\n") == 1, err
+    assert re.search(match, err), err
 
 
 def test_verify_writes_report_and_exits_zero(tmp_path, capsys):
@@ -71,15 +80,14 @@ def test_depth_command_with_inverse_line(tmp_path, capsys):
     ],
     ids=["second-automorphism", "misspelled-inverse", "two-inverse-lines"],
 )
-def test_depth_file_rejects_extra_lines(tmp_path, tail, number):
+def test_depth_file_rejects_extra_lines(tmp_path, capsys, tail, number):
     phi = autf.make_magnus_C(1, 2, 3)
     f = tmp_path / "auto.txt"
     inverse = autf.format_automorphism(phi.inverse())
     f.write_text(
         "# C12\n" + autf.format_automorphism(phi) + "\n" + tail.format(inverse=inverse)
     )
-    with pytest.raises(ValueError, match=f"line {number}:"):
-        cli.main(["depth", str(f)])
+    assert_rejected(capsys, ["depth", str(f)], f"line {number}:")
 
 
 def test_cert_assemble_and_check(tmp_path, capsys):
@@ -160,39 +168,37 @@ def test_sp_orbit_cli_extended_generators(tmp_path):
     assert (values["orbit_span"], values["closed"]) == (20, True)
 
 
-def test_cert_assemble_rejects_n_over_the_rank_bound(tmp_path):
+def test_cert_assemble_rejects_n_over_the_rank_bound(tmp_path, capsys):
     spec = {"n": autf.MAX_RANK + 1, "m": 2, "targets": []}
     f = tmp_path / "assembly.json"
     f.write_text(json.dumps(spec))
-    with pytest.raises(ValueError, match="over the bound MAX_RANK"):
-        cli.main(["cert", "assemble", str(f)])
+    assert_rejected(capsys, ["cert", "assemble", str(f)], "over the bound MAX_RANK")
 
 
-def test_depth_rejects_a_cutoff_over_the_bound(tmp_path):
+def test_depth_rejects_a_cutoff_over_the_bound(tmp_path, capsys):
     # the expansion allocates per degree: a cutoff of 10^9 ran for minutes
     f = tmp_path / "auto.txt"
     f.write_text(autf.format_automorphism(autf.make_magnus_C(1, 2, 4)) + "\n")
     over = str(cli.MAX_CUTOFF + 1)
-    with pytest.raises(ValueError, match="over the bound MAX_CUTOFF"):
-        cli.main(["depth", str(f), "--cutoff", over])
+    assert_rejected(capsys, ["depth", str(f), "--cutoff", over], "over the bound MAX_CUTOFF")
     assert cli.main(["depth", str(f), "--cutoff", str(cli.MAX_CUTOFF)]) == 0
 
 
 @pytest.mark.parametrize("cutoff", ["-1", "0", "1"])
-def test_depth_rejects_a_cutoff_under_two_before_reading_the_file(tmp_path, cutoff):
+def test_depth_rejects_a_cutoff_under_two_before_reading_the_file(tmp_path, capsys, cutoff):
     # a fixed generator has an empty deviation word, and the cost check
-    # computed 0 ** -1; the file does not exist, so reading it would raise
-    # FileNotFoundError, which is not a ValueError
+    # computed 0 ** -1; the file does not exist, so reading it would give
+    # "No such file or directory" instead of this message
     message = f"--cutoff {cutoff} is under 2: depth takes 2..{cli.MAX_CUTOFF}"
-    with pytest.raises(ValueError, match=message):
-        cli.main(["depth", str(tmp_path / "missing.txt"), "--cutoff", cutoff])
+    argv = ["depth", str(tmp_path / "missing.txt"), "--cutoff", cutoff]
+    assert_rejected(capsys, argv, message)
 
 
 @pytest.mark.parametrize("suite", ["sl-reduction", "paths", "tau-identities"])
-def test_verify_rejects_a_negative_trial_count(suite):
+def test_verify_rejects_a_negative_trial_count(suite, capsys):
     # sl-reduction reported PASS with "samples": -1
-    with pytest.raises(ValueError, match="--trials must be at least 0, got -1"):
-        cli.main(["verify", suite, "--trials", "-1"])
+    message = f"suite {suite}: trials must be an int of at least 1, got -1"
+    assert_rejected(capsys, ["verify", suite, "--trials", "-1"], message)
 
 
 @pytest.mark.parametrize(
@@ -200,7 +206,13 @@ def test_verify_rejects_a_negative_trial_count(suite):
     [
         ("depth-table", {"n": 3}, r"n=3 leaves fewer than two .* \(1, 2, 3\)"),
         ("tau-identities", {"n": 4}, r"n=4 leaves fewer than two .* \(1, 2, 3\)"),
-        ("sp-orbit", {"g_values": (1, 3)}, r"every g >= 2, got g_values=\(1, 3\)"),
+        pytest.param(
+            "sp-orbit",
+            {"g_values": (1, 3)},
+            r"suite sp-orbit: g_values must be a nonempty tuple of ints of at least 2, "
+            r"got \(1, 3\)",
+            id="sp-orbit-g_values-under-2",
+        ),
     ],
 )
 def test_suites_reject_sizes_too_small(suite, params, message):
@@ -214,31 +226,121 @@ def test_suites_reject_k_values_under_two(suite, k_values):
     # both suites run the S family at every k; k = 0 and -1 (`verify --k 0`)
     # raised a stray IndexError, k = 1 and True failed inside make_S
     # without naming the suite, and 2.5 and a bare 3 raised TypeError
-    message = rf"suite {suite}: every entry of k_values must be an int of at least 2"
+    message = (
+        f"suite {suite}: k_values must be a nonempty tuple of ints of at least 2, "
+        f"got {re.escape(repr(k_values))}"
+    )
     with pytest.raises(ValueError, match=message):
         suites.run(suite, {"k_values": k_values})
 
 
-def test_depth_rejects_an_expansion_over_the_cost_bound(tmp_path):
+def _no_record_may_run(*args, **kwargs):
+    raise AssertionError("a record ran")
+
+
+@pytest.mark.parametrize(
+    "suite, name, value, kind",
+    [
+        # sample_delta looped forever: with c = 2 and n = 2 the tail
+        # always holds both indices, so no fresh index is ever found
+        ("sl-reduction", "n", 2, "an int of at least 4"),
+        # the negative control's fixed indices (3, 4) failed with
+        # "index 4 is not an int in 1..3"
+        ("sl-reduction", "n", 3, "an int of at least 4"),
+        # IA_2 = Inn(F_2): n = 2 reported FAIL on a claim not made there,
+        # and n = 1 failed in span_basis without naming n
+        ("iaab", "n_values", (2,), "a nonempty tuple of ints of at least 3"),
+        ("iaab", "n_values", (1,), "a nonempty tuple of ints of at least 3"),
+        # m = 0 passed on the empty parabolic; m = 1 failed without
+        # naming the suite or m
+        ("paths", "m", 0, "an int of at least 2"),
+        ("paths", "m", 1, "an int of at least 2"),
+        ("certificates", "m", 1, "an int of at least 2"),
+        # rng.choice on one index raised IndexError
+        ("paths", "n", 1, "an int of at least 2"),
+        # depth-table passed with "checked": 0; tau-identities raised IndexError
+        ("depth-table", "subalphabet", (), "a nonempty tuple of ints of at least 1"),
+        ("tau-identities", "subalphabet", (), "a nonempty tuple of ints of at least 1"),
+        # each passed with "samples": 0
+        ("tau-identities", "trials", 0, "an int of at least 1"),
+        ("sl-reduction", "trials", 0, "an int of at least 1"),
+        ("paths", "trials", 0, "an int of at least 1"),
+    ],
+)
+def test_suites_reject_values_under_their_bound(monkeypatch, suite, name, value, kind):
+    monkeypatch.setattr(suites._Recorder, "timed", _no_record_may_run)
+    message = f"suite {suite}: {name} must be {kind}, got {re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=message):
+        suites.run(suite, {name: value})
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # both ran as if the flag were absent
+        ("verify iaab --k 3", "suite iaab takes no parameter 'k'; it takes n_values"),
+        ("verify certificates --trials 5", "suite certificates takes no parameter 'trials'"),
+        ("verify iaab --no-full-closure", "suite iaab takes no parameter 'full_closure'"),
+        # each ended in a traceback with status 1, as a failing suite does
+        ("verify sp-orbit --g 1", r"suite sp-orbit: g_values .* at least 2, got \(1,\)"),
+        ("verify depth-table --k 0", r"suite depth-table: k_values .* at least 2, got \(0,\)"),
+        ("depth /nonexistent", "No such file or directory: '/nonexistent'"),
+    ],
+)
+def test_rejected_input_is_one_line_with_status_two(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(suites._Recorder, "timed", _no_record_may_run)
+    assert_rejected(capsys, argv.split(), message)
+
+
+def test_suites_reject_a_key_they_do_not_take():
+    message = "suite tau-identities takes no parameter 'unknown'"
+    with pytest.raises(ValueError, match=message):
+        suites.run("tau-identities", {"trials": 2, "unknown": 1})
+
+
+def test_a_failing_suite_keeps_status_one(monkeypatch, capsys):
+    monkeypatch.setattr(commgraph, "verify_path", lambda path: False)
+    assert cli.main(["verify", "paths", "--trials", "1"]) == 1
+    assert "suite paths: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["iaab", "--n", "3"], {"n_values": [3]}),
+        (["paths", "--n", "6", "--m", "2", "--trials", "1"], {"n": 6, "trials": 1}),
+        (["sl-reduction", "--k", "2", "--trials", "1"], {"k_values": [2], "trials": 1}),
+        (["kernel-claim", "--no-full-closure"], {"full_closure": False}),
+    ],
+)
+def test_flags_map_to_the_parameters_the_suite_takes(tmp_path, argv, params):
+    # --n is n_values for iaab and n for paths; unset flags keep the defaults
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", *argv, "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["params"]
+    defaults = json.loads(json.dumps(suites.parameters(argv[0])))
+    assert got == {**defaults, **params}
+
+
+def test_depth_rejects_an_expansion_over_the_cost_bound(tmp_path, capsys):
     # 94 letters over 6 indices: 94 * 6^10 is about 5.7e9, minutes to expand
     f = tmp_path / "auto.txt"
     f.write_text(autf.format_automorphism(autf.make_T(1, (2, 3, 4, 5, 6, 7), 7)) + "\n")
-    with pytest.raises(ValueError, match="94 letters over 6 indices.*MAX_EXPANSION_COST"):
-        cli.main(["depth", str(f), "--cutoff", "10"])
+    argv = ["depth", str(f), "--cutoff", "10"]
+    assert_rejected(capsys, argv, "94 letters over 6 indices.*MAX_EXPANSION_COST")
     # 22 letters over 4 indices: 22 * 4^10 is under the bound; its
     # expansion takes over a second, so only the check runs here
     cli._check_expansion_cost(autf.make_T(1, (2, 3, 4, 5), 5), 10)
 
 
 @pytest.mark.parametrize("missing", ["n", "m", "kind", "args"])
-def test_cert_assemble_rejects_missing_key(tmp_path, missing):
+def test_cert_assemble_rejects_missing_key(tmp_path, capsys, missing):
     spec = {"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}]}
     spec.pop(missing, None)
     spec["targets"][0].pop(missing, None)
     f = tmp_path / "assembly.json"
     f.write_text(json.dumps(spec))
-    with pytest.raises(ValueError, match=repr(missing)):
-        cli.main(["cert", "assemble", str(f)])
+    assert_rejected(capsys, ["cert", "assemble", str(f)], repr(missing))
 
 
 @pytest.mark.parametrize(
@@ -255,21 +357,19 @@ def test_cert_assemble_rejects_missing_key(tmp_path, missing):
         ("chooser_value", {"chooser_value": True}),
     ],
 )
-def test_cert_assemble_rejects_wrongly_typed_value(tmp_path, field, change):
+def test_cert_assemble_rejects_wrongly_typed_value(tmp_path, capsys, field, change):
     spec = {"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}], **change}
     f = tmp_path / "assembly.json"
     f.write_text(json.dumps(spec))
-    with pytest.raises(ValueError, match=repr(field)):
-        cli.main(["cert", "assemble", str(f)])
+    assert_rejected(capsys, ["cert", "assemble", str(f)], repr(field))
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661", " 1/2 ", "0.5", "1e3", "+3"])
 @pytest.mark.parametrize("field", ["chooser_value", "chi_seed"])
-def test_cert_assemble_reads_ascii_fraction_strings_only(tmp_path, field, value):
+def test_cert_assemble_reads_ascii_fraction_strings_only(tmp_path, capsys, field, value):
     spec = {"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}]}
     chi_seed_key = autf.format_automorphism(autf.make_magnus_C(1, 2, 5))
     spec[field] = {chi_seed_key: value} if field == "chi_seed" else value
     f = tmp_path / "assembly.json"
     f.write_text(json.dumps(spec))
-    with pytest.raises(ValueError, match=repr(field)):
-        cli.main(["cert", "assemble", str(f)])
+    assert_rejected(capsys, ["cert", "assemble", str(f)], repr(field))

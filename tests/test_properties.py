@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from autfilt import autf, bnscert, cli, exactlin, lie, magnus
+from autfilt import autf, bnscert, cli, exactlin, lie, magnus, suites
 from autfilt.autf import FreeWord
 
 from helpers import (
@@ -406,3 +406,42 @@ def test_mutated_automorphism_text_gives_automorphism_or_value_error(data):
     except ValueError:
         return
     assert isinstance(phi, autf.FreeAutomorphism)
+
+
+# -- suite parameters: one value replaced --------------------------------------
+
+SUITE_SMOKE = {
+    "iaab": {"n_values": (3,)},
+    "tau-identities": {
+        "n": 5, "k_values": (2,), "trials": 2, "seed": 7, "subalphabet": (1, 2, 3)
+    },
+    "kernel-claim": {"n": 4, "k": 2, "full_closure": True},
+    "sp-orbit": {"g_values": (3,), "extended_sp_generators": False},
+    "sl-reduction": {"n": 5, "k_values": (2,), "trials": 3, "seed": 7},
+    "paths": {"n": 5, "m": 2, "trials": 5, "seed": 7, "max_len": 4},
+    "certificates": {"n": 5, "m": 2},
+    "depth-table": {"n": 4, "k_values": (2,), "subalphabet": (1, 2)},
+}
+SUITE_REPLACEMENTS = [0, -1, 1, True, 1.5, "x", ()]
+# the values by which a record counts what it sampled or checked
+SAMPLE_COUNTS = ("samples", "trials", "checked", "mu_count")
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_mutated_suite_parameters_give_value_error_or_evidence(data):
+    suite = data.draw(st.sampled_from(sorted(SUITE_SMOKE)))
+    params = dict(SUITE_SMOKE[suite])
+    name = data.draw(st.sampled_from(sorted(params)))
+    new = data.draw(st.sampled_from(SUITE_REPLACEMENTS))
+    if isinstance(params[name], tuple) and data.draw(st.booleans()):
+        new = (new,) + params[name][1:]  # replace the first entry only
+    params[name] = new
+    try:
+        report = suites.run(suite, params)
+    except ValueError:
+        return
+    assert report.status == "PASS"
+    for record in report.records:
+        counts = [record.values[key] for key in SAMPLE_COUNTS if key in record.values]
+        assert all(count >= 1 for count in counts), (record.claim, record.values)

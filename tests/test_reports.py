@@ -11,7 +11,7 @@ are compared by the acceptance tests that already run those suites at the
 committed parameters, through assert_matches_committed.
 """
 
-import inspect
+import importlib.util
 import json
 import pathlib
 import re
@@ -88,14 +88,29 @@ def test_suite_defaults_are_pinned():
     assert set(suites.SUITE_NAMES) == set(DEFAULT_PARAMS)
     t0 = time.perf_counter()
     for name, expected in DEFAULT_PARAMS.items():
-        given = {}
-        if name == "tau-identities":
-            # its 50 default trials take seconds: run none, with a key the
-            # suite ignores, and read the trials default off the signature
-            given = {"trials": 0, "unknown": 1}
-            expected = {**expected, "trials": 0}
-        params = json.loads(suites.run(name, given).to_json())["params"]
-        assert params == expected, name
-    trials = inspect.signature(suites.suite_tau_identities).parameters["trials"]
-    assert trials.default == DEFAULT_PARAMS["tau-identities"]["trials"]
+        assert json.loads(json.dumps(suites.parameters(name))) == expected, name
+        # tau-identities at its defaults takes about a second, all in
+        # tau-image-in-shift-difference-space(k=3): its defaults are pinned
+        # through the resolver alone
+        if name != "tau-identities":
+            assert json.loads(suites.run(name).to_json())["params"] == expected, name
     assert time.perf_counter() - t0 < 1.0
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_and_report_parameters_pass_the_resolver():
+    # a bound set too tight fails here, not in the benchmark's runs
+    root = REPORTS.parent
+    runs = list(_load(root / "scripts" / "run_suites.py").RUNS)
+    workloads = _load(root / "perfbench" / "workloads.py")
+    for scale in workloads.SCALES:
+        runs += workloads.desk_inputs(0, 0, scale)["runs"]
+    for name, params in runs:
+        resolved = suites.parameters(name, params)
+        assert resolved == {**suites.parameters(name), **params}
