@@ -15,19 +15,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import json
 import re
 from fractions import Fraction
-
-
-def reduce_letters(letters):
-    """Freely reduce a letter sequence with a stack pass."""
-    out = []
-    for i, s in letters:
-        if out and out[-1][0] == i and out[-1][1] == -s:
-            out.pop()
-        else:
-            out.append((i, s))
-    return tuple(out)
 
 
 class _LetterInverses(dict):
@@ -53,9 +43,11 @@ class FreeWord:
 
     The constructor is the checking one, for outside input: each letter
     must be a pair of an int index in 1..rank and an int sign +1 or -1
-    (bool is not accepted as int), or it raises ValueError.  Words built
-    from words that are already valid (products, inverses, substitution
-    of images, single moves) go through `_reduced`, which only reduces.
+    (bool is not accepted as int), or it raises ValueError; the checked
+    letters, one piece each, are then reduced by `_reduced`, the one free
+    reduction.  Words built from words that are already valid (products,
+    inverses, substitution of images, single moves) call `_reduced`
+    directly, which only reduces.
     """
 
     __slots__ = ("rank", "letters")
@@ -73,9 +65,9 @@ class FreeWord:
                 raise ValueError(f"letter index {i!r} is not an int in 1..{rank}")
             if not (is_json_int(s) and s in (1, -1)):
                 raise ValueError(f"letter sign must be the int +1 or -1, got {s!r}")
-            checked.append((i, s))
+            checked.append(((i, s),))
         FreeWord.rank.__set__(self, rank)
-        FreeWord.letters.__set__(self, reduce_letters(checked))
+        FreeWord.letters.__set__(self, FreeWord._reduced(rank, checked).letters)
 
     @classmethod
     def _reduced(cls, rank, pieces):
@@ -134,30 +126,6 @@ class FreeWord:
 
     def tokens(self):
         return " ".join(f"x{i}" if s == 1 else f"x{i}^-1" for i, s in self.letters)
-
-
-def word(rank, *signed_indices):
-    """Build a word from signed indices, e.g. word(3, 1, -2) = x1 x2^-1."""
-    for v in signed_indices:
-        if not is_json_int(v):
-            raise ValueError(f"signed index must be an int, got {v!r}")
-    return FreeWord(rank, tuple((abs(v), 1 if v > 0 else -1) for v in signed_indices))
-
-
-def word_commutator(u, v):
-    """[u, v] = u^-1 v^-1 u v as a reduced word."""
-    return u.inverse() * v.inverse() * u * v
-
-
-def left_normed_word_commutator(words):
-    """[w1, w2, ..., wk] = [[[w1, w2], w3], ..., wk]."""
-    words = list(words)
-    if not words:
-        raise ValueError("need at least one word")
-    acc = words[0]
-    for w in words[1:]:
-        acc = word_commutator(acc, w)
-    return acc
 
 
 def _apply_images(images, w, inverted=None):
@@ -289,18 +257,19 @@ def identity_automorphism(n):
     return FreeAutomorphism(n, gens, gens, check=False)
 
 
-def group_commutator(phi, psi):
-    """[phi, psi] = phi^-1 psi^-1 phi psi."""
-    return phi.inverse().compose(psi.inverse()).compose(phi).compose(psi)
+def group_commutator(g, h):
+    """[g, h] = g^-1 h^-1 g h, for two words or two automorphisms."""
+    return g.inverse() * h.inverse() * g * h
 
 
-def left_normed_group_commutator(autos):
-    autos = list(autos)
-    if not autos:
-        raise ValueError("need at least one automorphism")
-    acc = autos[0]
-    for a in autos[1:]:
-        acc = group_commutator(acc, a)
+def left_normed_group_commutator(elements):
+    """[g1, g2, ..., gk] = [[[g1, g2], g3], ..., gk], for words or automorphisms."""
+    elements = list(elements)
+    if not elements:
+        raise ValueError("need at least one element")
+    acc = elements[0]
+    for g in elements[1:]:
+        acc = group_commutator(acc, g)
     return acc
 
 
@@ -389,7 +358,7 @@ def _tail_commutator(n, omega):
     """Letters of the left-normed commutator of the x_w, w in omega; the
     indices are checked by the caller, so the generators need no check."""
     gens = [FreeWord._reduced(n, (((w, 1),),)) for w in omega]
-    return left_normed_word_commutator(gens).letters
+    return left_normed_group_commutator(gens).letters
 
 
 def make_S(mu, i, j, n):
@@ -608,6 +577,25 @@ def parse_automorphism(text, inverse_text=None):
 
 
 # checks shared by the readers of certificate and assembly JSON
+
+
+def read_json(text, what):
+    """The JSON value in text; a ValueError naming what rejects a key
+    repeated in one object, which json.loads would read as its last value,
+    and NaN or Infinity, which are not JSON."""
+
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"{what} repeats the key {key!r} in one object")
+            seen.add(key)
+        return dict(pairs)
+
+    def no_constant(name):
+        raise ValueError(f"{what} holds {name}, which is not JSON")
+
+    return json.loads(text, object_pairs_hook=unique_keys, parse_constant=no_constant)
 
 
 def json_fields(obj, keys, what):

@@ -63,7 +63,7 @@ class BnsCertificate:
     @classmethod
     def from_json(cls, text):
         """Parse to_json output; malformed input raises a ValueError naming it."""
-        data = json.loads(text)
+        data = autf.read_json(text, "certificate")
         texts, chi, rows = autf.json_fields(
             data, ("elements", "chi", "witnesses"), "certificate"
         )

@@ -25,8 +25,7 @@ def _suite_params(args):
     that, else under <flag>; suites.run rejects a flag it takes neither way."""
     takes = suites.parameters(args.suite)
     params = {}
-    flags = ("n", "k", "g", "m", "trials", "seed", "extended_sp_generators", "full_closure")
-    for flag in flags:
+    for flag in ("n", "k", "g", "m", "trials", "seed", "extended_sp_generators"):
         value = getattr(args, flag)
         if value is not None:
             if f"{flag}_values" in takes:
@@ -180,7 +179,7 @@ def _assemble(spec):
 
 def cmd_cert_assemble(args):
     with open(args.file) as f:
-        spec = json.load(f)
+        spec = autf.read_json(f.read(), "assembly spec")
     cert, report = _assemble(spec)
     verdict = bnscert.check_certificate(cert)
     text = cert.to_json()
@@ -227,14 +226,6 @@ def build_parser():
         action="store_const",
         const=True,
         help="add extra symplectic transvections to the sp-orbit saturation",
-    )
-    p_verify.add_argument(
-        "--no-full-closure",
-        dest="full_closure",
-        action="store_const",
-        const=False,
-        help="stop kernel-claim saturation at the kernel dimension "
-        "(equality is still certified by containment plus dimension)",
     )
     p_verify.set_defaults(fn=cmd_verify)
 

@@ -234,7 +234,6 @@ class LinearOperator:
         self.name = name
         self.inverse = inverse
         self._cache = {}
-        self._induced = {}
 
     def image_of(self, label):
         vec = self._cache.get(label)
@@ -436,17 +435,14 @@ class SaturationResult:
     applications: int
 
 
-def orbit_saturate(generators, seeds, stop_at_dim=None):
+def orbit_saturate(generators, seeds):
     """Smallest subspace containing the seeds and stable under the group
     the generators generate.
 
     Every generator must carry an inverse witness, but only the generators
     themselves are applied: for an invertible g and a finite-dimensional W,
     gW contained in W forces gW = W, hence g^-1 W = W.  Termination: the
-    dimension grows strictly or the queue drains.  With stop_at_dim the
-    search stops once that dimension is reached and the result is marked
-    not-closed; callers use this when an upper bound is known and
-    containment is being certified separately.
+    dimension grows strictly or the queue drains.
     """
     seeds = list(seeds)
     if not seeds:
@@ -476,8 +472,6 @@ def orbit_saturate(generators, seeds, stop_at_dim=None):
                 residue = basis.insert(op.apply(vec))
                 if residue is not None:
                     next_queue.append(residue)
-                    if stop_at_dim is not None and basis.dim >= stop_at_dim:
-                        return SaturationResult(basis, False, rounds, applications)
         queue = next_queue
     return SaturationResult(basis, True, rounds, applications)
 
@@ -602,8 +596,6 @@ def _act_on_lyndon_word(base, w):
 def induced_on(base, space):
     """Functorial lift of an invertible operator on V = VSpace(n) to a
     structured space over the same n."""
-    if space in base._induced:
-        return base._induced[space]
     v = VSpace(space.params[0])
     if base.space_in != v or base.space_out != v:
         raise ValueError(
@@ -613,8 +605,6 @@ def induced_on(base, space):
     fwd = _induce_one(base, space)
     bwd = _induce_one(base.inverse, space)
     fwd.inverse, bwd.inverse = bwd, fwd
-    base._induced[space] = fwd
-    base.inverse._induced[space] = bwd
     return fwd
 
 
@@ -903,10 +893,15 @@ def kernel_claim_check(n, k, full_closure=True):
     contraction, the span of its images in TensorSpace(n, k), so no
     kernel basis is built.  Every orbit basis row is checked to lie in the
     kernel, and a subspace of the kernel with the kernel's dimension is
-    the kernel, so equality is containment plus the dimension count, with
-    or without full closure.  When full_closure is false the saturation
-    stops as soon as the kernel dimension is reached.
+    the kernel, so equality is containment plus the dimension count.  The
+    saturation always runs to closure; full_closure=True is the only value
+    accepted, kept for callers that still name it.
     """
+    if full_closure is not True:
+        raise ValueError(
+            "kernel_claim_check takes only full_closure=True: the early-stop "
+            "saturation mode is gone"
+        )
     if not 2 <= k <= n - 2:
         raise ValueError(f"need 2 <= k <= n - 2, got n={n}, k={k}")
     space = MkSpace(n, k)
@@ -918,11 +913,7 @@ def kernel_claim_check(n, k, full_closure=True):
     ]
     seeds_ok = all(not phi.apply(s) for s in seeds)
     kernel_dim = space.dimension - span_basis(map(phi.image_of, space.labels())).dim
-    result = orbit_saturate(
-        [induced_on(g, space) for g in sl_generators(n)],
-        seeds,
-        stop_at_dim=None if full_closure else kernel_dim,
-    )
+    result = orbit_saturate([induced_on(g, space) for g in sl_generators(n)], seeds)
     orbit = result.basis
     inside = all(
         not phi.apply(TensorVector._trusted(space, row)) for row in orbit.rows.values()

@@ -116,14 +116,26 @@ def _random_t(rng, n, k):
             return autf.make_T(i, omega, n), ("T", i, omega)
 
 
-def _free_pair(n, subalphabet):
+def _free_pair(suite, n, k_values, subalphabet):
     """The two least indices of 1..n outside subalphabet: the i and j of
-    the S family, whose mu is drawn from subalphabet."""
+    the S family, whose mu of each length k in k_values is drawn from
+    subalphabet.  A ValueError naming the suite and the parameter rejects
+    a subalphabet entry outside 1..n, fewer than two indices left for i
+    and j, and a k over n - 2 (the bound of make_S), before any record runs."""
+    if not all(1 <= a <= n for a in subalphabet):
+        raise ValueError(
+            f"suite {suite}: subalphabet entries must be in 1..{n}, got {subalphabet!r}"
+        )
     free = [a for a in range(1, n + 1) if a not in subalphabet]
     if len(free) < 2:
         raise ValueError(
-            f"n={n} leaves fewer than two indices outside the subalphabet "
-            f"{tuple(subalphabet)}; the S family needs two"
+            f"suite {suite}: n={n} leaves fewer than two indices outside the "
+            f"subalphabet {tuple(subalphabet)}; the S family needs two"
+        )
+    if max(k_values) > n - 2:
+        raise ValueError(
+            f"suite {suite}: k_values entries must be at most n - 2 = {n - 2}, "
+            f"got {k_values!r}"
         )
     return free[0], free[1]
 
@@ -189,7 +201,7 @@ def suite_tau_identities(
     families span the same difference space); (c) tau of random products
     of T and S elements lies in that space.
     """
-    i_free, j_free = _free_pair(n, subalphabet)
+    i_free, j_free = _free_pair("tau-identities", n, k_values, subalphabet)
     for k in k_values:
         rng = random.Random(seed)
 
@@ -253,12 +265,12 @@ def suite_tau_identities(
         rec.timed(f"tau-image-in-shift-difference-space(k={k})", check_w)
 
 
-def suite_kernel_claim(rec, n=4, k=2, full_closure=True):
+def suite_kernel_claim(rec, n=4, k=2):
     """SL_n(Z)-orbit (two generators) span of the single-row family equals
     ker of the contraction inside the dual-Lie space."""
 
     def check():
-        report = exactlin.kernel_claim_check(n, k, full_closure=full_closure)
+        report = exactlin.kernel_claim_check(n, k)
         return report.equal and report.seeds_in_kernel, report.to_json_obj()
 
     rec.timed(f"orbit-span-equals-contraction-kernel(n={n},k={k})", check)
@@ -486,7 +498,7 @@ def suite_depth_table(rec, n=5, k_values=(2, 3), subalphabet=(1, 2, 3)):
     coincide are skipped for the T family (the commutator word is then
     trivial and the map is the identity).
     """
-    i_free, j_free = _free_pair(n, subalphabet)
+    i_free, j_free = _free_pair("depth-table", n, k_values, subalphabet)
 
     def check_cm():
         gens = _all_conjugation_generators(n) + _all_commutator_multipliers(n)
@@ -552,7 +564,8 @@ SUITE_NAMES = tuple(_SUITES)
 # parameter, per suite: iaab's claim is not made at n = 2 (IA_2 = Inn(F_2)),
 # the S family needs k >= 2 and sl-reduction's negative control reads the
 # indices 3 and 4.  Bounds between parameters stay where they are used:
-# _free_pair, kernel_claim_check, commgraph._check_bound and make_S.
+# _free_pair (which also checks make_S's k <= n - 2 before any record
+# runs), kernel_claim_check, commgraph._check_bound and make_S.
 _LEAST = {
     "iaab": {"n_values": 3},
     "tau-identities": {"k_values": 2, "trials": 1, "subalphabet": 1},

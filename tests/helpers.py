@@ -29,6 +29,14 @@ def is_identity(x):
     return x == autf.identity_automorphism(x.rank)
 
 
+def word(rank, *signed_indices):
+    """Build a word from signed indices, e.g. word(3, 1, -2) = x1 x2^-1."""
+    for v in signed_indices:
+        if not autf.is_json_int(v):
+            raise ValueError(f"signed index must be an int, got {v!r}")
+    return autf.FreeWord(rank, tuple((abs(v), 1 if v > 0 else -1) for v in signed_indices))
+
+
 def derivation_apply(D, tensor):
     """Extend D: {i: tensor dict} to a derivation and apply to a tensor."""
     out = {}
@@ -624,15 +632,15 @@ def random_deep_word(rng, n, avoid, nesting):
     if nesting == 0:
         return short()
     if nesting > 1:
-        return autf.word_commutator(random_deep_word(rng, n, avoid, nesting - 1), short())
+        return autf.group_commutator(random_deep_word(rng, n, avoid, nesting - 1), short())
     kind = rng.choice(("commutator", "powers", "conjugate"))
     if kind == "commutator":
-        return autf.word_commutator(short(), short())
+        return autf.group_commutator(short(), short())
     a, b = rng.choice(letters), rng.choice(letters)
     power = autf.FreeWord(n, [(a, 1)] * rng.randrange(1, 6))
     if kind == "powers":
-        return autf.word_commutator(power, autf.FreeWord(n, [(b, 1)] * len(power)))
-    return power * autf.word_commutator(short(), short()) * power.inverse()
+        return autf.group_commutator(power, autf.FreeWord(n, [(b, 1)] * len(power)))
+    return power * autf.group_commutator(short(), short()) * power.inverse()
 
 
 def random_deep_automorphism(rng, n, max_letters=300):

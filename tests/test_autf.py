@@ -4,7 +4,6 @@ import re
 import pytest
 
 from autfilt import autf, cli, commgraph
-from autfilt.autf import word
 
 from helpers import (
     compose_per_occurrence,
@@ -12,6 +11,7 @@ from helpers import (
     make_signed_permutation,
     random_automorphism,
     substitute_per_occurrence,
+    word,
 )
 
 
@@ -158,8 +158,8 @@ def test_t_family_degenerates_to_m():
 def test_t_family_nested_commutator():
     n = 4
     T = autf.make_T(1, (2, 3, 2), n)
-    inner = autf.word_commutator(word(n, 2), word(n, 3))
-    expected = word(n, 1) * autf.word_commutator(inner, word(n, 2))
+    inner = autf.group_commutator(word(n, 2), word(n, 3))
+    expected = word(n, 1) * autf.group_commutator(inner, word(n, 2))
     assert T.apply(word(n, 1)) == expected
 
 

@@ -205,6 +205,29 @@ def test_from_json_rejects_short_inverse_list():
         bnscert.BnsCertificate.from_json(json.dumps(data))
 
 
+def test_from_json_rejects_a_repeated_top_level_key():
+    # json.loads keeps the last "chi", so a reader of the file who sees the
+    # first one and the checker, which found this certificate valid, disagree
+    cert, _ = bnscert.assemble_certificate(5, 2, [("C12", autf.c_nielsen_word(1, 2))])
+    shown = json.dumps(["0"] * len(cert.chi))
+    text = '{"chi": ' + shown + ", " + cert.to_json()[1:]
+    with pytest.raises(ValueError, match="certificate repeats the key 'chi'"):
+        bnscert.BnsCertificate.from_json(text)
+
+
+def test_from_json_rejects_a_repeated_witness_key():
+    text = json.dumps(_certificate_data()).replace('"word": ', '"word": [1], "word": ', 1)
+    with pytest.raises(ValueError, match="certificate repeats the key 'word'"):
+        bnscert.BnsCertificate.from_json(text)
+
+
+def test_from_json_rejects_nan():
+    data = _certificate_data()
+    data["witnesses"][0]["i"] = float("nan")
+    with pytest.raises(ValueError, match="certificate holds NaN, which is not JSON"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
 def test_from_json_rejects_non_object_top_level():
     with pytest.raises(ValueError, match="JSON object"):
         bnscert.BnsCertificate.from_json("[1]")

@@ -141,18 +141,6 @@ def test_cert_check_rejects_corrupted(tmp_path, capsys):
     assert verdict["failed_condition"] == "nonzero-at-first"
 
 
-def test_kernel_claim_cli_no_full_closure(tmp_path):
-    out = tmp_path / "kc.json"
-    code = cli.main(
-        ["verify", "kernel-claim", "--n", "4", "--k", "2", "--no-full-closure", "--out", str(out)]
-    )
-    assert code == 0
-    data = json.loads(out.read_text())
-    values = data["records"][0]["values"]
-    assert values["equal"] is True
-    assert values["saturation_closed"] is False
-
-
 def test_sp_orbit_cli_extended_generators(tmp_path):
     out = tmp_path / "sp.json"
     code = cli.main(
@@ -201,6 +189,10 @@ def test_verify_rejects_a_negative_trial_count(suite, capsys):
     assert_rejected(capsys, ["verify", suite, "--trials", "-1"], message)
 
 
+def _no_record_may_run(*args, **kwargs):
+    raise AssertionError("a record ran")
+
+
 @pytest.mark.parametrize(
     "suite, params, message",
     [
@@ -213,9 +205,32 @@ def test_verify_rejects_a_negative_trial_count(suite, capsys):
             r"got \(1, 3\)",
             id="sp-orbit-g_values-under-2",
         ),
+        # make_magnus_M rejected index 7 after the T-family records had run
+        *(
+            pytest.param(
+                suite,
+                {"subalphabet": (1, 2, 7)},
+                rf"suite {suite}: subalphabet entries must be in 1\.\.5, got \(1, 2, 7\)",
+                id=f"{suite}-subalphabet-entry-over-n",
+            )
+            for suite in ("tau-identities", "depth-table")
+        ),
+        # two records ran (0.57 s for depth-table), then make_S raised
+        # "mu too long: need len(mu) <= n - 2"
+        *(
+            pytest.param(
+                suite,
+                {"k_values": (4,)},
+                rf"suite {suite}: k_values entries must be at most n - 2 = 3, got \(4,\)",
+                id=f"{suite}-k-over-n-minus-2",
+            )
+            for suite in ("tau-identities", "depth-table")
+        ),
     ],
 )
-def test_suites_reject_sizes_too_small(suite, params, message):
+def test_suites_reject_sizes_too_small(monkeypatch, suite, params, message):
+    # every size relation is checked before any record runs
+    monkeypatch.setattr(suites._Recorder, "timed", _no_record_may_run)
     with pytest.raises(ValueError, match=message):
         suites.run(suite, params)
 
@@ -232,10 +247,6 @@ def test_suites_reject_k_values_under_two(suite, k_values):
     )
     with pytest.raises(ValueError, match=message):
         suites.run(suite, {"k_values": k_values})
-
-
-def _no_record_may_run(*args, **kwargs):
-    raise AssertionError("a record ran")
 
 
 @pytest.mark.parametrize(
@@ -280,10 +291,12 @@ def test_suites_reject_values_under_their_bound(monkeypatch, suite, name, value,
         # both ran as if the flag were absent
         ("verify iaab --k 3", "suite iaab takes no parameter 'k'; it takes n_values"),
         ("verify certificates --trials 5", "suite certificates takes no parameter 'trials'"),
-        ("verify iaab --no-full-closure", "suite iaab takes no parameter 'full_closure'"),
         # each ended in a traceback with status 1, as a failing suite does
         ("verify sp-orbit --g 1", r"suite sp-orbit: g_values .* at least 2, got \(1,\)"),
         ("verify depth-table --k 0", r"suite depth-table: k_values .* at least 2, got \(0,\)"),
+        # the T-family record ran first, over 5 * 4^8 tails, before make_S
+        # rejected mu
+        ("verify depth-table --k 7", r"suite depth-table: k_values .* at most n - 2 = 3"),
         ("depth /nonexistent", "No such file or directory: '/nonexistent'"),
     ],
 )
@@ -310,7 +323,7 @@ def test_a_failing_suite_keeps_status_one(monkeypatch, capsys):
         (["iaab", "--n", "3"], {"n_values": [3]}),
         (["paths", "--n", "6", "--m", "2", "--trials", "1"], {"n": 6, "trials": 1}),
         (["sl-reduction", "--k", "2", "--trials", "1"], {"k_values": [2], "trials": 1}),
-        (["kernel-claim", "--no-full-closure"], {"full_closure": False}),
+        (["kernel-claim", "--n", "5", "--k", "2"], {"n": 5, "k": 2}),
     ],
 )
 def test_flags_map_to_the_parameters_the_suite_takes(tmp_path, argv, params):
@@ -331,6 +344,13 @@ def test_depth_rejects_an_expansion_over_the_cost_bound(tmp_path, capsys):
     # 22 letters over 4 indices: 22 * 4^10 is under the bound; its
     # expansion takes over a second, so only the check runs here
     cli._check_expansion_cost(autf.make_T(1, (2, 3, 4, 5), 5), 10)
+
+
+def test_cert_assemble_rejects_a_repeated_key(tmp_path, capsys):
+    # json.load kept the last "n" and assembled a certificate for n = 6
+    f = tmp_path / "assembly.json"
+    f.write_text('{"n": 5, "n": 6, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}]}')
+    assert_rejected(capsys, ["cert", "assemble", str(f)], "assembly spec repeats the key 'n'")
 
 
 @pytest.mark.parametrize("missing", ["n", "m", "kind", "args"])

@@ -2,11 +2,16 @@
 so does every public method or property of a package class (dunder and
 _-prefixed names are exempt).
 
-A name counts as used when a non-test file of src/, scripts/ or perfbench/
-mentions it outside its own definition: as a name, as an attribute, or as
-a string constant equal to the name (perfbench's tracer wraps functions by
-their string names).  Assignments to __all__ do not count.  Code that only
-tests call belongs in tests/helpers.py, not in the package.
+A caller is a non-test file of src/, scripts/ or perfbench/, outside the
+definition itself.  A module-level name X of package module m counts as
+used only where it is X of that module: the attribute m.X (or
+autfilt.m.X), an import of X from m, or the bare name X inside m.  A
+public method counts as used as an attribute of any value, or as a bare
+name inside its own class (``__call__ = apply``).  String constants count
+only in perfbench/tracing.py, whose tracer wraps functions by their string
+names.  So a string or an attribute of another module that happens to
+equal a name does not keep it alive.  Assignments to __all__ do not count.
+Code that only tests call belongs in tests/helpers.py, not in the package.
 
 Every module-level import of a package module is used in that module.
 """
@@ -16,6 +21,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "autfilt"
+TRACER = ROOT / "perfbench" / "tracing.py"
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
 
@@ -26,43 +32,64 @@ def _caller_files():
                 yield path
 
 
-def _mentions(node, out):
-    """Add the names mentioned in node to out, __all__ assignments left out."""
+def _uses(node, out):
+    """Add to out what node mentions, __all__ assignments left out:
+    ("name", x) for a bare name, ("attr", x) for an attribute,
+    ("module", m, x) for an attribute x of a name or attribute m, and for
+    x imported from module m, and ("string", x) for a string constant."""
     if isinstance(node, ast.Assign) and any(
         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
     ):
         return out
     if isinstance(node, ast.Name):
-        out.add(node.id)
+        out.add(("name", node.id))
     elif isinstance(node, ast.Attribute):
-        out.add(node.attr)
+        out.add(("attr", node.attr))
+        base = node.value
+        if isinstance(base, (ast.Name, ast.Attribute)):
+            out.add(("module", base.id if isinstance(base, ast.Name) else base.attr, node.attr))
+    elif isinstance(node, ast.ImportFrom) and node.module:
+        for alias in node.names:
+            out.add(("module", node.module.rsplit(".", 1)[-1], alias.name))
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-        out.add(node.value)
+        out.add(("string", node.value))
     for child in ast.iter_child_nodes(node):
-        _mentions(child, out)
+        _uses(child, out)
     return out
 
 
 def _statements():
-    """(path, statement, names it mentions) for each top-level statement of
-    the caller files: one name set per statement, so a definition's own
-    body (a recursive call, say) does not count as a use of it."""
+    """(path, statement, what it mentions) for each top-level statement of
+    the caller files: one set per statement, so a definition's own body (a
+    recursive call, say) does not count as a use of it."""
     return [
-        (path, stmt, _mentions(stmt, set()))
+        (path, stmt, _uses(stmt, set()))
         for path in _caller_files()
         for stmt in ast.parse(path.read_text()).body
     ]
 
 
+def _string_use(path, uses, name):
+    return path == TRACER and ("string", name) in uses
+
+
 def test_every_module_level_definition_has_a_caller():
     statements = _statements()
-    unused = [
-        f"{path.stem}.{stmt.name}"
-        for path, stmt, _ in statements
-        if path.parent == PACKAGE
-        and isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
-    ]
+    unused = []
+    for path, stmt, _ in statements:
+        if path.parent != PACKAGE or not isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        module, name = path.stem, stmt.name
+        if not any(
+            ("module", module, name) in uses
+            or (other_path == path and ("name", name) in uses)
+            or _string_use(other_path, uses, name)
+            for other_path, other, uses in statements
+            if other is not stmt
+        ):
+            unused.append(f"{module}.{name}")
     assert not unused, f"defined but never used outside tests: {unused}"
 
 
@@ -74,16 +101,18 @@ def test_every_public_method_has_a_caller():
     for path, cls, _ in statements:
         if path.parent != PACKAGE or not isinstance(cls, ast.ClassDef):
             continue
-        outside = [names for _, other, names in statements if other is not cls]
-        members = [(item, _mentions(item, set())) for item in cls.body]
+        outside = [(p, uses) for p, other, uses in statements if other is not cls]
+        members = [(item, _uses(item, set())) for item in cls.body]
         for item, _ in members:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            inside = [names for other, names in members if other is not item]
-            if not item.name.startswith("_") and not any(
-                item.name in names for names in outside + inside
+            name = item.name
+            inside = [uses for other, uses in members if other is not item]
+            if not name.startswith("_") and not (
+                any(("attr", name) in uses or _string_use(p, uses, name) for p, uses in outside)
+                or any(("attr", name) in uses or ("name", name) in uses for uses in inside)
             ):
-                unused.append(f"{path.stem}.{cls.name}.{item.name}")
+                unused.append(f"{path.stem}.{cls.name}.{name}")
     assert not unused, f"public methods never used outside tests: {unused}"
 
 
@@ -109,6 +138,6 @@ def test_every_module_level_import_is_used_in_its_module():
                 used = set()
                 for other in body:
                     if other is not stmt:
-                        _mentions(other, used)
-                unused += [f"{path.stem}: {name}" for name in names if name not in used]
+                        _uses(other, used)
+                unused += [f"{path.stem}: {name}" for name in names if ("name", name) not in used]
     assert not unused, f"imported but never used: {unused}"

@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from autfilt import autf, cli, exactlin, lie, magnus
-from autfilt.autf import word
 
 from helpers import (
     check_blocks_match_expansion,
@@ -21,6 +20,7 @@ from helpers import (
     packed_by_shift_add,
     random_deep_automorphism,
     random_word,
+    word,
 )
 
 
@@ -40,7 +40,7 @@ def test_expand_inverse_generator_geometric_series():
 
 
 def test_expand_commutator_lowest_degree():
-    c = autf.word_commutator(word(2, 1), word(2, 2))
+    c = autf.group_commutator(word(2, 1), word(2, 2))
     s = magnus.magnus_expand(c, 3)
     low = {m: c for m, c in s.coeffs.items() if len(m) <= 2}
     assert low == {(): 1, (1, 2): 1, (2, 1): -1}

@@ -415,7 +415,7 @@ SUITE_SMOKE = {
     "tau-identities": {
         "n": 5, "k_values": (2,), "trials": 2, "seed": 7, "subalphabet": (1, 2, 3)
     },
-    "kernel-claim": {"n": 4, "k": 2, "full_closure": True},
+    "kernel-claim": {"n": 4, "k": 2},
     "sp-orbit": {"g_values": (3,), "extended_sp_generators": False},
     "sl-reduction": {"n": 5, "k_values": (2,), "trials": 3, "seed": 7},
     "paths": {"n": 5, "m": 2, "trials": 5, "seed": 7, "max_len": 4},

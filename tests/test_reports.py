@@ -75,7 +75,7 @@ DEFAULT_PARAMS = {
     "tau-identities": {
         "n": 5, "k_values": [2, 3], "trials": 50, "seed": 7, "subalphabet": [1, 2, 3]
     },
-    "kernel-claim": {"n": 4, "k": 2, "full_closure": True},
+    "kernel-claim": {"n": 4, "k": 2},
     "sp-orbit": {"g_values": [3, 4], "extended_sp_generators": False},
     "sl-reduction": {"n": 5, "k_values": [2, 3], "trials": 20, "seed": 7},
     "paths": {"n": 5, "m": 2, "trials": 100, "seed": 7, "max_len": 8},
