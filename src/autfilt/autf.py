@@ -446,13 +446,6 @@ def eval_nielsen_word(letters, n):
     return compose_all(n, (make_nielsen(*nielsen_letter(l, n), n) for l in letters))
 
 
-def nielsen_word_support(letters):
-    s = set()
-    for _, i, j, _ in letters:
-        s.update((i, j))
-    return frozenset(s)
-
-
 def c_nielsen_word(i, j):
     """C_ij written in Nielsen letters: C_ij = R_ij L_ij^-1."""
     return (("R", i, j, 1), ("L", i, j, -1))
@@ -580,9 +573,9 @@ def parse_automorphism(text, inverse_text=None):
 
 
 def read_json(text, what):
-    """The JSON value in text; a ValueError naming what rejects a key
-    repeated in one object, which json.loads would read as its last value,
-    and NaN or Infinity, which are not JSON."""
+    """The JSON value in text; a ValueError naming what rejects text that
+    is not JSON, a key repeated in one object, which json.loads would read
+    as its last value, and NaN or Infinity, which are not JSON either."""
 
     def unique_keys(pairs):
         seen = set()
@@ -595,16 +588,25 @@ def read_json(text, what):
     def no_constant(name):
         raise ValueError(f"{what} holds {name}, which is not JSON")
 
-    return json.loads(text, object_pairs_hook=unique_keys, parse_constant=no_constant)
+    try:
+        return json.loads(
+            text, object_pairs_hook=unique_keys, parse_constant=no_constant
+        )
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not JSON: {exc}") from None
 
 
-def json_fields(obj, keys, what):
-    """Values of keys in the JSON object obj; a ValueError names what is missing."""
+def json_fields(obj, keys, what, optional=()):
+    """Values of keys in the JSON object obj; a ValueError names what lacks
+    one of them or holds a key that is neither in keys nor in optional."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    unknown = [k for k in obj if k not in keys and k not in optional]
+    if unknown:
+        raise ValueError(f"{what} holds the unknown key {', '.join(map(repr, unknown))}")
     return [obj[k] for k in keys]
 
 

@@ -65,7 +65,7 @@ class BnsCertificate:
         """Parse to_json output; malformed input raises a ValueError naming it."""
         data = autf.read_json(text, "certificate")
         texts, chi, rows = autf.json_fields(
-            data, ("elements", "chi", "witnesses"), "certificate"
+            data, ("elements", "chi", "witnesses"), "certificate", ("inverses",)
         )
         for name, value in (("elements", texts), ("chi", chi), ("witnesses", rows)):
             if not isinstance(value, list):
@@ -201,8 +201,8 @@ def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
     absent).  The element at a handle on I that no target forces is C_ab,
     a and b the two lowest indices of I, conjugated by the handle's
     conjugator, with character value chooser_value.  Returns (certificate,
-    report).  Raises AssemblyError when a path cannot be built or
-    chooser_value is 0.
+    report).  Raises AssemblyError when a path cannot be built,
+    chooser_value is 0 or a chi_seed key is no target's text.
     """
     if chooser_value == 0:
         raise AssemblyError("chooser_value must be a nonzero character value")
@@ -215,6 +215,10 @@ def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
         if not autf.is_IA(phi):
             raise AssemblyError(f"target {label} is not commutator-trivial on Z^n")
         target_autos.append((label, word, phi))
+    texts = [autf.format_automorphism(phi) for _, _, phi in target_autos]
+    for key in chi_seed:
+        if key not in texts:
+            raise AssemblyError(f"chi_seed key {key!r} is no target's text")
 
     # vertex records: (handle, forced automorphism or None, target label or None);
     # intermediates deduplicate by exact handle value, target endpoints are
@@ -286,11 +290,11 @@ def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
             witnesses.append(Witness(position, position_of_vertex[parent], ()))
 
     # append the targets with conjugation witnesses [x1, t] = x1^-1 * x1^t
-    for (_, _, phi), endpoint in zip(target_autos, endpoint_vertex):
+    for (_, _, phi), text, endpoint in zip(target_autos, texts, endpoint_vertex):
         position = len(elements) + 1
         conj_pos = position_of_vertex[endpoint]
         elements.append(phi)
-        chi.append(Fraction(chi_seed.get(autf.format_automorphism(phi), 0)))
+        chi.append(Fraction(chi_seed.get(text, 0)))
         witnesses.append(Witness(position, 1, (-1, conj_pos)))
     cert = BnsCertificate(tuple(elements), tuple(chi), tuple(witnesses))
     return cert, report

@@ -127,16 +127,20 @@ def _is_int_list(value):
 
 
 def _target_from_spec(spec, n):
-    (kind,) = autf.json_fields(spec, ("kind",), "assembly target")
+    (kind,) = autf.json_fields(
+        spec, ("kind",), "assembly target", ("args", "letters", "label")
+    )
     if kind in ("C", "M"):
-        (args,) = autf.json_fields(spec, ("args",), f"{kind} target")
+        (args,) = autf.json_fields(spec, ("args",), f"{kind} target", ("kind", "label"))
         arity = 2 if kind == "C" else 3
         ok = _is_int_list(args) and len(args) == arity
         _require(ok, "args", f"a list of {arity} integers", args)
         make = autf.c_nielsen_word if kind == "C" else autf.m_nielsen_word
         word, label = make(*args), kind + "".join(map(str, args))
     elif kind == "word":
-        (letters,) = autf.json_fields(spec, ("letters",), "word target")
+        (letters,) = autf.json_fields(
+            spec, ("letters",), "word target", ("kind", "label")
+        )
         expected = "a list of [side, i, j, exp]"
         _require(isinstance(letters, list), "letters", expected, letters)
         word, label = tuple(autf.nielsen_letter(l, n) for l in letters), "word"
@@ -148,16 +152,17 @@ def _target_from_spec(spec, n):
 
 
 def _assemble(spec):
-    """Certificate and report for an assembly spec; a missing or wrongly
-    typed field raises a ValueError naming it."""
-    n, m = autf.json_fields(spec, ("n", "m"), "assembly spec")
+    """Certificate and report for an assembly spec; a missing, unknown or
+    wrongly typed field raises a ValueError naming it."""
+    n, m, targets = autf.json_fields(
+        spec, ("n", "m", "targets"), "assembly spec", ("chi_seed", "chooser_value")
+    )
     for name, value in (("n", n), ("m", m)):
         _require(autf.is_json_int(value), name, "an integer", value)
     if not 2 <= m <= n:
         raise ValueError(f"assembly spec needs 2 <= m <= n, got n={n}, m={m}")
     if n > autf.MAX_RANK:
         raise ValueError(f"assembly n={n} is over the bound MAX_RANK = {autf.MAX_RANK}")
-    targets = spec.get("targets", [])
     _require(isinstance(targets, list), "targets", "a list", targets)
     chi_seed = spec.get("chi_seed", {})
     _require(isinstance(chi_seed, dict), "chi_seed", "an object", chi_seed)

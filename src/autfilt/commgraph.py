@@ -9,9 +9,10 @@ conjugator leaves a standard parabolic and a conjugate by the short
 relative conjugator word.  The verdict in that frame depends only on
 (rank, I, J, relative conjugator), so it is decided once per such key
 and cached for the life of the process.  The path builder realises the
-constructive connectivity argument: a generator with support disjoint
-from I fixes the vertex, and otherwise a spare index block K gives a
-length-2 detour through a disjoint parabolic.
+constructive connectivity argument in one back-to-front pass over the
+word: a letter with support disjoint from I fixes the vertex and only
+relabels it, and otherwise a spare index block K gives a length-2 detour
+through a disjoint parabolic.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class SubgroupHandle:
 
     def conjugator_automorphism(self):
         return autf.eval_nielsen_word(self.conjugator, self.rank)
-
-    def translated(self, suffix):
-        """Handle for the same parabolic conjugated additionally by suffix."""
-        return SubgroupHandle(self.rank, self.indices, self.conjugator + tuple(suffix))
 
     def to_json_obj(self):
         return {
@@ -130,27 +127,6 @@ def _commutes_in_frame(rank, I, J, d):
     )
 
 
-def handles_known_equal(h1, h2):
-    """Conservative subgroup equality for handles with the same index set.
-
-    In the first handle's frame (conjugating both subgroups by g1^-1) the
-    handles name P_I and diff P_I diff^-1, diff = g1 g2^-1, so they are
-    equal when diff normalizes P_I.  That is certain when diff has support
-    disjoint from I (it then commutes with the whole parabolic) or inside
-    I (it then lies in the parabolic).  diff is evaluated from the
-    cancelled Nielsen word `_relative_conjugator(h2, h1)`, so a shared
-    conjugator suffix is never evaluated.  Anything else is reported
-    unequal, since subgroup equality is not decided here.
-    """
-    if h1.rank != h2.rank or h1.indices != h2.indices:
-        return False
-    if h1.conjugator == h2.conjugator:
-        return True
-    diff = autf.eval_nielsen_word(_relative_conjugator(h2, h1), h1.rank)
-    support = autf.minimal_support(diff)
-    return not (support & h1.indices) or support <= h1.indices
-
-
 @dataclass(frozen=True)
 class GraphPath:
     handles: tuple
@@ -165,65 +141,36 @@ def _check_bound(n, m):
         raise ValueError(f"need 2m+1 <= n, got m={m}, n={n}")
 
 
-def generator_edge_path(n, I, letter):
-    """Path from the parabolic on I to its conjugate by one Nielsen letter.
-
-    Disjoint support means the conjugate is the same subgroup and the path
-    has length 0.  Otherwise K is the lowest block of m fresh indices
-    outside I and the letter's support, giving the length-2 path through
-    the parabolic on K.
-    """
-    I = frozenset(I)
-    m = len(I)
-    _check_bound(n, m)
-    end = handle(n, I, (letter,))  # rejects a malformed letter
-    s_support = autf.nielsen_word_support(end.conjugator)
-    start = handle(n, I)
-    if not (s_support & I):
-        return GraphPath((start,))
-    blocked = I | s_support
-    free = [a for a in range(1, n + 1) if a not in blocked]
-    if len(free) < m:
-        raise ValueError("no disjoint index block available")
-    K = frozenset(free[:m])
-    return GraphPath((start, handle(n, K), end))
-
-
 def conjugate_path(n, I, word):
     """Path from the parabolic on I to its conjugate by a Nielsen word.
 
     The word [t1, ..., tL] denotes the composition t1 . t2 ... tL (the
-    last letter acts first).  The path is assembled back to front: the
-    path for the tail is followed by the one-letter path for t1
-    translated by the tail, so it has at most 2L edges.
+    last letter acts first).  The path is built back to front, and before
+    letter t_pos is read its last handle is the parabolic on I conjugated
+    by the tail t_(pos+1) ... tL.  A letter whose support misses I fixes
+    that subgroup, so the last handle is only relabelled by the longer
+    tail.  Otherwise K is the lowest block of m indices outside I and the
+    letter's support (2m+1 <= n leaves at least m of them), and the path
+    steps to the parabolic on K, which t_pos fixes, and then to the one on
+    I conjugated by t_pos ... tL.  So it has at most 2L edges.
     """
     I = frozenset(I)
-    _check_bound(n, len(I))
+    m = len(I)
+    _check_bound(n, m)
     word = tuple(word)
     handles = [handle(n, I)]
     for pos in range(len(word) - 1, -1, -1):
-        letter = word[pos]
-        suffix = word[pos + 1:]
-        segment = generator_edge_path(n, I, letter)
-        if len(segment.handles) == 1:
-            # good letter: same subgroup, extend the endpoint label only
-            handles[-1] = handle(n, I, (letter,) + suffix)
-            continue
-        translated = [h.translated(suffix) for h in segment.handles]
-        # the first translated handle names the same subgroup as the
-        # current endpoint (conjugators differ by good letters only)
-        if not handles_known_equal(translated[0], handles[-1]):
-            raise AssertionError("junction mismatch in path assembly")
-        handles.extend(translated[1:])
+        _, i, j, _ = autf.nielsen_letter(word[pos], n)
+        if i in I or j in I:
+            K = [a for a in range(1, n + 1) if a not in I and a not in (i, j)][:m]
+            handles.append(handle(n, K, word[pos + 1:]))
+            handles.append(handle(n, I, word[pos:]))
+        else:
+            handles[-1] = handle(n, I, word[pos:])
     return GraphPath(tuple(handles))
 
 
 def verify_path(path):
-    """Every consecutive pair must commute; known-equal handles collapse."""
+    """Every consecutive pair of handles commutes elementwise."""
     hs = path.handles
-    for h1, h2 in zip(hs, hs[1:]):
-        if handles_known_equal(h1, h2):
-            continue
-        if not commutes(h1, h2):
-            return False
-    return True
+    return all(commutes(h1, h2) for h1, h2 in zip(hs, hs[1:]))

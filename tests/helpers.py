@@ -523,16 +523,34 @@ def commutes_by_conjugating_both(h1, h2):
     )
 
 
-def handles_known_equal_by_composition(h1, h2):
-    """commgraph.handles_known_equal with the difference g1 g2^-1 composed
-    from both full conjugators instead of the cancelled relative word."""
-    if h1.rank != h2.rank or h1.indices != h2.indices:
-        return False
-    diff = h1.conjugator_automorphism().compose(
-        h2.conjugator_automorphism().inverse()
-    )
-    support = autf.minimal_support(diff)
-    return not (support & h1.indices) or support <= h1.indices
+def conjugate_path_by_segments(n, I, word):
+    """Handles of commgraph.conjugate_path(n, I, word), built letter by
+    letter from the back: each letter's own path from the parabolic on I
+    (one handle if its support misses I, else a detour through the lowest
+    free block K), relabelled by the tail after the letter and joined where
+    its first handle equals the path's last one."""
+    I = frozenset(I)
+    m = len(I)
+    if 2 * m + 1 > n:
+        raise ValueError(f"need 2m+1 <= n, got m={m}, n={n}")
+    handles = [commgraph.handle(n, I)]
+    for pos in range(len(word) - 1, -1, -1):
+        end = commgraph.handle(n, I, word[pos:pos + 1])
+        _, i, j, _ = end.conjugator[0]
+        if not {i, j} & I:
+            segment = [end]
+        else:
+            free = [a for a in range(1, n + 1) if a not in I | {i, j}]
+            segment = [commgraph.handle(n, I), commgraph.handle(n, free[:m]), end]
+        tail = tuple(word[pos + 1:])
+        segment = [commgraph.handle(n, h.indices, h.conjugator + tail) for h in segment]
+        if len(segment) == 1:
+            handles[-1] = segment[0]
+            continue
+        if segment[0] != handles[-1]:
+            raise AssertionError("junction mismatch in path assembly")
+        handles.extend(segment[1:])
+    return tuple(handles)
 
 
 def has_depth_at_least(phi, k, cutoff):

@@ -221,6 +221,21 @@ def test_from_json_rejects_a_repeated_witness_key():
         bnscert.BnsCertificate.from_json(text)
 
 
+def test_from_json_rejects_an_unknown_top_level_key():
+    # the extra key was ignored and the certificate checked valid
+    data = _certificate_data()
+    data["note"] = "ignored"
+    with pytest.raises(ValueError, match="certificate holds the unknown key 'note'"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
+def test_from_json_rejects_an_unknown_witness_key():
+    data = _certificate_data()
+    data["witnesses"][0]["k"] = 1
+    with pytest.raises(ValueError, match="witness holds the unknown key 'k'"):
+        bnscert.BnsCertificate.from_json(json.dumps(data))
+
+
 def test_from_json_rejects_nan():
     data = _certificate_data()
     data["witnesses"][0]["i"] = float("nan")

@@ -393,3 +393,55 @@ def test_cert_assemble_reads_ascii_fraction_strings_only(tmp_path, capsys, field
     f = tmp_path / "assembly.json"
     f.write_text(json.dumps(spec))
     assert_rejected(capsys, ["cert", "assemble", str(f)], repr(field))
+
+
+@pytest.mark.parametrize("command, what", [("check", "certificate"), ("assemble", "assembly spec")])
+def test_cert_names_its_input_when_it_is_not_json(tmp_path, capsys, command, what):
+    # the error read only "Expecting value: line 1 column 15 (char 14)"
+    f = tmp_path / "input.json"
+    f.write_text('{"elements": [')
+    assert_rejected(capsys, ["cert", command, str(f)], f"{what} is not JSON: Expecting value")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # each assembled with status 0, every target with character 0
+        ({"chi_sed": {}}, "assembly spec holds the unknown key 'chi_sed'"),
+        (
+            {"targets": [{"kind": "C", "args": [1, 2], "lable": "x"}]},
+            "assembly target holds the unknown key 'lable'",
+        ),
+        (
+            {"targets": [{"kind": "C", "args": [1, 2], "letters": []}]},
+            "C target holds the unknown key 'letters'",
+        ),
+    ],
+)
+def test_cert_assemble_rejects_an_unknown_key(tmp_path, capsys, change, message):
+    spec = {"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}], **change}
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps(spec))
+    assert_rejected(capsys, ["cert", "assemble", str(f)], message)
+
+
+def test_cert_assemble_rejects_a_spec_without_targets(tmp_path, capsys):
+    # assembled a one-element certificate with status 0
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps({"n": 5, "m": 2}))
+    assert_rejected(capsys, ["cert", "assemble", str(f)], "assembly spec lacks 'targets'")
+
+
+def test_cert_assemble_rejects_a_chi_seed_key_that_names_no_target(tmp_path, capsys):
+    # the value was ignored and the target got character 0
+    other = autf.format_automorphism(autf.make_magnus_C(2, 1, 5))
+    spec = {
+        "n": 5,
+        "m": 2,
+        "targets": [{"kind": "C", "args": [1, 2]}],
+        "chi_seed": {other: "1/2"},
+    }
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps(spec))
+    message = re.escape(f"chi_seed key {other!r} is no target's text")
+    assert_rejected(capsys, ["cert", "assemble", str(f)], message)

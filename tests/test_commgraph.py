@@ -7,7 +7,7 @@ from autfilt import autf, commgraph, suites
 
 from helpers import (
     commutes_by_conjugating_both,
-    handles_known_equal_by_composition,
+    conjugate_path_by_segments,
     parabolic_generators,
     random_handle_pair,
     random_nielsen_word,
@@ -107,8 +107,8 @@ def test_commutes_matches_group_commutator_oracle(seed, cold_frame_cache):
 
 
 def _check_against_full_conjugation(rng, n, pairs=40):
-    """commutes and handles_known_equal against their full-conjugation
-    oracles on random handle pairs and on consecutive path handles; returns
+    """commutes against its full-conjugation oracle on random handle pairs,
+    on pairs with one index set, and on consecutive path handles; returns
     the commutation verdicts seen on the random pairs."""
     verdicts = set()
     for _ in range(pairs):
@@ -116,23 +116,19 @@ def _check_against_full_conjugation(rng, n, pairs=40):
         got = commgraph.commutes(h1, h2)
         assert got is commutes_by_conjugating_both(h1, h2)
         verdicts.add(got)
-        # same index set, independent conjugators, and conjugators that
-        # differ by a prefix letter
+        # same index set, with independent conjugators and with conjugators
+        # that differ by a prefix letter
         for other in (
-            h2,
             commgraph.handle(n, h1.indices, h2.conjugator),
             commgraph.handle(n, h1.indices, h2.conjugator[:1] + h1.conjugator),
         ):
-            assert commgraph.handles_known_equal(h1, other) is (
-                handles_known_equal_by_composition(h1, other)
+            assert commgraph.commutes(h1, other) is (
+                commutes_by_conjugating_both(h1, other)
             )
     word = random_nielsen_word(rng, n, rng.randint(1, 6))
     hs = commgraph.conjugate_path(n, (1, 2), word).handles
     for h1, h2 in zip(hs, hs[1:]):
         assert commgraph.commutes(h1, h2) and commutes_by_conjugating_both(h1, h2)
-        assert commgraph.handles_known_equal(h1, h2) is (
-            handles_known_equal_by_composition(h1, h2)
-        )
     return verdicts
 
 
@@ -183,24 +179,25 @@ def test_commutes_is_symmetric():
 
 
 def test_good_element_gives_length_zero_path():
-    p = commgraph.generator_edge_path(5, {1, 2}, ("L", 4, 5, 1))
-    assert len(p.handles) == 1
+    letter = ("L", 4, 5, 1)
+    p = commgraph.conjugate_path(5, {1, 2}, (letter,))
+    assert p.handles == (commgraph.handle(5, {1, 2}, (letter,)),)
 
 
 def test_overlapping_element_gives_length_two_path():
-    p = commgraph.generator_edge_path(5, {1, 2}, ("L", 2, 3, 1))
+    p = commgraph.conjugate_path(5, {1, 2}, (("L", 2, 3, 1),))
     assert [sorted(h.indices) for h in p.handles] == [[1, 2], [4, 5], [1, 2]]
-    assert p.handles[2].conjugator == (("L", 2, 3, 1),)
+    assert [h.conjugator for h in p.handles] == [(), (), (("L", 2, 3, 1),)]
 
 
 def test_inside_element_uses_lowest_free_block():
-    p = commgraph.generator_edge_path(5, {1, 2}, ("L", 1, 2, 1))
+    p = commgraph.conjugate_path(5, {1, 2}, (("L", 1, 2, 1),))
     assert sorted(p.handles[1].indices) == [3, 4]
 
 
 def test_bound_violation_rejected():
     with pytest.raises(ValueError):
-        commgraph.generator_edge_path(4, {1, 2}, ("L", 1, 2, 1))
+        commgraph.conjugate_path(4, {1, 2}, (("L", 1, 2, 1),))
 
 
 def test_conjugate_path_empty_word():
@@ -209,10 +206,37 @@ def test_conjugate_path_empty_word():
 
 
 def test_conjugate_path_single_generator_matches_edge_path():
-    letter = ("L", 2, 3, 1)
-    p = commgraph.conjugate_path(5, {1, 2}, (letter,))
-    q = commgraph.generator_edge_path(5, {1, 2}, letter)
-    assert p.handles == q.handles
+    for letter in (("L", 2, 3, 1), ("R", 3, 1, -1), ("L", 4, 5, 1)):
+        p = commgraph.conjugate_path(5, {1, 2}, (letter,))
+        assert p.handles == conjugate_path_by_segments(5, {1, 2}, (letter,))
+
+
+def _random_path_case(rng):
+    n = rng.randint(5, 7)
+    m = rng.randint(2, (n - 1) // 2)
+    I = rng.sample(range(1, n + 1), m)
+    return n, I, random_nielsen_word(rng, n, rng.randint(0, 9))
+
+
+def test_conjugate_path_matches_segment_oracle():
+    # the oracle labels each detour handle on K by the tail after its
+    # letter, and checks every junction by exact equality
+    rng = random.Random(24)
+    detours = 0
+    for _ in range(300):
+        n, I, word = _random_path_case(rng)
+        hs = commgraph.conjugate_path(n, I, word).handles
+        assert hs == conjugate_path_by_segments(n, I, word)
+        detours += (len(hs) - 1) // 2
+    assert detours > 300
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_conjugate_path_matches_segment_oracle_fuzz(seed):
+    n, I, word = _random_path_case(random.Random(seed))
+    hs = commgraph.conjugate_path(n, I, word).handles
+    assert hs == conjugate_path_by_segments(n, I, word)
 
 
 def test_conjugate_path_two_letters_verified():
@@ -234,18 +258,17 @@ def test_verify_accepts_length_zero():
     assert commgraph.verify_path(commgraph.GraphPath((commgraph.handle(5, {1, 2}),)))
 
 
-def test_verify_collapses_known_equal_handles():
+def test_verify_rejects_a_step_between_labels_of_one_subgroup():
+    # conjugate_path never steps between two labels of one subgroup, so
+    # verify_path treats such a step like any other: P_I on two or more
+    # indices is not abelian, so it fails the edge test
     h1 = commgraph.handle(5, {1, 2})
     h2 = commgraph.handle(5, {1, 2}, (("L", 3, 4, 1),))  # disjoint conjugator
     h3 = commgraph.handle(5, {1, 2}, (("L", 1, 2, 1),))  # conjugator inside I
-    assert commgraph.handles_known_equal(h1, h2)
-    assert commgraph.handles_known_equal(h1, h3)
-    assert commgraph.verify_path(commgraph.GraphPath((h1, h2)))
-    assert commgraph.verify_path(commgraph.GraphPath((h1, h3)))
-    # a mixed-support conjugator difference is not decided: the pair is
-    # kept as two vertices and the degenerate step fails the edge test
-    assert not commgraph.handles_known_equal(h2, h3)
-    assert not commgraph.verify_path(commgraph.GraphPath((h2, h3)))
+    assert parabolic_generators(h1) == parabolic_generators(h2)
+    for a, b in ((h1, h2), (h1, h3), (h2, h3)):
+        assert not commgraph.verify_path(commgraph.GraphPath((a, b)))
+        assert not commutes_by_conjugating_both(a, b)
 
 
 def test_good_conjugator_fixes_generators_elementwise():
@@ -287,7 +310,7 @@ def test_edge_path_rejects_malformed_letter_off_the_index_set(letter):
     # the support {4, 5} or {4, 9} misses I, which must not make a bad
     # letter pass as a length-0 path
     with pytest.raises(ValueError):
-        commgraph.generator_edge_path(5, {1, 2}, letter)
+        commgraph.conjugate_path(5, {1, 2}, (letter,))
 
 
 def test_list_letters_give_the_same_handles_and_verdicts():

@@ -310,6 +310,8 @@ def test_label_index_follows_every_insert(case):
 # -- input boundaries: mutated JSON and automorphism text --------------------
 
 REPLACEMENTS = ["x", 1.5, [], {}, None, -1, [1], True]
+# a key that no object of the certificate or assembly format holds
+UNKNOWN_KEY = "unknown"
 
 
 def _paths(obj, path=()):
@@ -320,9 +322,14 @@ def _paths(obj, path=()):
             yield from _paths(value, path + (key,))
 
 
+def _has_unknown_key(obj):
+    return any(path and path[-1] == UNKNOWN_KEY for path in _paths(obj))
+
+
 @st.composite
 def json_mutants(draw, obj):
-    """obj with one key deleted, one value replaced or one list truncated."""
+    """obj with one key deleted, one value replaced, one list truncated or
+    UNKNOWN_KEY inserted into one object."""
     obj = copy.deepcopy(obj)
     path = draw(st.sampled_from(list(_paths(obj))))
     parent = obj
@@ -334,7 +341,12 @@ def json_mutants(draw, obj):
         kinds.append("delete")
     if isinstance(node, list) and node:
         kinds.append("truncate")
+    if isinstance(node, dict):
+        kinds.append("insert")
     kind = draw(st.sampled_from(kinds))
+    if kind == "insert":
+        node[UNKNOWN_KEY] = draw(st.sampled_from(REPLACEMENTS))
+        return obj
     if kind == "delete":
         del parent[path[-1]]
         return obj
@@ -372,6 +384,7 @@ def test_mutated_certificate_gives_verdict_or_value_error(data):
         cert = bnscert.BnsCertificate.from_json(json.dumps(data))
     except ValueError:
         return
+    assert not _has_unknown_key(data)
     assert isinstance(bnscert.check_certificate(cert), bnscert.Verdict)
 
 
@@ -382,6 +395,7 @@ def test_mutated_assembly_spec_gives_certificate_or_value_error(spec):
         cert, _ = cli._assemble(spec)
     except ValueError:
         return
+    assert not _has_unknown_key(spec)
     assert isinstance(cert, bnscert.BnsCertificate)
 
 
