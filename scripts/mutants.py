@@ -33,8 +33,8 @@ MUTANTS = [
         # letter's support misses K; only the segment oracle sees the label
         "detour-label",
         "src/autfilt/commgraph.py",
-        "handles.append(handle(n, K, word[pos + 1:]))",
-        "handles.append(handle(n, K, word[pos:]))",
+        "handles.append(trusted(n, frozenset(K), word[pos + 1:]))",
+        "handles.append(trusted(n, frozenset(K), word[pos:]))",
         [
             "tests/test_commgraph.py::test_conjugate_path_matches_segment_oracle",
             "tests/test_commgraph.py::test_conjugate_path_matches_segment_oracle_fuzz",
@@ -107,6 +107,28 @@ MUTANTS = [
         "    if a != 1:\n        for k in v:\n            v[k] *= a\n",
         "",
         ["tests/test_exactlin.py::test_reduced_basis_matches_min_pivot_oracle"],
+    ),
+    (
+        # the pivot must be the least position, which is the least label
+        "position-pivot-is-max",
+        "src/autfilt/exactlin.py",
+        "        p = min(residue)\n",
+        "        p = max(residue)\n",
+        [
+            "tests/test_exactlin.py::test_reduced_basis_matches_min_pivot_oracle",
+            "tests/test_exactlin.py::test_indexed_insert_matches_scanning_oracle_on_kernel_claim",
+        ],
+    ),
+    (
+        # the dual index c must step by the L Lyndon words of one dual slot
+        "mk-position-wrong-dual-stride",
+        "src/autfilt/exactlin.py",
+        "{c * L: col[d] for c, col in enumerate(cols) if d in col}",
+        "{c * (L - 1): col[d] for c, col in enumerate(cols) if d in col}",
+        [
+            "tests/test_exactlin.py::test_induced_images_match_unmemoised_product",
+            "tests/test_exactlin.py::test_indexed_insert_matches_scanning_oracle_on_kernel_claim",
+        ],
     ),
     (
         "sl-generators-unsigned-cycle",

@@ -38,6 +38,17 @@ class SubgroupHandle:
         conjugator = tuple(autf.nielsen_letter(l, self.rank) for l in self.conjugator)
         object.__setattr__(self, "conjugator", conjugator)
 
+    @classmethod
+    def _trusted(cls, rank, indices, conjugator):
+        """Trusted constructor: indices a frozenset of ints in 1..rank and
+        conjugator a tuple of letters already checked by autf.nielsen_letter;
+        neither is checked again."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "rank", rank)
+        object.__setattr__(h, "indices", indices)
+        object.__setattr__(h, "conjugator", conjugator)
+        return h
+
     def conjugator_automorphism(self):
         return autf.eval_nielsen_word(self.conjugator, self.rank)
 
@@ -157,16 +168,19 @@ def conjugate_path(n, I, word):
     I = frozenset(I)
     m = len(I)
     _check_bound(n, m)
-    word = tuple(word)
     handles = [handle(n, I)]
+    # each letter is checked once here, so the handles are built trusted:
+    # rechecking every tail would make the path quadratic in the word
+    word = tuple(autf.nielsen_letter(letter, n) for letter in word)
+    trusted = SubgroupHandle._trusted
     for pos in range(len(word) - 1, -1, -1):
-        _, i, j, _ = autf.nielsen_letter(word[pos], n)
+        _, i, j, _ = word[pos]
         if i in I or j in I:
             K = [a for a in range(1, n + 1) if a not in I and a not in (i, j)][:m]
-            handles.append(handle(n, K, word[pos + 1:]))
-            handles.append(handle(n, I, word[pos:]))
+            handles.append(trusted(n, frozenset(K), word[pos + 1:]))
+            handles.append(trusted(n, I, word[pos:]))
         else:
-            handles[-1] = handle(n, I, word[pos:])
+            handles[-1] = trusted(n, I, word[pos:])
     return GraphPath(tuple(handles))
 
 

@@ -3,8 +3,15 @@
 Vectors are sparse maps from basis labels to nonzero int coefficients:
 every operator the computations use is integral with an integral inverse,
 and a rational span or kernel always has an integer basis.  Every space
-carries an explicit label set with a fixed total order, so spans, kernels
-and subspace comparisons are deterministic.
+carries an explicit label tuple in sorted order, so spans, kernels and
+subspace comparisons are deterministic.
+
+Labels live only at the edges: inside, a row is a dict from a label's
+position in space.labels() to its coefficient, so no step hashes a nested
+label tuple, and the least position is the least label.  Operator images,
+saturations, kernels and the kernel claim run on rows; a TensorVector is
+converted on insert, reduce, contains and apply, and back on the way out.
+
 There is one elimination, SubspaceBasis: a reduced integer echelon basis
 (content stripped, each pivot cleared from the other rows), which avoids
 fill-in and coefficient blowup during the larger orbit saturations.  Spans,
@@ -16,7 +23,8 @@ with one constructor per family the computations need: VSpace(n) for
 V = Q^n, TensorSpace(n, m) for its tensor powers, MkSpace(n, k) for
 dual-vector (x) degree-(k+1) free-Lie values (basis e_i^* (x) Lyndon
 bracketing), whose k = 1 case is Hom(V, wedge^2 V), and WedgeSpace(n, m)
-for its wedge powers.  Every label set is in its natural sorted order.
+for its wedge powers.  Every label set is in its natural sorted order,
+and no space is built over MAX_DIMENSION labels.
 An operator on V lifts to the other families through induced_on.  The
 symplectic space is VSpace(2g) with a_i = 2i - 1 and b_i = 2i; the form
 lives only in symplectic_pairing.
@@ -27,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import asdict, dataclass
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from . import autf, lie
 
@@ -36,26 +44,40 @@ from . import autf, lie
 # ---------------------------------------------------------------------------
 
 
+# The most labels a space may have: MkSpace(5, 8) took 2 s and 333 MB to
+# enumerate its 1,085,000 labels, before any position index.
+MAX_DIMENSION = 500_000
+
+
+@functools.cache
+def _lyndon_count(n, m):
+    """Lyndon words of length m >= 1 over n letters, from the necklace
+    identity n^m = sum over d | m of d * _lyndon_count(n, d)."""
+    return (n**m - sum(d * _lyndon_count(n, d) for d in range(1, m) if m % d == 0)) // m
+
+
 # family -> (parameter names, descriptor format over the parameters,
-# labels in their natural order, which is the space order)
+# labels in their natural order, which is the space order, and the
+# dimension in closed form)
 _FAMILIES = {
-    "V": (("n",), "V(n={0})", lambda n: list(range(1, n + 1))),
+    "V": (("n",), "V(n={0})", lambda n: range(1, n + 1), lambda n: n),
     "T": (
         ("n", "m"),
         "T(n={0},m={1})",
-        lambda n, m: list(itertools.product(range(1, n + 1), repeat=m)),
+        lambda n, m: itertools.product(range(1, n + 1), repeat=m),
+        lambda n, m: n**m,
     ),
     "Mk": (
         ("n", "k"),
         "Mk(n={0},k={1})",
-        lambda n, k: [
-            (i, w) for i in range(1, n + 1) for w in lie.lyndon_words(n, k + 1)
-        ],
+        lambda n, k: itertools.product(range(1, n + 1), lie.lyndon_words(n, k + 1)),
+        lambda n, k: n * _lyndon_count(n, k + 1),
     ),
     "W": (
         ("n", "m"),
         "w{1}V(n={0})",
-        lambda n, m: list(itertools.combinations(range(1, n + 1), m)),
+        lambda n, m: itertools.combinations(range(1, n + 1), m),
+        comb,
     ),
 }
 
@@ -66,8 +88,8 @@ def _labels(family, params):
 
 
 @functools.cache
-def _label_set(family, params):
-    return frozenset(_labels(family, params))
+def _index(family, params):
+    return {label: p for p, label in enumerate(_labels(family, params))}
 
 
 def _check_size(name, value):
@@ -81,14 +103,23 @@ def _check_size(name, value):
 class Space:
     """A labeled basis space: a family name from _FAMILIES and its integer
     parameters, which alone decide equality and hashing.  Each parameter
-    is checked by _check_size, so 3.0 or True never stands for an int."""
+    is checked by _check_size, so 3.0 or True never stands for an int, and
+    the dimension, from its closed form before any label is built, is at
+    most MAX_DIMENSION."""
 
     family: str
     params: tuple
 
     def __post_init__(self):
-        for name, value in zip(_FAMILIES[self.family][0], self.params, strict=True):
+        names, _, _, dimension = _FAMILIES[self.family]
+        for name, value in zip(names, self.params, strict=True):
             _check_size(name, value)
+        dim = dimension(*self.params)
+        if dim > MAX_DIMENSION:
+            raise ValueError(
+                f"{self.descriptor} has dimension {dim}, over "
+                f"the bound exactlin.MAX_DIMENSION = {MAX_DIMENSION}"
+            )
 
     @property
     def descriptor(self):
@@ -100,13 +131,24 @@ class Space:
         return _labels(self.family, self.params)
 
     @functools.cached_property
-    def label_set(self):
-        """The basis labels as a frozenset, shared by equal spaces."""
-        return _label_set(self.family, self.params)
+    def index(self):
+        """label -> its position in labels(), as one dict shared by equal
+        spaces."""
+        return _index(self.family, self.params)
 
     @property
     def dimension(self):
-        return len(self.labels())
+        return _FAMILIES[self.family][3](*self.params)
+
+    def _row(self, coords):
+        """The row of label-keyed coords: their labels replaced by positions."""
+        index = self.index
+        return {index[label]: c for label, c in coords.items()}
+
+    def _coords(self, row):
+        """The label-keyed coords of a row."""
+        labels = self.labels()
+        return {labels[p]: c for p, c in row.items()}
 
 
 def VSpace(n):
@@ -159,8 +201,9 @@ class TensorVector:
                 raise ValueError(f"coefficient of {label!r} is not an int: {v!r}")
             if v:
                 nonzero[label] = v
-        if not space.label_set.issuperset(nonzero):
-            stray = sorted(map(repr, nonzero.keys() - space.label_set))
+        index = space.index
+        if not index.keys() >= nonzero.keys():
+            stray = sorted(map(repr, nonzero.keys() - index.keys()))
             raise ValueError(f"labels not in {space.descriptor}: {', '.join(stray)}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "coords", nonzero)
@@ -223,8 +266,11 @@ class TensorVector:
 class LinearOperator:
     """Linear map given on basis labels, with cached images.
 
-    An inverse witness, when present, is another LinearOperator; orbit
-    saturation refuses generators without one.
+    fn maps a label of space_in to its image, a TensorVector of space_out
+    or label-keyed coords, which are checked.  Each image is cached as a
+    row, keyed by the position of its label.  An inverse witness, when
+    present, is another LinearOperator; orbit saturation refuses
+    generators without one.
     """
 
     def __init__(self, space_in, space_out, fn, name="", inverse=None):
@@ -235,19 +281,42 @@ class LinearOperator:
         self.inverse = inverse
         self._cache = {}
 
+    @classmethod
+    def _on_positions(cls, space_in, space_out, image_row, name):
+        """Trusted constructor: image_row maps a position of space_in to its
+        image as a row of space_out, with nonzero int entries, which is
+        cached as it is and not checked."""
+        op = cls(space_in, space_out, None, name)
+        op._image_row = image_row
+        return op
+
+    def _image_row(self, p):
+        """The image of position p by fn, checked."""
+        label = self.space_in.labels()[p]
+        vec = self._fn(label)
+        if not isinstance(vec, TensorVector):
+            vec = TensorVector(self.space_out, vec)
+        elif vec.space != self.space_out:
+            raise ValueError(
+                f"operator {self.name or '?'} maps {label!r} into "
+                f"{vec.space.descriptor}, not {self.space_out.descriptor}"
+            )
+        return self.space_out._row(vec.coords)
+
+    def _apply_row(self, row):
+        """The image of a row of space_in, as a new row of space_out."""
+        out = {}
+        cache = self._cache
+        for p, c in row.items():
+            image = cache.get(p)
+            if image is None:
+                image = cache[p] = self._image_row(p)
+            lie.tensor_add_into(out, image, c)
+        return out
+
     def image_of(self, label):
-        vec = self._cache.get(label)
-        if vec is None:
-            vec = self._fn(label)
-            if not isinstance(vec, TensorVector):
-                vec = TensorVector(self.space_out, vec)
-            elif vec.space != self.space_out:
-                raise ValueError(
-                    f"operator {self.name or '?'} maps {label!r} into "
-                    f"{vec.space.descriptor}, not {self.space_out.descriptor}"
-                )
-            self._cache[label] = vec
-        return vec
+        row = self._apply_row({self.space_in.index[label]: 1})
+        return TensorVector._trusted(self.space_out, self.space_out._coords(row))
 
     def apply(self, vec):
         if vec.space != self.space_in:
@@ -255,10 +324,8 @@ class LinearOperator:
                 f"operator {self.name or '?'} expects {self.space_in.descriptor}, "
                 f"got {vec.space.descriptor}"
             )
-        out = {}
-        for label, c in vec.coords.items():
-            lie.tensor_add_into(out, self.image_of(label).coords, c)
-        return TensorVector._trusted(self.space_out, out)
+        out = self._apply_row(self.space_in._row(vec.coords))
+        return TensorVector._trusted(self.space_out, self.space_out._coords(out))
 
     __call__ = apply
 
@@ -300,17 +367,18 @@ def _divide_content(row, sign=1):
 
 
 class SubspaceBasis:
-    """Reduced integer echelon basis of a subspace, rows keyed by pivot label.
+    """Reduced integer echelon basis of a subspace, rows keyed by pivot position.
 
-    Each row's pivot is its least label, with a positive entry, and the row
-    has content 1; no row has a nonzero entry at another row's pivot.  So
-    clearing one pivot from a vector leaves its other pivot entries merely
-    scaled, and reduce clears each pivot label the vector holds once, in
-    one pass, with no search for the least label.
+    Each row's pivot is its least position (its least label), with a
+    positive entry, and the row has content 1; no row has a nonzero entry
+    at another row's pivot.  So clearing one pivot from a vector leaves its
+    other pivot entries merely scaled, and reduction clears each pivot the
+    vector holds once, in one pass, with no search for the least position.
 
-    _holders indexes the rows by label: each non-pivot label maps to the
-    set of pivots whose row holds it (a set may be left empty), so insert
-    finds the rows to back-substitute without scanning them all.
+    _holders indexes the rows by position: each non-pivot position maps to
+    the set of pivots whose row holds it (a set may be left empty), so an
+    insert finds the rows to back-substitute without scanning them all.
+    _insert_row and _reduce_row are insert and reduce on rows.
     """
 
     def __init__(self, space):
@@ -322,27 +390,41 @@ class SubspaceBasis:
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Reduce a TensorVector of this space against the basis; returns an
-        int row with no entry at any pivot, empty exactly when vec is in
-        the span."""
+    def _row_of(self, vec):
+        """The row of a TensorVector of this space, as a new dict."""
         if not isinstance(vec, TensorVector) or vec.space != self.space:
             got = vec.space.descriptor if isinstance(vec, TensorVector) else type(vec)
             raise ValueError(
                 f"space mismatch: basis of {self.space.descriptor}, vector of {got}"
             )
-        v = _divide_content(dict(vec.coords))
-        for p in v.keys() & self.rows.keys():
-            _eliminate(v, self.rows[p], p)
+        return self.space._row(vec.coords)
+
+    def _reduce_row(self, v):
+        """The row v, which may be mutated, reduced against the basis: no
+        entry at any pivot, and empty exactly when v is in the span."""
+        v = _divide_content(v)
+        rows = self.rows
+        for p in v.keys() & rows.keys():
+            _eliminate(v, rows[p], p)
         return v
 
+    def reduce(self, vec):
+        """_reduce_row of a TensorVector of this space, as coords."""
+        return self.space._coords(self._reduce_row(self._row_of(vec)))
+
     def insert(self, vec):
-        """Add a vector; returns the inserted residue row or None if dependent.
+        """_insert_row of a TensorVector of this space, the residue as coords."""
+        residue = self._insert_row(self._row_of(vec))
+        return None if residue is None else self.space._coords(residue)
+
+    def _insert_row(self, v):
+        """Add the row v, which may be mutated; returns the inserted residue
+        row or None if v is dependent.
 
         The returned row is never mutated afterwards: back-substitution
         replaces the rows that hold the new pivot with new dicts.
         """
-        residue = self.reduce(vec)
+        residue = self._reduce_row(v)
         if not residue:
             return None
         p = min(residue)
@@ -355,7 +437,7 @@ class SubspaceBasis:
             row = dict(old)
             _eliminate(row, residue, p)
             row = self.rows[q] = _divide_content(row)
-            # only the residue's labels can enter or leave the row
+            # only the residue's positions can enter or leave the row
             for f in residue:
                 if f not in row:
                     if f != p:
@@ -395,15 +477,15 @@ def kernel_basis(op):
     """
     space = op.space_in
     matrix = {}
-    for lab in space.labels():
-        for out_label, c in op.image_of(lab).coords.items():
-            matrix.setdefault(out_label, {})[lab] = c
+    for col in range(space.dimension):
+        for q, c in op._apply_row({col: 1}).items():
+            matrix.setdefault(q, {})[col] = c
     row_space = SubspaceBasis(space)
     for row in matrix.values():
-        row_space.insert(TensorVector._trusted(space, row))
+        row_space._insert_row(row)
     rows = row_space.rows
     kernel = SubspaceBasis(space)
-    for f in space.labels():
+    for f in range(space.dimension):
         if f in rows:
             continue
         pivots = row_space._holders.get(f, ())
@@ -411,7 +493,7 @@ def kernel_basis(op):
         vec = {f: L}
         for p in pivots:
             vec[p] = -(L // rows[p][p]) * rows[p][f]
-        kernel.insert(TensorVector._trusted(space, vec))
+        kernel._insert_row(vec)
     return kernel
 
 
@@ -457,7 +539,7 @@ def orbit_saturate(generators, seeds):
     basis = SubspaceBasis(space)
     queue = []
     for s in seeds:
-        residue = basis.insert(s)
+        residue = basis._insert_row(basis._row_of(s))
         if residue is not None:
             queue.append(residue)
     applications = 0
@@ -466,10 +548,9 @@ def orbit_saturate(generators, seeds):
         rounds += 1
         next_queue = []
         for row in queue:
-            vec = TensorVector._trusted(space, row)
             for op in ops:
                 applications += 1
-                residue = basis.insert(op.apply(vec))
+                residue = basis._insert_row(op._apply_row(row))
                 if residue is not None:
                     next_queue.append(residue)
         queue = next_queue
@@ -483,20 +564,17 @@ def orbit_saturate(generators, seeds):
 @functools.cache
 def phi_operator(n, k):
     """Contraction of the dual slot with the first tensor factor."""
-    space_out = TensorSpace(n, k)
+    space_in, space_out = MkSpace(n, k), TensorSpace(n, k)
+    labels, index = space_in.labels(), space_out.index
 
-    def fn(label):
-        d, w = label
-        return TensorVector(
-            space_out,
-            {
-                mono[1:]: c
-                for mono, c in lie.lyndon_word_tensor(w).items()
-                if mono[0] == d
-            },
-        )
+    def image_row(p):
+        # distinct monomials with first letter d have distinct tails
+        d, w = labels[p]
+        return {
+            index[mono[1:]]: c for mono, c in lie.lyndon_word_tensor(w).items() if mono[0] == d
+        }
 
-    return LinearOperator(MkSpace(n, k), space_out, fn, name=f"Phi({n},{k})")
+    return LinearOperator._on_positions(space_in, space_out, image_row, f"Phi({n},{k})")
 
 
 def tau_map(t):
@@ -515,12 +593,12 @@ def w_basis(n, k):
     necklace count.
     """
     space = TensorSpace(n, k)
+    index = space.index
     basis = SubspaceBasis(space)
-    for mono in space.labels():
-        shifted = mono[1:] + mono[:1]
-        if shifted == mono:
-            continue
-        basis.insert(TensorVector(space, {mono: 1, shifted: -1}))
+    for p, mono in enumerate(space.labels()):
+        q = index[mono[1:] + mono[:1]]
+        if q != p:
+            basis._insert_row({p: 1, q: -1})
     return basis
 
 
@@ -562,34 +640,31 @@ def sl_generators(n):
     return [elementary_sl(1, 2, n), _moving_pair(VSpace(n), fwd, bwd, "P")]
 
 
-def _dual_images(base):
-    """Dual action labels from the inverse: e_d^* -> sum_c <e_d, g^-1 e_c> e_c^*."""
-    cols = {c: base.inverse.image_of(c).coords for c in base.space_in.labels()}
-
-    def images(d):
-        return {c: cols[c][d] for c in cols if d in cols[c]}
-
-    return images
+def _image_function(op):
+    """label -> the coords of its image under op, each read once, when first
+    asked for: a lift is built in pairs, and the inverse's is rarely used."""
+    return functools.cache(lambda a: op.image_of(a).coords)
 
 
-def _product_expand(base, mono):
-    """Diagonal action on one tensor monomial, as a dict of label tuples.
+def _product_expand(image, mono):
+    """Diagonal action on one tensor monomial, as a dict of label tuples,
+    from the _image_function of the operator on V.
 
     Each choice of one image term per letter gives its own label tuple, so
     the products need no accumulation.
     """
-    images = [base.image_of(a).coords.items() for a in mono]
     return {
         tuple(b for b, _ in terms): prod(c for _, c in terms)
-        for terms in itertools.product(*images)
+        for terms in itertools.product(*(image(a).items() for a in mono))
     }
 
 
-def _act_on_lyndon_word(base, w):
-    """Diagonal action on the bracketing of w, back in Lyndon coordinates."""
+def _act_on_lyndon_word(image, w):
+    """Diagonal action on the bracketing of w, back in Lyndon coordinates,
+    from the _image_function of the operator on V."""
     out = {}
     for mono, c in lie.lyndon_word_tensor(w).items():
-        lie.tensor_add_into(out, _product_expand(base, mono), c)
+        lie.tensor_add_into(out, _product_expand(image, mono), c)
     return lie.lie_from_tensor_coords(out)
 
 
@@ -611,39 +686,52 @@ def induced_on(base, space):
 def _induce_one(base, space):
     if space.family == "V":
         return base
+    name = f"{base.name} on {space.descriptor}"
+    image = _image_function(base)
     if space.family == "T":
 
         def fn(mono):
-            return TensorVector(space, _product_expand(base, mono))
+            return TensorVector(space, _product_expand(image, mono))
 
     elif space.family == "W":
 
         def fn(label):
             # each term of the tensor image sorted into a wedge label
             out = {}
-            for combo, c in _product_expand(base, label).items():
+            for combo, c in _product_expand(image, label).items():
                 sign, key = wedge_label(combo)
                 out[key] = out.get(key, 0) + sign * c
             return TensorVector(space, out)
 
     else:
-        dual = _dual_images(base)
-        # the Lie image depends on the word only, not on the dual index
-        word_image = functools.cache(lambda w: _act_on_lyndon_word(base, w))
+        # the label (c, ww) sits at position (c - 1) * L + (position of ww
+        # among the L Lyndon words), which is the position of (1, ww) in
+        # the first L labels; the Lie image depends on the word only, not
+        # on the dual index, so it is computed once per word
+        n, k = space.params
+        labels, index = space.labels(), space.index
+        L = _lyndon_count(n, k + 1)
 
-        def fn(label):
-            d, w = label
-            lie_coords = word_image(w)
-            return TensorVector(
-                space,
-                {
-                    (c, ww): dc * cw
-                    for c, dc in dual(d).items()
-                    for ww, cw in lie_coords.items()
-                },
-            )
+        @functools.cache
+        def shifts():
+            # the dual action, e_d^* -> sum_c <e_d, g^-1 e_c> e_c^*, read off
+            # the columns of the inverse, as {(c - 1) * L: coefficient} at
+            # d - 1; built when first needed, like the _image_function
+            cols = [base.inverse._apply_row({c: 1}) for c in range(n)]
+            return [{c * L: col[d] for c, col in enumerate(cols) if d in col} for d in range(n)]
 
-    return LinearOperator(space, space, fn, name=f"{base.name} on {space.descriptor}")
+        @functools.cache
+        def word_row(q):
+            lie_coords = _act_on_lyndon_word(image, labels[q][1])
+            return {index[1, ww]: cw for ww, cw in lie_coords.items()}
+
+        def image_row(p):
+            d, q = divmod(p, L)
+            lie_row = word_row(q)
+            return {s + r: dc * cw for s, dc in shifts()[d].items() for r, cw in lie_row.items()}
+
+        return LinearOperator._on_positions(space, space, image_row, name)
+    return LinearOperator(space, space, fn, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +814,10 @@ def symplectic_pairing(u, v):
 def preserves_symplectic_form(op):
     space = op.space_in
     labels = space.labels()
+    images = {u: op.image_of(u) for u in labels}
     for u in labels:
         for v in labels:
-            lhs = symplectic_pairing(op.image_of(u), op.image_of(v))
+            lhs = symplectic_pairing(images[u], images[v])
             rhs = symplectic_pairing(TensorVector.unit(space, u), TensorVector.unit(space, v))
             if lhs != rhs:
                 return False
@@ -906,18 +995,19 @@ def kernel_claim_check(n, k, full_closure=True):
         raise ValueError(f"need 2 <= k <= n - 2, got n={n}, k={k}")
     space = MkSpace(n, k)
     phi = phi_operator(n, k)
-    seeds = [
-        TensorVector.unit(space, (d, w))
-        for (d, w) in space.labels()
-        if d not in w
-    ]
-    seeds_ok = all(not phi.apply(s) for s in seeds)
-    kernel_dim = space.dimension - span_basis(map(phi.image_of, space.labels())).dim
-    result = orbit_saturate([induced_on(g, space) for g in sl_generators(n)], seeds)
-    orbit = result.basis
-    inside = all(
-        not phi.apply(TensorVector._trusted(space, row)) for row in orbit.rows.values()
+    labels = space.labels()
+    seeds = [p for p, (d, w) in enumerate(labels) if d not in w]
+    seeds_ok = not any(phi._apply_row({p: 1}) for p in seeds)
+    image_span = SubspaceBasis(phi.space_out)
+    for p in range(space.dimension):
+        image_span._insert_row(phi._apply_row({p: 1}))
+    kernel_dim = space.dimension - image_span.dim
+    result = orbit_saturate(
+        [induced_on(g, space) for g in sl_generators(n)],
+        [TensorVector._trusted(space, {labels[p]: 1}) for p in seeds],
     )
+    orbit = result.basis
+    inside = all(not phi._apply_row(row) for row in orbit.rows.values())
     return KernelClaimReport(
         n=n,
         k=k,

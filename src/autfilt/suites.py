@@ -350,6 +350,9 @@ def suite_sp_orbit(rec, g_values=(3, 4), extended_sp_generators=False):
 def suite_sl_reduction(rec, n=5, k_values=(2, 3), trials=20, seed=7):
     """Double-transvection reduction of single-row symbols and the closing
     identity, with a sign-flip negative control."""
+    # a space over exactlin.MAX_DIMENSION is rejected here, before any record
+    for k in k_values:
+        exactlin.MkSpace(n, k)
     rng = random.Random(seed)
 
     def sample_delta(k, c):

@@ -11,7 +11,7 @@ import itertools
 import random
 from math import comb, gcd, lcm
 
-from autfilt import autf, commgraph, exactlin, lie, magnus
+from autfilt import autf, commgraph, lie, magnus
 from autfilt.exactlin import (
     MkSpace,
     SubspaceBasis,
@@ -279,6 +279,18 @@ def _primitive_row(coords):
     return {k: v // g for k, v in row.items()}
 
 
+def _clear_pivot(v, row, p):
+    """a*v - b*row as a new dict without zeros, a:b = row[p]:v[p] in lowest
+    terms, so its entry at p is 0."""
+    a, b = row[p], v[p]
+    g = gcd(a, b)
+    return {
+        k: c
+        for k in v.keys() | row.keys()
+        if (c := a // g * v.get(k, 0) - b // g * row.get(k, 0))
+    }
+
+
 def min_pivot_reduce(rows, coords):
     """Reduce coords against {pivot: row} by clearing its least label, one
     copied vector per step; returns the residue (empty iff in the span)."""
@@ -288,13 +300,7 @@ def min_pivot_reduce(rows, coords):
         row = rows.get(p)
         if row is None:
             break
-        a, b = row[p], v[p]
-        g = gcd(a, b)
-        v = {
-            k: c
-            for k in v.keys() | row.keys()
-            if (c := a // g * v.get(k, 0) - b // g * row.get(k, 0))
-        }
+        v = _clear_pivot(v, row, p)
     return v
 
 
@@ -318,13 +324,23 @@ def echelon_span_by_min_pivot(vectors):
 REDUCED_BASIS_SPACES = [VSpace(4), TensorSpace(3, 2), MkSpace(4, 2), WedgeSpace(6, 3)]
 
 
+def labeled_rows(basis):
+    """The rows of a SubspaceBasis read back by label: {pivot label: {label:
+    entry}}, the view that tests compare with labeled oracles and pins."""
+    labels = basis.space.labels()
+    return {
+        labels[p]: {labels[q]: c for q, c in row.items()} for p, row in basis.rows.items()
+    }
+
+
 def assert_reduced(basis):
     """Pivot = least label, positive pivot entry, content 1, and no entry at
     another row's pivot."""
-    for p, row in basis.rows.items():
+    rows = labeled_rows(basis)
+    for p, row in rows.items():
         assert p == min(row) and row[p] > 0
         assert all(type(c) is int for c in row.values()) and gcd(*row.values()) == 1
-        assert not any(q in row for q in basis.rows if q != p)
+        assert not any(q in row for q in rows if q != p)
 
 
 def subspace_equal(a, b):
@@ -334,35 +350,44 @@ def subspace_equal(a, b):
     if a.space != b.space:
         raise ValueError("space mismatch")
     return a.dim == b.dim and all(
-        b.contains(TensorVector(a.space, row)) for row in a.rows.values()
+        b.contains(TensorVector(a.space, row)) for row in labeled_rows(a).values()
     )
 
 
-class ScanningBasis(SubspaceBasis):
-    """SubspaceBasis whose insert searches every row for the new pivot
-    instead of reading the label index: oracle for the indexed insert.
-    Its _holders stays empty."""
+class ScanningBasis:
+    """Reduced integer echelon basis with rows keyed by pivot label, whose
+    insert searches every row for the new pivot: a standalone labeled
+    oracle for SubspaceBasis, which keys its rows and its holder index by
+    position.  insert returns the same residue coords as SubspaceBasis."""
+
+    def __init__(self, space):
+        self.space = space
+        self.rows = {}
 
     def insert(self, vec):
-        residue = self.reduce(vec)
-        if not residue:
+        if vec.space != self.space:
+            raise ValueError("space mismatch")
+        v = dict(vec.coords)
+        # clearing one pivot of a reduced basis leaves the others scaled
+        for p in [p for p in v if p in self.rows]:
+            v = _clear_pivot(v, self.rows[p], p)
+        if not v:
             return None
-        residue = _primitive_row(residue)
+        residue = _primitive_row(v)
         p = min(residue)
         if residue[p] < 0:
-            residue = {k: -v for k, v in residue.items()}
+            residue = {k: -c for k, c in residue.items()}
         for q, row in self.rows.items():
             if p in row:
-                row = dict(row)
-                exactlin._eliminate(row, residue, p)
-                self.rows[q] = _primitive_row(row)
+                self.rows[q] = _primitive_row(_clear_pivot(row, residue, p))
         self.rows[p] = residue
         return residue
 
 
 def holders_from_rows(rows):
-    """The label index rebuilt from reduced rows: non-pivot label -> the
-    pivots whose row holds it."""
+    """The holder index rebuilt from reduced rows: each non-pivot key (a
+    position or a label, as the rows are keyed) -> the pivots whose row
+    holds it."""
     holders = {}
     for p, row in rows.items():
         for f in row:
@@ -372,8 +397,8 @@ def holders_from_rows(rows):
 
 
 def assert_index_matches_rows(basis):
-    """basis._holders equals the index rebuilt from its rows, empty sets
-    left out."""
+    """basis._holders equals the position index rebuilt from its rows,
+    empty sets left out."""
     kept = {f: pivots for f, pivots in basis._holders.items() if pivots}
     assert kept == holders_from_rows(basis.rows)
 
@@ -434,7 +459,7 @@ def check_against_min_pivot_oracle(space, rng):
     assert_reduced(basis)
     assert_index_matches_rows(basis)
     assert all(basis.contains(TensorVector(space, row)) for row in oracle.values())
-    assert not any(min_pivot_reduce(oracle, r) for r in basis.rows.values())
+    assert not any(min_pivot_reduce(oracle, r) for r in labeled_rows(basis).values())
     probes = [_random_coords(rng, labels) for _ in range(10)]
     probes += [lie.tensor_add(a, lie.tensor_scale(b, 3)) for a, b in zip(vectors, vectors[1:])]
     for coords in probes:
@@ -445,7 +470,15 @@ def check_against_min_pivot_oracle(space, rng):
         again = SubspaceBasis(space)
         for coords in others:
             again.insert(TensorVector(space, coords))
-        assert again.rows == basis.rows and subspace_equal(basis, again)
+        assert labeled_rows(again) == labeled_rows(basis) and subspace_equal(basis, again)
+
+
+def dual_images(base):
+    """Dual action table of an operator on VSpace(n), by label, from its
+    inverse: d -> the coords of e_d^* -> sum_c <e_d, g^-1 e_c> e_c^*.  The
+    oracle for the position shifts of the Mk lift."""
+    cols = {c: base.inverse.image_of(c).coords for c in base.space_in.labels()}
+    return {d: {c: cols[c][d] for c in cols if d in cols[c]} for d in cols}
 
 
 def matrix_of(op):

@@ -18,6 +18,7 @@ from helpers import (
     cyclic_shift,
     is_identity,
     jacobi_sum,
+    labeled_rows,
     random_generator,
     random_word,
     witt_dimension,
@@ -255,7 +256,7 @@ def test_c10_property_suites():
     rng = random.Random(107)
     inv = cyclic_invariant_basis(3, 3)
     w = exactlin.w_basis(3, 3)
-    w_rows = list(w.rows.values())
+    w_rows = list(labeled_rows(w).values())
     tspace = exactlin.TensorSpace(3, 3)
     for _ in range(cases):
         vec = exactlin.TensorVector.zero(tspace)

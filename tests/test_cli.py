@@ -298,6 +298,12 @@ def test_suites_reject_values_under_their_bound(monkeypatch, suite, name, value,
         # rejected mu
         ("verify depth-table --k 7", r"suite depth-table: k_values .* at most n - 2 = 3"),
         ("depth /nonexistent", "No such file or directory: '/nonexistent'"),
+        # enumerating the 4,881,240 labels of MkSpace(5, 9) never finished
+        (
+            "verify sl-reduction --k 9 --trials 1",
+            r"Mk\(n=5,k=9\) has dimension 4881240, over the bound "
+            r"exactlin.MAX_DIMENSION = 500000",
+        ),
     ],
 )
 def test_rejected_input_is_one_line_with_status_two(monkeypatch, capsys, argv, message):

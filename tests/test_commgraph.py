@@ -239,6 +239,27 @@ def test_conjugate_path_matches_segment_oracle_fuzz(seed):
     assert hs == conjugate_path_by_segments(n, I, word)
 
 
+@pytest.mark.parametrize("length", [0, 1, 40, 200])
+def test_conjugate_path_checks_each_letter_once(length, monkeypatch):
+    # each handle rechecked its whole tail, so a path cost O(L^2) checks
+    calls = []
+    check = autf.nielsen_letter
+    monkeypatch.setattr(
+        autf, "nielsen_letter", lambda letter, n: calls.append(letter) or check(letter, n)
+    )
+    word = random_nielsen_word(random.Random(length), 7, length)
+    hs = commgraph.conjugate_path(7, {1, 2, 3}, [list(l) for l in word]).handles
+    assert len(calls) == length
+    assert hs == conjugate_path_by_segments(7, {1, 2, 3}, word)
+    assert all(type(l) is tuple for h in hs for l in h.conjugator)
+
+
+def test_conjugate_path_rejects_a_malformed_letter():
+    word = [("L", 2, 3, 1), ("L", 3, 3, 1)]
+    with pytest.raises(ValueError, match="bad Nielsen letter"):
+        commgraph.conjugate_path(5, {1, 2}, word)
+
+
 def test_conjugate_path_two_letters_verified():
     word = (("L", 2, 3, 1), ("L", 4, 5, 1))
     p = commgraph.conjugate_path(5, {1, 2}, word)

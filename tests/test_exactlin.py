@@ -23,6 +23,8 @@ from helpers import (
     check_against_min_pivot_oracle,
     cyclic_invariant_basis,
     cyclic_shift,
+    dual_images,
+    labeled_rows,
     matrix_of,
     minor,
     scanning_kernel_rows,
@@ -59,8 +61,11 @@ def test_space_family_is_pinned(make, descriptor, dim, first, last):
     assert (labels[0], labels[-1]) == (first, last)
     assert list(labels) == sorted(labels)
     assert len(set(labels)) == dim
-    # one tuple per space, built once
+    # one tuple and one position index per space, built once
     assert make().labels() is labels
+    assert make().index is space.index
+    assert len(space.index) == dim
+    assert all(space.index[labels[i]] == i for i in range(dim))
 
 
 @pytest.mark.parametrize("make", [row[0] for row in SPACES], ids=SPACE_IDS)
@@ -94,7 +99,7 @@ def test_zero_entries_are_ignored():
     basis.insert(TensorVector(v, {1: 1}))
     assert basis.contains(TensorVector(v, {2: 0}))
     assert basis.insert(TensorVector(v, {2: 0, 3: 1})) == {3: 1}
-    assert set(basis.rows) == {1, 3}
+    assert set(labeled_rows(basis)) == {1, 3}
 
 
 def test_kernel_of_zero_operator_is_whole_space():
@@ -123,7 +128,7 @@ def _random_operator(rng, rank):
 def _kernel_by_rank_nullity(op):
     kernel = exactlin.kernel_basis(op)
     assert_reduced(kernel)
-    for row in kernel.rows.values():
+    for row in labeled_rows(kernel).values():
         assert not op.apply(TensorVector(op.space_in, row))
     images = [op.image_of(lab) for lab in op.space_in.labels()]
     rank = exactlin.span_basis(images).dim
@@ -150,7 +155,7 @@ def test_contraction_kernel_by_rank_nullity_equals_the_orbit(n, k):
     _, seeds = _kernel_claim_setup(n, k)
     orbit = exactlin.orbit_saturate(_two_generators_on(MkSpace(n, k)), seeds)
     # a span has one reduced basis, so the kernel claim is row equality
-    assert kernel.rows == orbit.basis.rows
+    assert labeled_rows(kernel) == labeled_rows(orbit.basis)
 
 
 def test_subspace_basis_rejects_a_vector_of_another_space():
@@ -163,7 +168,7 @@ def test_subspace_basis_rejects_a_vector_of_another_space():
         for coords in ({(9, 9): 1}, {(1, 2): 1}):
             with pytest.raises(ValueError, match=r"T\(n=3,m=2\), vector of .*dict"):
                 method(coords)
-    assert basis.rows == exactlin.w_basis(3, 2).rows
+    assert labeled_rows(basis) == labeled_rows(exactlin.w_basis(3, 2))
     with pytest.raises(ValueError, match="space mismatch"):
         exactlin.span_basis([unit(VSpace(3), 1), unit(VSpace(4), 1)])
 
@@ -257,7 +262,7 @@ def test_two_generators_match_all_transvections_on_kernel_claim(n, k):
     gens, seeds = _kernel_claim_setup(n, k)
     two = exactlin.orbit_saturate(_two_generators_on(MkSpace(n, k)), seeds)
     assert two.closed
-    assert two.basis.rows == exactlin.orbit_saturate(gens, seeds).basis.rows
+    assert labeled_rows(two.basis) == labeled_rows(exactlin.orbit_saturate(gens, seeds).basis)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -270,7 +275,7 @@ def test_two_generators_match_all_transvections_on_iaab_seed(n):
     seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1)
     two = exactlin.orbit_saturate(_two_generators_on(space), [seed])
     assert two.closed and two.basis.dim == n * n * (n - 1) // 2
-    assert two.basis.rows == exactlin.orbit_saturate(gens, [seed]).basis.rows
+    assert labeled_rows(two.basis) == labeled_rows(exactlin.orbit_saturate(gens, [seed]).basis)
 
 
 @pytest.mark.parametrize(
@@ -293,8 +298,8 @@ def test_indexed_insert_matches_scanning_oracle_on_kernel_claim(n, k):
     phi = exactlin.phi_operator(n, k)
     orbit = exactlin.orbit_saturate(gens, seeds).basis
     kernel = exactlin.kernel_basis(phi)
-    assert orbit.rows == scanning_orbit_rows(gens, seeds)
-    assert kernel.rows == scanning_kernel_rows(phi)
+    assert labeled_rows(orbit) == scanning_orbit_rows(gens, seeds)
+    assert labeled_rows(kernel) == scanning_kernel_rows(phi)
     assert_index_matches_rows(orbit)
     assert_index_matches_rows(kernel)
     assert subspace_equal(orbit, kernel)
@@ -373,15 +378,66 @@ def test_space_sizes_are_nonnegative_ints(value):
     assert VSpace(0).labels() == () and exactlin.extended_sp_generators(0) == []
 
 
+@pytest.mark.parametrize(
+    "make, descriptor, dimension",
+    [
+        (lambda: VSpace(500_001), "V(n=500001)", 500_001),
+        (lambda: TensorSpace(10, 6), "T(n=10,m=6)", 10**6),
+        (lambda: WedgeSpace(40, 5), "w5V(n=40)", 658_008),
+        # MkSpace(5, 8) took 2 s and 333 MB to enumerate; MkSpace(5, 9),
+        # which `verify sl-reduction --k 9` built, never finished
+        (lambda: MkSpace(5, 8), "Mk(n=5,k=8)", 1_085_000),
+        (lambda: MkSpace(5, 9), "Mk(n=5,k=9)", 4_881_240),
+    ],
+    ids=["V", "T", "W", "Mk(5,8)", "Mk(5,9)"],
+)
+def test_spaces_over_the_dimension_bound_are_rejected_before_any_label(
+    make, descriptor, dimension
+):
+    before = exactlin._labels.cache_info().misses
+    message = (
+        f"{descriptor} has dimension {dimension}, over the bound "
+        f"exactlin.MAX_DIMENSION = {exactlin.MAX_DIMENSION}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+    assert exactlin._labels.cache_info().misses == before
+
+
+@pytest.mark.parametrize(
+    "make, dimension",
+    [
+        (lambda: VSpace(exactlin.MAX_DIMENSION), exactlin.MAX_DIMENSION),
+        (lambda: TensorSpace(79, 3), 493_039),
+        (lambda: WedgeSpace(40, 4), 91_390),
+        (lambda: MkSpace(5, 7), 243_750),
+        (lambda: MkSpace(7, 5), 136_808),
+    ],
+    ids=["V", "T", "W", "Mk(5,7)", "Mk(7,5)"],
+)
+def test_spaces_up_to_the_dimension_bound_are_admitted(make, dimension):
+    # the dimension is the closed form; no label is enumerated to give it
+    assert make().dimension == dimension
+
+
+def test_closed_form_dimension_counts_the_labels():
+    # lie.lyndon_words needs n >= 1, so MkSpace starts there
+    for n, m in itertools.product(range(5), range(5)):
+        spaces = [TensorSpace(n, m), WedgeSpace(n, m)] + [MkSpace(n, m)] * (n > 0)
+        for space in spaces:
+            assert space.dimension == len(space.labels()), space.descriptor
+
+
 def test_induced_images_match_unmemoised_product():
     space = MkSpace(4, 2)
     base = exactlin.elementary_sl(1, 2, 4)
     op = exactlin.induced_on(base, space)
-    dual = exactlin._dual_images(base)
+    dual = dual_images(base)
+    image = exactlin._image_function(base)
     for d, w in space.labels():
-        lie_coords = exactlin._act_on_lyndon_word(base, w)
+        lie_coords = exactlin._act_on_lyndon_word(image, w)
         expected = {
-            (c, ww): dc * cw for c, dc in dual(d).items() for ww, cw in lie_coords.items()
+            (c, ww): dc * cw for c, dc in dual[d].items() for ww, cw in lie_coords.items()
         }
         assert op.image_of((d, w)) == TensorVector(space, expected)
 
@@ -412,7 +468,7 @@ def test_orbit_output_is_generator_stable():
     seed = magnus.johnson_image(autf.make_magnus_C(1, 2, n), 1)
     basis = exactlin.orbit_saturate(gens, [seed]).basis
     for op in gens:
-        for row in basis.rows.values():
+        for row in labeled_rows(basis).values():
             assert basis.contains(op.apply(TensorVector(space, row)))
 
 
@@ -529,7 +585,7 @@ def test_w_basis_dimension_and_stability():
     for n, k in ((3, 2), (3, 3), (5, 2)):
         w = exactlin.w_basis(n, k)
         assert w.dim == n ** k - brute_necklace_count(n, k)
-        for row in w.rows.values():
+        for row in labeled_rows(w).values():
             assert w.contains(cyclic_shift(TensorVector(TensorSpace(n, k), row)))
 
 
@@ -557,9 +613,9 @@ def test_elementary_action_on_v():
 
 def test_elementary_action_on_dual():
     # the inverse transpose: e_1^* -> e_1^* - e_2^*, e_2^* fixed
-    dual = exactlin._dual_images(exactlin.elementary_sl(1, 2, 3))
-    assert dual(1) == {1: 1, 2: -1}
-    assert dual(2) == {2: 1}
+    dual = dual_images(exactlin.elementary_sl(1, 2, 3))
+    assert dual[1] == {1: 1, 2: -1}
+    assert dual[2] == {2: 1}
 
 
 def test_elementary_rejects_equal_indices():

@@ -21,8 +21,10 @@ from helpers import (
     cyclic_shift,
     dual_components,
     has_depth_at_least,
+    holders_from_rows,
     is_identity,
     jacobi_sum,
+    labeled_rows,
     lyndon_tensor,
     magnus_expand_by_letters,
     packed_by_shift_add,
@@ -300,11 +302,18 @@ def insert_sequences(draw):
 def test_label_index_follows_every_insert(case):
     space, vectors = case
     basis, oracle = exactlin.SubspaceBasis(space), ScanningBasis(space)
+    index = space.index
     for coords in vectors:
         vec = exactlin.TensorVector(space, coords)
         assert basis.insert(vec) == oracle.insert(vec)
-        assert basis.rows == oracle.rows
+        assert labeled_rows(basis) == oracle.rows
         assert_index_matches_rows(basis)
+        # the position index is the one the labeled oracle's rows give
+        oracle_rows = {
+            index[p]: {index[l]: c for l, c in row.items()} for p, row in oracle.rows.items()
+        }
+        kept = {f: pivots for f, pivots in basis._holders.items() if pivots}
+        assert kept == holders_from_rows(oracle_rows)
 
 
 # -- input boundaries: mutated JSON and automorphism text --------------------
