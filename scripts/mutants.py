@@ -131,6 +131,28 @@ MUTANTS = [
         ],
     ),
     (
+        # a wedge sum that cancels must leave the row, not stay as a 0
+        "w-lift-keeps-cancelled-sums",
+        "src/autfilt/exactlin.py",
+        "                    lie.tensor_add_into(out, {index[key]: c}, sign)\n",
+        "                    out[index[key]] = out.get(index[key], 0) + sign * c\n",
+        [
+            "tests/test_exactlin.py::"
+            "test_every_operator_builder_gives_trusted_rows_and_inverse_witness",
+        ],
+    ),
+    (
+        # the inverse witness of a transvection must subtract
+        "transvection-inverse-adds",
+        "src/autfilt/exactlin.py",
+        "_operator_pair(space, row_function(1), row_function(-1), ",
+        "_operator_pair(space, row_function(1), row_function(1), ",
+        [
+            "tests/test_exactlin.py::"
+            "test_every_operator_builder_gives_trusted_rows_and_inverse_witness",
+        ],
+    ),
+    (
         "sl-generators-unsigned-cycle",
         "src/autfilt/exactlin.py",
         "{n: {1: sign}}\n    bwd = {j + 1: {j: 1} for j in range(1, n)} | {1: {n: sign}}",

@@ -8,9 +8,11 @@ subspace comparisons are deterministic.
 
 Labels live only at the edges: inside, a row is a dict from a label's
 position in space.labels() to its coefficient, so no step hashes a nested
-label tuple, and the least position is the least label.  Operator images,
-saturations, kernels and the kernel claim run on rows; a TensorVector is
-converted on insert, reduce, contains and apply, and back on the way out.
+label tuple, and the least position is the least label.  An operator is a
+function from a position of its domain to the image row of that basis
+vector, so images, saturations, kernels and the kernel claim run on rows;
+a TensorVector is converted on insert, reduce, contains and apply, and
+back on the way out.
 
 There is one elimination, SubspaceBasis: a reduced integer echelon basis
 (content stripped, each pivot cleared from the other rows), which avoids
@@ -264,44 +266,22 @@ class TensorVector:
 
 
 class LinearOperator:
-    """Linear map given on basis labels, with cached images.
+    """Linear map given on positions, with cached images.
 
-    fn maps a label of space_in to its image, a TensorVector of space_out
-    or label-keyed coords, which are checked.  Each image is cached as a
-    row, keyed by the position of its label.  An inverse witness, when
-    present, is another LinearOperator; orbit saturation refuses
-    generators without one.
+    image_row maps a position p of space_in to the image of that basis
+    vector, a row of space_out: its positions keyed to nonzero ints.  The
+    row is trusted, not checked, and cached as it is; no step mutates it.
+    An inverse witness, when present, is another LinearOperator; orbit
+    saturation refuses generators without one.
     """
 
-    def __init__(self, space_in, space_out, fn, name="", inverse=None):
+    def __init__(self, space_in, space_out, image_row, name, inverse=None):
         self.space_in = space_in
         self.space_out = space_out
-        self._fn = fn
+        self.image_row = image_row
         self.name = name
         self.inverse = inverse
         self._cache = {}
-
-    @classmethod
-    def _on_positions(cls, space_in, space_out, image_row, name):
-        """Trusted constructor: image_row maps a position of space_in to its
-        image as a row of space_out, with nonzero int entries, which is
-        cached as it is and not checked."""
-        op = cls(space_in, space_out, None, name)
-        op._image_row = image_row
-        return op
-
-    def _image_row(self, p):
-        """The image of position p by fn, checked."""
-        label = self.space_in.labels()[p]
-        vec = self._fn(label)
-        if not isinstance(vec, TensorVector):
-            vec = TensorVector(self.space_out, vec)
-        elif vec.space != self.space_out:
-            raise ValueError(
-                f"operator {self.name or '?'} maps {label!r} into "
-                f"{vec.space.descriptor}, not {self.space_out.descriptor}"
-            )
-        return self.space_out._row(vec.coords)
 
     def _apply_row(self, row):
         """The image of a row of space_in, as a new row of space_out."""
@@ -310,7 +290,7 @@ class LinearOperator:
         for p, c in row.items():
             image = cache.get(p)
             if image is None:
-                image = cache[p] = self._image_row(p)
+                image = cache[p] = self.image_row(p)
             lie.tensor_add_into(out, image, c)
         return out
 
@@ -337,22 +317,22 @@ class LinearOperator:
 
 
 def _operator_pair(space, fwd, bwd, name):
-    """Endomorphisms name and name^-1 of space from label functions, each
-    the other's inverse witness."""
-    op = LinearOperator(space, space, fwd, name=name)
-    op.inverse = LinearOperator(space, space, bwd, name=name + "^-1", inverse=op)
+    """Endomorphisms name and name^-1 of space from image_row functions,
+    each the other's inverse witness."""
+    op = LinearOperator(space, space, fwd, name)
+    op.inverse = LinearOperator(space, space, bwd, name + "^-1", inverse=op)
     return op
 
 
 def _moving_pair(space, moves_fwd, moves_bwd, name):
     """Operator pair fixing every label except the keys of the move tables,
-    which map to the coordinate dicts stored there."""
-    return _operator_pair(
-        space,
-        lambda label: moves_fwd.get(label, {label: 1}),
-        lambda label: moves_bwd.get(label, {label: 1}),
-        name,
-    )
+    which map to the coordinate dicts stored there (nonzero ints)."""
+
+    def row_function(moves):
+        rows = {space.index[label]: space._row(coords) for label, coords in moves.items()}
+        return lambda p: rows.get(p, {p: 1})
+
+    return _operator_pair(space, row_function(moves_fwd), row_function(moves_bwd), name)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +554,7 @@ def phi_operator(n, k):
             index[mono[1:]]: c for mono, c in lie.lyndon_word_tensor(w).items() if mono[0] == d
         }
 
-    return LinearOperator._on_positions(space_in, space_out, image_row, f"Phi({n},{k})")
+    return LinearOperator(space_in, space_out, image_row, f"Phi({n},{k})")
 
 
 def tau_map(t):
@@ -688,20 +668,22 @@ def _induce_one(base, space):
         return base
     name = f"{base.name} on {space.descriptor}"
     image = _image_function(base)
+    labels, index = space.labels(), space.index
     if space.family == "T":
 
-        def fn(mono):
-            return TensorVector(space, _product_expand(image, mono))
+        def image_row(p):
+            return space._row(_product_expand(image, labels[p]))
 
     elif space.family == "W":
 
-        def fn(label):
+        def image_row(p):
             # each term of the tensor image sorted into a wedge label
             out = {}
-            for combo, c in _product_expand(image, label).items():
+            for combo, c in _product_expand(image, labels[p]).items():
                 sign, key = wedge_label(combo)
-                out[key] = out.get(key, 0) + sign * c
-            return TensorVector(space, out)
+                if sign:
+                    lie.tensor_add_into(out, {index[key]: c}, sign)
+            return out
 
     else:
         # the label (c, ww) sits at position (c - 1) * L + (position of ww
@@ -709,7 +691,6 @@ def _induce_one(base, space):
         # the first L labels; the Lie image depends on the word only, not
         # on the dual index, so it is computed once per word
         n, k = space.params
-        labels, index = space.labels(), space.index
         L = _lyndon_count(n, k + 1)
 
         @functools.cache
@@ -730,8 +711,7 @@ def _induce_one(base, space):
             lie_row = word_row(q)
             return {s + r: dc * cw for s, dc in shifts()[d].items() for r, cw in lie_row.items()}
 
-        return LinearOperator._on_positions(space, space, image_row, name)
-    return LinearOperator(space, space, fn, name=name)
+    return LinearOperator(space, space, image_row, name)
 
 
 # ---------------------------------------------------------------------------
@@ -772,16 +752,17 @@ def sp_transvection(v_coords, g):
     _check_size("g", g)
     space = VSpace(2 * g)
     vvec = TensorVector(space, v_coords)
+    v_row = space._row(vvec.coords)
 
-    def fn_of(sign):
-        def fn(label):
-            x = TensorVector.unit(space, label)
-            return x + vvec.scale(sign * symplectic_pairing(x, vvec))
+    def row_function(sign):
+        def row(p):
+            x = TensorVector.unit(space, space.labels()[p])
+            return lie.tensor_add_into({p: 1}, v_row, sign * symplectic_pairing(x, vvec))
 
-        return fn
+        return row
 
     tag = "+".join(map(str, sorted(vvec.coords)))
-    return _operator_pair(space, fn_of(1), fn_of(-1), f"transvection({tag})")
+    return _operator_pair(space, row_function(1), row_function(-1), f"transvection({tag})")
 
 
 def extended_sp_generators(g):

@@ -36,11 +36,12 @@ def is_lyndon(w):
 
 
 def lyndon_words(n, m):
-    """All Lyndon words of length exactly m over 1..n, by Duval's algorithm."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    """All Lyndon words of length exactly m over 1..n, by Duval's algorithm;
+    none for n = 0, since there are no words over an empty alphabet."""
+    if n < 0 or m < 1:
+        raise ValueError("need n >= 0 and m >= 1")
     out = []
-    w = [1]
+    w = [1] if n else []
     while w:
         if len(w) == m:
             out.append(tuple(w))

@@ -13,6 +13,7 @@ from math import comb, gcd, lcm
 
 from autfilt import autf, commgraph, lie, magnus
 from autfilt.exactlin import (
+    LinearOperator,
     MkSpace,
     SubspaceBasis,
     TensorSpace,
@@ -471,6 +472,22 @@ def check_against_min_pivot_oracle(space, rng):
         for coords in others:
             again.insert(TensorVector(space, coords))
         assert labeled_rows(again) == labeled_rows(basis) and subspace_equal(basis, again)
+
+
+def operator_on_labels(space_in, space_out, fn, name=""):
+    """The LinearOperator sending each label of space_in to fn(label), a
+    TensorVector of space_out or label-keyed coords, checked through
+    TensorVector: the label route for operators written out by hand."""
+
+    def image_row(p):
+        vec = fn(space_in.labels()[p])
+        if not isinstance(vec, TensorVector):
+            vec = TensorVector(space_out, vec)
+        elif vec.space != space_out:
+            raise ValueError(f"{vec.space.descriptor} is not {space_out.descriptor}")
+        return space_out._row(vec.coords)
+
+    return LinearOperator(space_in, space_out, image_row, name)
 
 
 def dual_images(base):

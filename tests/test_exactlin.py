@@ -27,6 +27,7 @@ from helpers import (
     labeled_rows,
     matrix_of,
     minor,
+    operator_on_labels,
     scanning_kernel_rows,
     scanning_orbit_rows,
     subspace_equal,
@@ -104,7 +105,7 @@ def test_zero_entries_are_ignored():
 
 def test_kernel_of_zero_operator_is_whole_space():
     v = VSpace(3)
-    zero = exactlin.LinearOperator(v, v, lambda lab: TensorVector.zero(v))
+    zero = operator_on_labels(v, v, lambda lab: TensorVector.zero(v))
     assert exactlin.kernel_basis(zero).dim == 3
 
 
@@ -122,7 +123,7 @@ def _random_operator(rng, rank):
         for row in spanning:
             lie.tensor_add_into(coords, row, rng.randint(-2, 2))
         images[lab] = coords
-    return exactlin.LinearOperator(v, t, images.__getitem__, name=f"rank<={rank}")
+    return operator_on_labels(v, t, images.__getitem__, name=f"rank<={rank}")
 
 
 def _kernel_by_rank_nullity(op):
@@ -143,7 +144,7 @@ def test_kernel_of_random_integer_operators_by_rank_nullity(rank):
         _kernel_by_rank_nullity(_random_operator(rng, rank))
     # the images of labels 1 and 2 repeat as 3 and 4: rank at most 2
     base = _random_operator(rng, 4)
-    deficient = exactlin.LinearOperator(
+    deficient = operator_on_labels(
         base.space_in, base.space_out, lambda lab: base.image_of((lab - 1) % 2 + 1)
     )
     assert _kernel_by_rank_nullity(deficient).dim >= 2
@@ -421,10 +422,8 @@ def test_spaces_up_to_the_dimension_bound_are_admitted(make, dimension):
 
 
 def test_closed_form_dimension_counts_the_labels():
-    # lie.lyndon_words needs n >= 1, so MkSpace starts there
     for n, m in itertools.product(range(5), range(5)):
-        spaces = [TensorSpace(n, m), WedgeSpace(n, m)] + [MkSpace(n, m)] * (n > 0)
-        for space in spaces:
+        for space in (TensorSpace(n, m), WedgeSpace(n, m), MkSpace(n, m)):
             assert space.dimension == len(space.labels()), space.descriptor
 
 
@@ -444,16 +443,40 @@ def test_induced_images_match_unmemoised_product():
 
 def test_orbit_saturate_requires_inverse():
     v = VSpace(2)
-    bad = exactlin.LinearOperator(v, v, lambda lab: unit(v, lab))
+    bad = operator_on_labels(v, v, lambda lab: unit(v, lab))
     with pytest.raises(ValueError):
         exactlin.orbit_saturate([bad], [unit(v, 1)])
 
 
-def test_operator_rejects_an_image_in_another_space():
-    # apply trusts its images, so image_of checks their space
-    op = exactlin.LinearOperator(VSpace(3), VSpace(3), lambda lab: unit(VSpace(4), lab))
-    with pytest.raises(ValueError, match=r"into V\(n=4\), not V\(n=3\)"):
-        op.apply(unit(VSpace(3), 1))
+def _assert_trusted_rows(op):
+    """Every image row of op, as image_row gives it before any cache or sum,
+    holds nonzero ints at positions of its space_out; for an endomorphism,
+    its inverse witness undoes it on every position."""
+    for p in range(op.space_in.dimension):
+        row = op.image_row(p)
+        assert all(type(c) is int and c for c in row.values()), (op, p, row)
+        assert row.keys() <= set(range(op.space_out.dimension)), (op, p, row)
+        if op.space_in == op.space_out:
+            assert op.inverse._apply_row(row) == {p: 1}, (op, p)
+
+
+def test_every_operator_builder_gives_trusted_rows_and_inverse_witness():
+    # the symplectic generators at g = 2 share VSpace(4) with SL_4
+    g = 2
+    n = 2 * g
+    v_ops = (
+        [exactlin.elementary_sl(i, j, n) for i, j in itertools.permutations(range(1, n + 1), 2)]
+        + exactlin.sl_generators(n)
+        + _sigma_tau(g)
+        + exactlin.extended_sp_generators(g)
+    )
+    spaces = [TensorSpace(n, 2), WedgeSpace(n, 2), WedgeSpace(n, 3), MkSpace(n, 2)]
+    ops = v_ops + [exactlin.induced_on(op, space) for op in v_ops for space in spaces]
+    for op in ops:
+        _assert_trusted_rows(op)
+        _assert_trusted_rows(op.inverse)
+        assert op.inverse.inverse is op
+    _assert_trusted_rows(exactlin.phi_operator(4, 2))
 
 
 def test_orbit_output_is_generator_stable():
@@ -819,7 +842,10 @@ def _compose_base(a, b, g):
     def fn_inv(label):
         return b.inverse.apply(a.inverse.image_of(label))
 
-    return exactlin._operator_pair(space, fn, fn_inv, "comp")
+    op = operator_on_labels(space, space, fn, "comp")
+    op.inverse = operator_on_labels(space, space, fn_inv, "comp^-1")
+    op.inverse.inverse = op
+    return op
 
 
 def _assert_wedge_action_is_minors(base, m):

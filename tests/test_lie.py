@@ -27,6 +27,13 @@ def test_lyndon_words_n3_m1():
     assert lie.lyndon_words(3, 1) == [(1,), (2,), (3,)]
 
 
+def test_lyndon_words_over_no_letters_are_none():
+    assert all(lie.lyndon_words(0, m) == [] for m in range(1, 5))
+    for n, m in ((0, 0), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="need n >= 0 and m >= 1"):
+            lie.lyndon_words(n, m)
+
+
 def test_lyndon_count_n3_m3():
     # Witt oracle: (27 - 3) / 3 = 8
     assert len(lie.lyndon_words(3, 3)) == 8

@@ -464,7 +464,7 @@ def test_equivariance_under_signed_permutation():
     g = make_signed_permutation(n, perm, {3: -1})
 
     def columns(mat):
-        return {b + 1: {a + 1: mat[a][b] for a in range(n)} for b in range(n)}
+        return {b + 1: {a + 1: mat[a][b] for a in range(n) if mat[a][b]} for b in range(n)}
 
     base = exactlin._moving_pair(
         exactlin.VSpace(n),
