@@ -41,6 +41,29 @@ MUTANTS = [
         ],
     ),
     (
+        # the next layer must be taken in ascending vertex index, so that
+        # the first vertex to reach u is its least-index earlier neighbour
+        "bfs-layer-unsorted",
+        "src/autfilt/bnscert.py",
+        "        layer = sorted(found)\n",
+        "        layer = found\n",
+        [
+            "tests/test_bnscert.py::test_breadth_first_matches_adjacency_oracle",
+            "tests/test_properties.py::test_breadth_first_matches_adjacency_oracle",
+        ],
+    ),
+    (
+        # every vertex not yet reached must be tested, lower-indexed ones too
+        "bfs-tests-only-higher-vertices",
+        "src/autfilt/bnscert.py",
+        "            for u in range(len(handles)):\n",
+        "            for u in range(v + 1, len(handles)):\n",
+        [
+            "tests/test_bnscert.py::test_breadth_first_matches_adjacency_oracle",
+            "tests/test_properties.py::test_breadth_first_matches_adjacency_oracle",
+        ],
+    ),
+    (
         "inverse-letter-subtracts-old-top-block",
         "src/autfilt/magnus.py",
         '        *(f"            {b} -= {step}" for b, step in moves),\n'

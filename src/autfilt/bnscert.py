@@ -186,6 +186,30 @@ class AssemblyError(ValueError):
     """The targets cannot be assembled into a certificate."""
 
 
+def _breadth_first(handles):
+    """Breadth-first search of the commuting graph from handles[0].
+
+    Each layer is taken in ascending vertex index, and each of its vertices
+    is tested with commgraph.commutes against every vertex not yet reached;
+    the first to reach u becomes u's parent, which is thus u's least-index
+    neighbour one layer nearer.  Returns (order, parent): the reached
+    vertices by (distance, index), and each one's parent (None for 0).
+    """
+    parent = {0: None}
+    order = []
+    layer = [0]
+    while layer:
+        order += layer
+        found = []
+        for v in layer:
+            for u in range(len(handles)):
+                if u not in parent and commgraph.commutes(handles[v], handles[u]):
+                    parent[u] = v
+                    found.append(u)
+        layer = sorted(found)
+    return order, parent
+
+
 @dataclass
 class AssemblyReport:
     vertex_order: list = field(default_factory=list)
@@ -201,9 +225,11 @@ def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
     absent).  The element at a handle on I that no target forces is C_ab,
     a and b the two lowest indices of I, conjugated by the handle's
     conjugator, with character value chooser_value.  Returns (certificate,
-    report).  Raises AssemblyError when a path cannot be built,
-    chooser_value is 0 or a chi_seed key is no target's text.
+    report).  Raises ValueError when 2m + 1 > n, and AssemblyError when a
+    path cannot be built, chooser_value is 0 or a chi_seed key is no
+    target's text.
     """
+    commgraph._check_bound(n, m)
     if chooser_value == 0:
         raise AssemblyError("chooser_value must be a nonzero character value")
     chi_seed = chi_seed or {}
@@ -220,53 +246,34 @@ def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
         if key not in texts:
             raise AssemblyError(f"chi_seed key {key!r} is no target's text")
 
-    # vertex records: (handle, forced automorphism or None, target label or None);
-    # intermediates deduplicate by exact handle value, target endpoints are
-    # always kept as dedicated vertices with a forced element choice
-    vertices = [(root, None, None)]
-    seen = {(root.indices, root.conjugator)}
+    # vertex records: (handle, forced automorphism or None); intermediates
+    # deduplicate by handle value, target endpoints are always kept as
+    # dedicated vertices with a forced element choice
+    vertices = [(root, None)]
+    seen = {root}
     endpoint_vertex = []  # by target position: labels may repeat
     for label, word, phi in target_autos:
         path = commgraph.conjugate_path(n, I, word)
         if not commgraph.verify_path(path):
             raise AssemblyError(f"path for target {label} fails verification")
-        for h in path.handles[:-1]:
-            key = (h.indices, h.conjugator)
-            if key not in seen:
-                seen.add(key)
-                vertices.append((h, None, None))
+        for h in path[:-1]:
+            if h not in seen:
+                seen.add(h)
+                vertices.append((h, None))
         endpoint_vertex.append(len(vertices))
-        vertices.append((path.handles[-1], phi, label))
+        vertices.append((path[-1], phi))
 
-    # BFS distances over the elementwise-commutation relation
-    adjacency = {v: set() for v in range(len(vertices))}
-    for a in range(len(vertices)):
-        for b in range(a + 1, len(vertices)):
-            if commgraph.commutes(vertices[a][0], vertices[b][0]):
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-    dist = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in adjacency[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    if len(dist) != len(vertices):
+    order, parent = _breadth_first([h for h, _ in vertices])
+    if len(order) != len(vertices):
         raise AssemblyError("collected vertices do not form a connected subgraph")
-    order = sorted(range(len(vertices)), key=lambda v: (dist[v], v))
 
     elements = []
     chi = []
     witnesses = []
     report = AssemblyReport()
     position_of_vertex = {}
-    for rank_pos, v in enumerate(order):
-        h, forced, label = vertices[v]
-        position = rank_pos + 1
+    for position, v in enumerate(order, 1):
+        h, forced = vertices[v]
         position_of_vertex[v] = position
         if forced is not None:
             g = elements[0].conjugate(forced)
@@ -280,14 +287,7 @@ def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
         chi.append(Fraction(value))
         report.vertex_order.append(h.to_json_obj())
         if position > 1:
-            parent = min(
-                (u for u in adjacency[v] if dist[u] < dist[v]),
-                key=lambda u: (dist[u], u),
-                default=None,
-            )
-            if parent is None:
-                raise AssemblyError("vertex has no earlier neighbor")
-            witnesses.append(Witness(position, position_of_vertex[parent], ()))
+            witnesses.append(Witness(position, position_of_vertex[parent[v]], ()))
 
     # append the targets with conjugation witnesses [x1, t] = x1^-1 * x1^t
     for (_, _, phi), text, endpoint in zip(target_autos, texts, endpoint_vertex):

@@ -138,22 +138,14 @@ def _commutes_in_frame(rank, I, J, d):
     )
 
 
-@dataclass(frozen=True)
-class GraphPath:
-    handles: tuple
-
-    @property
-    def edge_count(self):
-        return max(0, len(self.handles) - 1)
-
-
 def _check_bound(n, m):
     if 2 * m + 1 > n:
         raise ValueError(f"need 2m+1 <= n, got m={m}, n={n}")
 
 
 def conjugate_path(n, I, word):
-    """Path from the parabolic on I to its conjugate by a Nielsen word.
+    """Path from the parabolic on I to its conjugate by a Nielsen word,
+    as the tuple of its handles.
 
     The word [t1, ..., tL] denotes the composition t1 . t2 ... tL (the
     last letter acts first).  The path is built back to front, and before
@@ -181,10 +173,9 @@ def conjugate_path(n, I, word):
             handles.append(trusted(n, I, word[pos:]))
         else:
             handles[-1] = trusted(n, I, word[pos:])
-    return GraphPath(tuple(handles))
+    return tuple(handles)
 
 
 def verify_path(path):
-    """Every consecutive pair of handles commutes elementwise."""
-    hs = path.handles
-    return all(commutes(h1, h2) for h1, h2 in zip(hs, hs[1:]))
+    """Every consecutive pair of a tuple of handles commutes elementwise."""
+    return all(commutes(h1, h2) for h1, h2 in zip(path, path[1:]))

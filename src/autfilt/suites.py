@@ -417,8 +417,8 @@ def suite_paths(rec, n=5, m=2, trials=100, seed=7, max_len=8):
                 j = rng.choice([a for a in range(1, n + 1) if a != i])
                 word.append((rng.choice(("L", "R")), i, j, rng.choice((1, -1))))
             path = commgraph.conjugate_path(n, range(1, m + 1), word)
-            ok = commgraph.verify_path(path) and path.edge_count <= 2 * length
-            lengths.append(path.edge_count)
+            ok = commgraph.verify_path(path) and len(path) - 1 <= 2 * length
+            lengths.append(len(path) - 1)
             if not ok:
                 failures.append(t)
         return not failures, {

@@ -603,6 +603,63 @@ def conjugate_path_by_segments(n, I, word):
     return tuple(handles)
 
 
+def random_vertex_list(rng):
+    """Handles collected as bnscert.assemble_certificate collects them: the
+    parabolic on a random 2-set I at n = 5-7, then the handles of the
+    conjugate paths of 1-3 random Nielsen words, each handle once.  Half the
+    time the vertices after the first are shuffled, and a quarter of the
+    time the parabolic on all n indices, which commutes with no other
+    handle, is put among them, so the list is not connected."""
+    n = rng.randint(5, 7)
+    I = rng.sample(range(1, n + 1), 2)
+    handles = [commgraph.handle(n, I)]
+    for _ in range(rng.randint(1, 3)):
+        word = random_nielsen_word(rng, n, rng.randint(1, 5))
+        for h in commgraph.conjugate_path(n, I, word):
+            if h not in handles:
+                handles.append(h)
+    rest = handles[1:]
+    if rng.random() < 0.5:
+        rng.shuffle(rest)
+    if rng.random() < 0.25:
+        rest.insert(rng.randint(0, len(rest)), commgraph.handle(n, range(1, n + 1)))
+    return handles[:1] + rest
+
+
+def breadth_first_by_adjacency(handles):
+    """(order, parent) as bnscert._breadth_first returns them, found the
+    long way: commgraph.commutes on every pair of vertices, breadth-first
+    distances from vertex 0, the reached vertices sorted by (distance,
+    index), and as each one's parent its least (distance, index) neighbour
+    one layer nearer (None for vertex 0)."""
+    adjacency = {v: set() for v in range(len(handles))}
+    for a in range(len(handles)):
+        for b in range(a + 1, len(handles)):
+            if commgraph.commutes(handles[a], handles[b]):
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    dist = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in adjacency[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    order = sorted(dist, key=lambda v: (dist[v], v))
+    parent = {
+        v: min(
+            (u for u in adjacency[v] if dist[u] < dist[v]),
+            key=lambda u: (dist[u], u),
+            default=None,
+        )
+        for v in order
+    }
+    return order, parent
+
+
 def has_depth_at_least(phi, k, cutoff):
     """johnson_depth(phi, cutoff) is at least k, or no degree below the
     cutoff deviates."""

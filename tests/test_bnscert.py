@@ -1,9 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from autfilt import autf, bnscert
+from autfilt import autf, bnscert, commgraph
+
+from helpers import breadth_first_by_adjacency, random_vertex_list
 
 
 def _pair_certificate(chi1=1, chi2=1, word=()):
@@ -346,3 +349,19 @@ def test_assemble_repeated_target_labels():
         5, 2, [("C12", targets[0][1]), ("M123", targets[1][1])]
     )
     assert cert == distinct
+
+
+def test_breadth_first_matches_adjacency_oracle():
+    # the oracle tests every pair of vertices, sorts the reached ones by
+    # distance and searches each one's neighbours for its parent
+    rng = random.Random(27)
+    lists = [random_vertex_list(rng) for _ in range(40)]
+    # each two of these index sets share an index, so no two handles commute
+    lists.append([commgraph.handle(5, I) for I in ({1, 2}, {2, 3}, {1, 3})])
+    disconnected = 0
+    for hs in lists:
+        order, parent = bnscert._breadth_first(hs)
+        assert (order, parent) == breadth_first_by_adjacency(hs)
+        assert sorted(order) == sorted(parent)
+        disconnected += len(order) < len(hs)
+    assert 2 <= disconnected < len(lists)

@@ -163,6 +163,15 @@ def test_cert_assemble_rejects_n_over_the_rank_bound(tmp_path, capsys):
     assert_rejected(capsys, ["cert", "assemble", str(f)], "over the bound MAX_RANK")
 
 
+@pytest.mark.parametrize("targets", [[], [{"kind": "C", "args": [1, 2]}]])
+def test_cert_assemble_rejects_m_over_the_path_bound(tmp_path, capsys, targets):
+    # without targets no path checked 2m + 1 <= n, and this spec assembled
+    # with status 0
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps({"n": 5, "m": 5, "targets": targets}))
+    assert_rejected(capsys, ["cert", "assemble", str(f)], r"need 2m\+1 <= n, got m=5, n=5")
+
+
 def test_depth_rejects_a_cutoff_over_the_bound(tmp_path, capsys):
     # the expansion allocates per degree: a cutoff of 10^9 ran for minutes
     f = tmp_path / "auto.txt"

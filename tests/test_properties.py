@@ -14,6 +14,7 @@ from helpers import (
     REDUCED_BASIS_SPACES,
     ScanningBasis,
     assert_index_matches_rows,
+    breadth_first_by_adjacency,
     check_against_min_pivot_oracle,
     check_blocks_match_expansion,
     compose_per_occurrence,
@@ -31,6 +32,7 @@ from helpers import (
     random_automorphism,
     random_deep_automorphism,
     random_generator,
+    random_vertex_list,
     substitute_per_occurrence,
 )
 
@@ -157,6 +159,13 @@ def test_depth_and_image_from_blocks_match_full_expansion(seed, n):
     # the random moves include commutators, [x_a^L, x_b^L] and conjugated
     # commutators, whose low degrees cancel
     check_blocks_match_expansion(random_deep_automorphism(random.Random(seed), n))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_breadth_first_matches_adjacency_oracle(seed):
+    hs = random_vertex_list(random.Random(seed))
+    assert bnscert._breadth_first(hs) == breadth_first_by_adjacency(hs)
 
 
 @given(st.lists(coeffs, min_size=3, max_size=3), st.lists(coeffs, min_size=3, max_size=3))
