@@ -165,6 +165,18 @@ MUTANTS = [
         ],
     ),
     (
+        # a_i (label 2i - 1) sits at the even position 2i - 2, so parity of
+        # positions is the opposite of parity of labels
+        "pairing-parity-of-labels",
+        "src/autfilt/exactlin.py",
+        "        if x % 2 == 0:\n",
+        "        if x % 2:\n",
+        [
+            "tests/test_exactlin.py::test_symplectic_pairing_on_the_int_basis",
+            "tests/test_exactlin.py::test_sp_generators_preserve_form",
+        ],
+    ),
+    (
         # the inverse witness of a transvection must subtract
         "transvection-inverse-adds",
         "src/autfilt/exactlin.py",

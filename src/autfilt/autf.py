@@ -435,7 +435,8 @@ def complexity(phi):
 def compose_all(n, autos):
     """The composite a_1 a_2 ... of the automorphisms of F_n in autos, taken
     left to right, so the last acts first; the identity when there are none."""
-    acc = identity_automorphism(n)
+    autos = iter(autos)
+    acc = next(autos, None) or identity_automorphism(n)
     for a in autos:
         acc = acc.compose(a)
     return acc

@@ -15,6 +15,8 @@ the collected vertices by distance from the base vertex, picks one
 element with nonzero character per vertex (the vertex at a T-conjugate
 is forced to be the conjugate of the first element), and appends T
 itself with commutator witnesses of the form x_1^-1 * (x_1 conjugated).
+A target whose word has no letter touching the base indices fixes the
+base parabolic, so its witness points at x_1 itself and adds no vertex.
 """
 
 from __future__ import annotations
@@ -256,6 +258,10 @@ def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
         path = commgraph.conjugate_path(n, I, word)
         if not commgraph.verify_path(path):
             raise AssemblyError(f"path for target {label} fails verification")
+        if len(path) == 1:
+            # no letter touches I, so phi commutes with P_I and x1^phi = x1
+            endpoint_vertex.append(0)
+            continue
         for h in path[:-1]:
             if h not in seen:
                 seen.add(h)

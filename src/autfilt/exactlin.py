@@ -8,11 +8,11 @@ subspace comparisons are deterministic.
 
 Labels live only at the edges: inside, a row is a dict from a label's
 position in space.labels() to its coefficient, so no step hashes a nested
-label tuple, and the least position is the least label.  An operator is a
-function from a position of its domain to the image row of that basis
-vector, so images, saturations, kernels and the kernel claim run on rows;
-a TensorVector is converted on insert, reduce, contains and apply, and
-back on the way out.
+label tuple, and the least position is the least label.  A TensorVector
+holds its row, converted from labels once when it is built and back only
+when its coords are read; an operator is a function from a position of its
+domain to the image row of that basis vector, so images, saturations,
+kernels, membership and the kernel claim run on rows.
 
 There is one elimination, SubspaceBasis: a reduced integer echelon basis
 (content stripped, each pivot cleared from the other rows), which avoids
@@ -142,16 +142,6 @@ class Space:
     def dimension(self):
         return _FAMILIES[self.family][3](*self.params)
 
-    def _row(self, coords):
-        """The row of label-keyed coords: their labels replaced by positions."""
-        index = self.index
-        return {index[label]: c for label, c in coords.items()}
-
-    def _coords(self, row):
-        """The label-keyed coords of a row."""
-        labels = self.labels()
-        return {labels[p]: c for p, c in row.items()}
-
 
 def VSpace(n):
     """V = Q^n with labels 1..n."""
@@ -192,9 +182,10 @@ def wedge_label(indices):
 
 
 class TensorVector:
-    """Sparse integer vector over a labeled space."""
+    """Sparse integer vector over a labeled space, built from label-keyed
+    coords and held as its row: positions in space.labels() -> nonzero ints."""
 
-    __slots__ = ("space", "coords")
+    __slots__ = ("space", "row")
 
     def __init__(self, space, coords=()):
         nonzero = {}
@@ -208,16 +199,22 @@ class TensorVector:
             stray = sorted(map(repr, nonzero.keys() - index.keys()))
             raise ValueError(f"labels not in {space.descriptor}: {', '.join(stray)}")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coords", nonzero)
+        object.__setattr__(self, "row", {index[label]: v for label, v in nonzero.items()})
 
     @classmethod
-    def _trusted(cls, space, coords):
-        """Trusted constructor: coords must already be nonzero ints on
-        labels of space; it is stored as it is, not copied."""
+    def _trusted(cls, space, row):
+        """Trusted constructor: row must already hold nonzero ints at
+        positions of space; it is stored as it is, not copied."""
         vec = object.__new__(cls)
         object.__setattr__(vec, "space", space)
-        object.__setattr__(vec, "coords", coords)
+        object.__setattr__(vec, "row", row)
         return vec
+
+    @property
+    def coords(self):
+        """The label view of the row, as a new dict."""
+        labels = self.space.labels()
+        return {labels[p]: c for p, c in self.row.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorVector is immutable")
@@ -226,26 +223,22 @@ class TensorVector:
     def unit(cls, space, label):
         return cls(space, {label: 1})
 
-    @classmethod
-    def zero(cls, space):
-        return cls(space)
-
     def __bool__(self):
-        return bool(self.coords)
+        return bool(self.row)
 
     def __eq__(self, other):
         return (
             isinstance(other, TensorVector)
             and self.space == other.space
-            and self.coords == other.coords
+            and self.row == other.row
         )
 
     def __hash__(self):
-        return hash((self.space, frozenset(self.coords.items())))
+        return hash((self.space, frozenset(self.row.items())))
 
     def __add__(self, other):
         self._check(other)
-        return TensorVector(self.space, lie.tensor_add(self.coords, other.coords))
+        return TensorVector._trusted(self.space, lie.tensor_add(self.row, other.row))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -253,7 +246,7 @@ class TensorVector:
     def scale(self, c):
         if type(c) is not int:
             raise ValueError(f"scalar is not an int: {c!r}")
-        return TensorVector._trusted(self.space, lie.tensor_scale(self.coords, c))
+        return TensorVector._trusted(self.space, lie.tensor_scale(self.row, c))
 
     def _check(self, other):
         if self.space != other.space:
@@ -262,7 +255,7 @@ class TensorVector:
             )
 
     def __repr__(self):
-        return f"TensorVector({self.space.descriptor}, {len(self.coords)} terms)"
+        return f"TensorVector({self.space.descriptor}, {len(self.row)} terms)"
 
 
 class LinearOperator:
@@ -296,7 +289,7 @@ class LinearOperator:
 
     def image_of(self, label):
         row = self._apply_row({self.space_in.index[label]: 1})
-        return TensorVector._trusted(self.space_out, self.space_out._coords(row))
+        return TensorVector._trusted(self.space_out, row)
 
     def apply(self, vec):
         if vec.space != self.space_in:
@@ -304,8 +297,7 @@ class LinearOperator:
                 f"operator {self.name or '?'} expects {self.space_in.descriptor}, "
                 f"got {vec.space.descriptor}"
             )
-        out = self._apply_row(self.space_in._row(vec.coords))
-        return TensorVector._trusted(self.space_out, self.space_out._coords(out))
+        return TensorVector._trusted(self.space_out, self._apply_row(vec.row))
 
     __call__ = apply
 
@@ -329,7 +321,7 @@ def _moving_pair(space, moves_fwd, moves_bwd, name):
     which map to the coordinate dicts stored there (nonzero ints)."""
 
     def row_function(moves):
-        rows = {space.index[label]: space._row(coords) for label, coords in moves.items()}
+        rows = {space.index[a]: TensorVector(space, image).row for a, image in moves.items()}
         return lambda p: rows.get(p, {p: 1})
 
     return _operator_pair(space, row_function(moves_fwd), row_function(moves_bwd), name)
@@ -358,7 +350,7 @@ class SubspaceBasis:
     _holders indexes the rows by position: each non-pivot position maps to
     the set of pivots whose row holds it (a set may be left empty), so an
     insert finds the rows to back-substitute without scanning them all.
-    _insert_row and _reduce_row are insert and reduce on rows.
+    _insert_row is insert on rows, and _reduce_row decides contains.
     """
 
     def __init__(self, space):
@@ -377,7 +369,7 @@ class SubspaceBasis:
             raise ValueError(
                 f"space mismatch: basis of {self.space.descriptor}, vector of {got}"
             )
-        return self.space._row(vec.coords)
+        return dict(vec.row)
 
     def _reduce_row(self, v):
         """The row v, which may be mutated, reduced against the basis: no
@@ -388,14 +380,10 @@ class SubspaceBasis:
             _eliminate(v, rows[p], p)
         return v
 
-    def reduce(self, vec):
-        """_reduce_row of a TensorVector of this space, as coords."""
-        return self.space._coords(self._reduce_row(self._row_of(vec)))
-
     def insert(self, vec):
         """_insert_row of a TensorVector of this space, the residue as coords."""
         residue = self._insert_row(self._row_of(vec))
-        return None if residue is None else self.space._coords(residue)
+        return None if residue is None else TensorVector._trusted(self.space, residue).coords
 
     def _insert_row(self, v):
         """Add the row v, which may be mutated; returns the inserted residue
@@ -431,7 +419,7 @@ class SubspaceBasis:
         return residue
 
     def contains(self, vec):
-        return not self.reduce(vec)
+        return not self._reduce_row(self._row_of(vec))
 
 
 def span_basis(vectors):
@@ -672,7 +660,7 @@ def _induce_one(base, space):
     if space.family == "T":
 
         def image_row(p):
-            return space._row(_product_expand(image, labels[p]))
+            return {index[t]: c for t, c in _product_expand(image, labels[p]).items()}
 
     elif space.family == "W":
 
@@ -752,12 +740,11 @@ def sp_transvection(v_coords, g):
     _check_size("g", g)
     space = VSpace(2 * g)
     vvec = TensorVector(space, v_coords)
-    v_row = space._row(vvec.coords)
+    v_row = vvec.row
 
     def row_function(sign):
         def row(p):
-            x = TensorVector.unit(space, space.labels()[p])
-            return lie.tensor_add_into({p: 1}, v_row, sign * symplectic_pairing(x, vvec))
+            return lie.tensor_add_into({p: 1}, v_row, sign * symplectic_pairing({p: 1}, v_row))
 
         return row
 
@@ -781,28 +768,27 @@ def extended_sp_generators(g):
 
 
 def symplectic_pairing(u, v):
-    """<a_i, b_i> = 1 = -<b_i, a_i>, zero on all other basis pairs."""
+    """<a_i, b_i> = 1 = -<b_i, a_i>, zero on all other basis pairs, for two
+    rows u and v of VSpace(2g)."""
     total = 0
-    for x, cu in u.coords.items():
-        # a_i = x odd pairs with b_i = x + 1, b_i = x even with a_i = x - 1
-        if x % 2:
-            total += cu * v.coords.get(x + 1, 0)
+    for x, cu in u.items():
+        # a_i (label 2i - 1) sits at the even position x = 2i - 2 and pairs
+        # with b_i at x + 1; b_i at an odd x pairs with a_i at x - 1
+        if x % 2 == 0:
+            total += cu * v.get(x + 1, 0)
         else:
-            total -= cu * v.coords.get(x - 1, 0)
+            total -= cu * v.get(x - 1, 0)
     return total
 
 
 def preserves_symplectic_form(op):
-    space = op.space_in
-    labels = space.labels()
-    images = {u: op.image_of(u) for u in labels}
-    for u in labels:
-        for v in labels:
-            lhs = symplectic_pairing(images[u], images[v])
-            rhs = symplectic_pairing(TensorVector.unit(space, u), TensorVector.unit(space, v))
-            if lhs != rhs:
-                return False
-    return True
+    dim = op.space_in.dimension
+    images = [op._apply_row({p: 1}) for p in range(dim)]
+    return all(
+        symplectic_pairing(images[p], images[q]) == symplectic_pairing({p: 1}, {q: 1})
+        for p in range(dim)
+        for q in range(dim)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -857,10 +843,10 @@ def elementary_formal_action(i, j, p, delta):
 
 
 def _formal_sum(terms, n, k):
-    vec = TensorVector.zero(MkSpace(n, k))
+    row = {}
     for (d, tail), c in terms.items():
-        vec = vec + e_delta(n, k, d, tail).scale(c)
-    return vec
+        lie.tensor_add_into(row, e_delta(n, k, d, tail).row, c)
+    return TensorVector._trusted(MkSpace(n, k), row)
 
 
 @dataclass
@@ -985,7 +971,7 @@ def kernel_claim_check(n, k, full_closure=True):
     kernel_dim = space.dimension - image_span.dim
     result = orbit_saturate(
         [induced_on(g, space) for g in sl_generators(n)],
-        [TensorVector._trusted(space, {labels[p]: 1}) for p in seeds],
+        [TensorVector._trusted(space, {p: 1}) for p in seeds],
     )
     orbit = result.basis
     inside = all(not phi._apply_row(row) for row in orbit.rows.values())

@@ -249,9 +249,7 @@ def suite_tau_identities(
                         factors.append(autf.make_S(mu, i_free, j_free, n))
                     else:
                         factors.append(_random_t(rng, n, k)[0])
-                prod = factors[0]
-                for f in factors[1:]:
-                    prod = prod.compose(f)
+                prod = autf.compose_all(n, factors)
                 tau = exactlin.tau_map(magnus.johnson_image(prod, k))
                 if not w.contains(tau):
                     bad += 1

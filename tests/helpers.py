@@ -485,7 +485,7 @@ def operator_on_labels(space_in, space_out, fn, name=""):
             vec = TensorVector(space_out, vec)
         elif vec.space != space_out:
             raise ValueError(f"{vec.space.descriptor} is not {space_out.descriptor}")
-        return space_out._row(vec.coords)
+        return vec.row
 
     return LinearOperator(space_in, space_out, image_row, name)
 

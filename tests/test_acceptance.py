@@ -259,7 +259,7 @@ def test_c10_property_suites():
     w_rows = list(labeled_rows(w).values())
     tspace = exactlin.TensorSpace(3, 3)
     for _ in range(cases):
-        vec = exactlin.TensorVector.zero(tspace)
+        vec = exactlin.TensorVector(tspace)
         for bvec in rng.sample(inv, 4):
             vec = vec + bvec.scale(rng.randrange(-3, 4))
         if cyclic_shift(vec) != vec:

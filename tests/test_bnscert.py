@@ -142,6 +142,19 @@ def test_assemble_two_targets():
     assert bnscert.check_certificate(cert).valid
 
 
+def test_assemble_a_target_whose_word_misses_the_base_indices():
+    # no letter of C45 touches I = {1, 2}, so C45 fixes x1: its witness
+    # points at x1 itself, and its path adds no vertex
+    c45 = ("C45", autf.c_nielsen_word(4, 5))
+    cert, report = bnscert.assemble_certificate(5, 2, [c45])
+    assert bnscert.check_certificate(cert).valid
+    assert len(cert.elements) == 2 and not report.forced_positions
+    assert cert.witnesses[-1] == bnscert.Witness(2, 1, (-1, 1))
+    both, _ = bnscert.assemble_certificate(5, 2, [("C12", autf.c_nielsen_word(1, 2)), c45])
+    assert bnscert.check_certificate(both).valid
+    assert both.witnesses[-1] == bnscert.Witness(len(both.elements), 1, (-1, 1))
+
+
 def test_assemble_empty_targets():
     cert, _ = bnscert.assemble_certificate(5, 2, [])
     assert len(cert.elements) == 1
