@@ -208,6 +208,21 @@ MUTANTS = [
         "if not args.cutoff <= MAX_CUTOFF:",
         ["tests/test_cli.py::test_depth_rejects_a_cutoff_under_two_before_reading_the_file"],
     ),
+    (
+        # importing inspect (or dataclasses) costs every process its start-up
+        "suites-imports-inspect",
+        "src/autfilt/suites.py",
+        "import itertools\n",
+        "import inspect\nimport itertools\n",
+        ["tests/test_records.py::test_import_loads_neither_dataclasses_nor_inspect"],
+    ),
+    (
+        "record-eq-skips-last-field",
+        "src/autfilt/autf.py",
+        "        return self._values() == other._values()\n",
+        "        return self._values()[:-1] == other._values()[:-1]\n",
+        ["tests/test_records.py::test_record_behaviour"],
+    ),
 ]
 
 

@@ -38,6 +38,76 @@ def _inverse_letters(letters):
     return tuple(map(_INVERSE_LETTER.__getitem__, reversed(letters)))
 
 
+class Record:
+    """Base of the package's plain records.
+
+    A subclass names its fields in __slots__ ("__dict__" there is a slot,
+    not a field) and the defaults of its trailing fields in _defaults, where
+    a callable is a factory called once per record, so each gets a fresh
+    list or dict.  A record is built by position or by keyword, equals a
+    record of its own class with equal fields, and is unhashable, since its
+    fields may be reassigned; FrozenRecord makes it immutable and hashable.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields or field in values:
+                raise TypeError(f"{name} got an unknown or repeated field {field!r}")
+            values[field] = value
+        for field in fields:
+            if field not in values:
+                if field not in self._defaults:
+                    raise TypeError(f"{name} is missing the field {field!r}")
+                default = self._defaults[field]
+                values[field] = default() if callable(default) else default
+            object.__setattr__(self, field, values[field])
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def as_dict(self):
+        """Field name -> value in field order, as a new dict."""
+        return dict(zip(self._fields, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, by its constructor; its hash is
+    the hash of the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 class FreeWord:
     """A freely reduced word in F_n, immutable after construction.
 

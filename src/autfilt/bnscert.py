@@ -22,7 +22,6 @@ base parabolic, so its witness points at x_1 itself and adds no vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import autf, commgraph
@@ -33,18 +32,20 @@ SCOPE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
-    index: int  # i, position of the witnessed element (1-based)
-    earlier: int  # j < i with nonzero character
-    word: tuple  # signed 1-based positions into the element list
+class Witness(autf.FrozenRecord):
+    __slots__ = (
+        "index",  # i, position of the witnessed element (1-based)
+        "earlier",  # j < i with nonzero character
+        "word",  # signed 1-based positions into the element list
+    )
 
 
-@dataclass(frozen=True)
-class BnsCertificate:
-    elements: tuple  # FreeAutomorphisms
-    chi: tuple  # Fractions, aligned with elements
-    witnesses: tuple  # Witness entries, one per element index >= 2
+class BnsCertificate(autf.FrozenRecord):
+    __slots__ = (
+        "elements",  # FreeAutomorphisms
+        "chi",  # Fractions, aligned with elements
+        "witnesses",  # Witness entries, one per element index >= 2
+    )
 
     def to_json(self):
         return json.dumps(
@@ -100,16 +101,17 @@ class BnsCertificate:
         return cls(elements, chi, tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    valid: bool
-    failed_condition: str | None = None
-    failed_index: int | None = None
-    detail: str = ""
-    scope_note: str = SCOPE_NOTE
+class Verdict(autf.FrozenRecord):
+    __slots__ = ("valid", "failed_condition", "failed_index", "detail", "scope_note")
+    _defaults = {
+        "failed_condition": None,
+        "failed_index": None,
+        "detail": "",
+        "scope_note": SCOPE_NOTE,
+    }
 
     def to_json_obj(self):
-        return asdict(self)
+        return self.as_dict()
 
 
 def check_certificate(cert):
@@ -212,10 +214,9 @@ def _breadth_first(handles):
     return order, parent
 
 
-@dataclass
-class AssemblyReport:
-    vertex_order: list = field(default_factory=list)
-    forced_positions: list = field(default_factory=list)
+class AssemblyReport(autf.Record):
+    __slots__ = ("vertex_order", "forced_positions")
+    _defaults = {"vertex_order": list, "forced_positions": list}
 
 
 def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):

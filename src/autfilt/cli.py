@@ -137,6 +137,16 @@ def _is_int_list(value):
     return isinstance(value, list) and all(map(autf.is_json_int, value))
 
 
+# The most letters of a word target, checked before any letter is read.
+# Path vertices are tested for commutation in frames whose conjugators
+# grow with the word, and assembly time grows exponentially in the worst
+# case: C12 conjugated by alternating R13, R31 letters assembled in 0.45 s
+# at 14 letters, 2.4 s at 16 and 16.6 s (227 MB) at 18, while 20 random
+# conjugators per length assembled in at most 0.6 s up to 24 letters
+# (n = 5, m = 2; 2-vCPU host, Python 3.11).
+MAX_TARGET_LETTERS = 16
+
+
 def _target_from_spec(spec, n):
     (kind,) = autf.json_fields(
         spec, ("kind",), "assembly target", ("args", "letters", "label")
@@ -154,6 +164,11 @@ def _target_from_spec(spec, n):
         )
         expected = "a list of [side, i, j, exp]"
         _require(isinstance(letters, list), "letters", expected, letters)
+        if len(letters) > MAX_TARGET_LETTERS:
+            raise ValueError(
+                f"word target has {len(letters)} letters, over the bound "
+                f"MAX_TARGET_LETTERS = {MAX_TARGET_LETTERS}"
+            )
         word, label = tuple(autf.nielsen_letter(l, n) for l in letters), "word"
     else:
         raise ValueError(f"unknown target kind {kind!r}")

@@ -18,24 +18,22 @@ through a disjoint parabolic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import autf
 
 
-@dataclass(frozen=True)
-class SubgroupHandle:
+class SubgroupHandle(autf.FrozenRecord):
     """Conjugate of a standard parabolic: (rank, index set, Nielsen word)."""
 
-    rank: int
-    indices: frozenset
-    conjugator: tuple = ()
+    __slots__ = ("rank", "indices", "conjugator")
 
-    def __post_init__(self):
-        autf._check_indices(self.rank, *self.indices)
+    def __init__(self, rank, indices, conjugator=()):
+        autf._check_indices(rank, *indices)
         # letters given as lists become tuples: conjugators are compared,
         # cancelled letter by letter and used as cache keys
-        conjugator = tuple(autf.nielsen_letter(l, self.rank) for l in self.conjugator)
+        conjugator = tuple(autf.nielsen_letter(l, rank) for l in conjugator)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "conjugator", conjugator)
 
     @classmethod

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import asdict, dataclass
 from math import comb, gcd, lcm, prod
 
 from . import autf, lie
@@ -101,22 +100,23 @@ def _check_size(name, value):
         raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(autf.FrozenRecord):
     """A labeled basis space: a family name from _FAMILIES and its integer
     parameters, which alone decide equality and hashing.  Each parameter
     is checked by _check_size, so 3.0 or True never stands for an int, and
     the dimension, from its closed form before any label is built, is at
     most MAX_DIMENSION."""
 
-    family: str
-    params: tuple
+    # __dict__ holds the cached index
+    __slots__ = ("family", "params", "__dict__")
 
-    def __post_init__(self):
-        names, _, _, dimension = _FAMILIES[self.family]
-        for name, value in zip(names, self.params, strict=True):
+    def __init__(self, family, params):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        names, _, _, dimension = _FAMILIES[family]
+        for name, value in zip(names, params, strict=True):
             _check_size(name, value)
-        dim = dimension(*self.params)
+        dim = dimension(*params)
         if dim > MAX_DIMENSION:
             raise ValueError(
                 f"{self.descriptor} has dimension {dim}, over "
@@ -477,12 +477,8 @@ def _eliminate(v, row, p):
     lie.tensor_add_into(v, row, -b)
 
 
-@dataclass
-class SaturationResult:
-    basis: SubspaceBasis
-    closed: bool
-    rounds: int
-    applications: int
+class SaturationResult(autf.Record):
+    __slots__ = ("basis", "closed", "rounds", "applications")
 
 
 def orbit_saturate(generators, seeds):
@@ -849,14 +845,15 @@ def _formal_sum(terms, n, k):
     return TensorVector._trusted(MkSpace(n, k), row)
 
 
-@dataclass
-class ZReductionReport:
-    delta: tuple
-    fresh_index: int
-    c_value: int
-    leading_coefficient: int
-    lower_terms_ok: bool
-    vector_match: bool
+class ZReductionReport(autf.Record):
+    __slots__ = (
+        "delta",
+        "fresh_index",
+        "c_value",
+        "leading_coefficient",
+        "lower_terms_ok",
+        "vector_match",
+    )
 
     @property
     def ok(self):
@@ -922,21 +919,22 @@ def closing_identity_check(n, k, i, j, eps, mutate_sign=False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KernelClaimReport:
-    n: int
-    k: int
-    ambient_dimension: int
-    seed_count: int
-    seeds_in_kernel: bool
-    orbit_dimension: int
-    kernel_dimension: int
-    orbit_inside_kernel: bool
-    saturation_closed: bool
-    equal: bool
+class KernelClaimReport(autf.Record):
+    __slots__ = (
+        "n",
+        "k",
+        "ambient_dimension",
+        "seed_count",
+        "seeds_in_kernel",
+        "orbit_dimension",
+        "kernel_dimension",
+        "orbit_inside_kernel",
+        "saturation_closed",
+        "equal",
+    )
 
     def to_json_obj(self):
-        return asdict(self)
+        return self.as_dict()
 
 
 def kernel_claim_check(n, k, full_closure=True):

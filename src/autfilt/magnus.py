@@ -34,11 +34,10 @@ from __future__ import annotations
 import functools
 import itertools
 import struct
-from dataclasses import dataclass, field
 from math import comb
 
 from . import lie
-from .autf import FreeWord
+from .autf import FreeWord, FrozenRecord
 from .exactlin import MkSpace, TensorVector
 
 __all__ = [
@@ -52,15 +51,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(FrozenRecord):
     """Element of the free associative algebra on X_1..X_n modulo degree > K:
     coeffs maps monomials (index tuples of length at most cutoff) to their
     nonzero coefficients."""
 
-    rank: int
-    cutoff: int
-    coeffs: dict = field(repr=False)
+    __slots__ = ("rank", "cutoff", "coeffs")
+
+    def __repr__(self):
+        return f"TruncatedSeries(rank={self.rank!r}, cutoff={self.cutoff!r})"
 
     def __mul__(self, other):
         if (self.rank, self.cutoff) != (other.rank, other.cutoff):
@@ -206,12 +205,17 @@ def magnus_expand(w, cutoff):
     return TruncatedSeries(w.rank, cutoff, coeffs)
 
 
-@dataclass(frozen=True)
-class DepthReport:
+class DepthReport(FrozenRecord):
     """Filtration depth bounded by a cutoff: an exact value or 'at least'."""
 
-    cutoff: int
-    value: int | None  # None means every tested degree vanished
+    __slots__ = (
+        "cutoff",
+        "value",  # None means every tested degree vanished
+    )
+
+    def __init__(self, cutoff, value):
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "value", value)
 
     @property
     def label(self):

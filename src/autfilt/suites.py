@@ -13,24 +13,24 @@ function takes, of its defaults' types, at least their least values
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import autf, bnscert, commgraph, exactlin, magnus
 
 SCHEMA_VERSION = "1"
 
-@dataclass
-class SuiteRecord:
-    claim: str
-    status: str  # PASS | FAIL | INCONCLUSIVE
-    values: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
+class SuiteRecord(autf.Record):
+    __slots__ = (
+        "claim",
+        "status",  # PASS | FAIL | INCONCLUSIVE
+        "values",
+        "wall_time_s",
+    )
+    _defaults = {"values": dict, "wall_time_s": 0.0}
 
     def to_json_obj(self):
         return {
@@ -41,11 +41,8 @@ class SuiteRecord:
         }
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    params: dict
-    records: list
+class SuiteReport(autf.Record):
+    __slots__ = ("suite", "params", "records")
 
     @property
     def status(self):
@@ -589,11 +586,10 @@ def parameters(suite, given=None):
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    defaults = {
-        name: p.default
-        for name, p in inspect.signature(_SUITES[suite]).parameters.items()
-        if name != "rec"
-    }
+    fn = _SUITES[suite]
+    # every parameter after the recorder has a default
+    names = fn.__code__.co_varnames[1:fn.__code__.co_argcount]
+    defaults = dict(zip(names, fn.__defaults__, strict=True))
     resolved = {**defaults, **(given or {})}
     for name, value in resolved.items():
         if name not in defaults:

@@ -156,6 +156,31 @@ def test_sp_orbit_cli_extended_generators(tmp_path):
     assert (values["orbit_span"], values["closed"]) == (20, True)
 
 
+def _word_target_spec(tmp_path, letters):
+    f = tmp_path / "assembly.json"
+    target = {"kind": "word", "letters": letters}
+    f.write_text(json.dumps({"n": 5, "m": 2, "targets": [target]}))
+    return f
+
+
+def test_cert_assemble_takes_a_word_target_at_the_letter_bound(tmp_path, capsys):
+    # C12 conjugated by a word of L34 letters, MAX_TARGET_LETTERS letters in all
+    k = (cli.MAX_TARGET_LETTERS - 2) // 2
+    letters = [["L", 3, 4, -1]] * k + [["R", 1, 2, 1], ["L", 1, 2, -1]] + [["L", 3, 4, 1]] * k
+    assert len(letters) == cli.MAX_TARGET_LETTERS
+    assert cli.main(["cert", "assemble", str(_word_target_spec(tmp_path, letters))]) == 0
+    assert '"valid": true' in capsys.readouterr().out
+
+
+def test_cert_assemble_rejects_a_word_target_over_the_letter_bound(tmp_path, capsys):
+    # assembly and its check grow steeply with the word; the letters are
+    # counted before any is read
+    letters = [["L", 3, 4, 1]] * (cli.MAX_TARGET_LETTERS + 1)
+    f = _word_target_spec(tmp_path, letters)
+    over = f"word target has {cli.MAX_TARGET_LETTERS + 1} letters, over the bound"
+    assert_rejected(capsys, ["cert", "assemble", str(f)], f"{over} MAX_TARGET_LETTERS")
+
+
 def test_cert_assemble_rejects_n_over_the_rank_bound(tmp_path, capsys):
     spec = {"n": autf.MAX_RANK + 1, "m": 2, "targets": []}
     f = tmp_path / "assembly.json"
