@@ -12,8 +12,9 @@ from autfilt import autf, magnus
 
 def row(name, phi, cutoff):
     depth = magnus.johnson_depth(phi, cutoff)
+    label = str(depth) if depth is not None else f">={cutoff}"
     support = ",".join(str(i) for i in sorted(autf.minimal_support(phi)))
-    print(f"{name:22s} depth={depth.label:>4s} support={{{support}}}")
+    print(f"{name:22s} depth={label:>4s} support={{{support}}}")
 
 
 def main():

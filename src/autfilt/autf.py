@@ -41,23 +41,19 @@ def _inverse_letters(letters):
 class Record:
     """Base of the package's plain records.
 
-    A subclass names its fields in __slots__ ("__dict__" there is a slot,
-    not a field) and the defaults of its trailing fields in _defaults, where
-    a callable is a factory called once per record, so each gets a fresh
-    list or dict.  A record is built by position or by keyword, equals a
-    record of its own class with equal fields, and is unhashable, since its
-    fields may be reassigned; FrozenRecord makes it immutable and hashable.
+    A subclass names its fields in __slots__ and the defaults of its
+    trailing fields in _defaults, each one immutable value shared by every
+    record that omits the field.  A record is built by position or by
+    keyword, equals a record of its own class with equal fields, and is
+    unhashable, since its fields may be reassigned; FrozenRecord makes it
+    immutable and hashable.
     """
 
     __slots__ = ()
     _defaults = {}
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
-
     def __init__(self, *args, **kwargs):
-        name, fields = type(self).__name__, self._fields
+        name, fields = type(self).__name__, self.__slots__
         if len(args) > len(fields):
             raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
         values = dict(zip(fields, args))
@@ -69,16 +65,15 @@ class Record:
             if field not in values:
                 if field not in self._defaults:
                     raise TypeError(f"{name} is missing the field {field!r}")
-                default = self._defaults[field]
-                values[field] = default() if callable(default) else default
+                values[field] = self._defaults[field]
             object.__setattr__(self, field, values[field])
 
     def _values(self):
-        return tuple(getattr(self, f) for f in self._fields)
+        return tuple(getattr(self, f) for f in self.__slots__)
 
     def as_dict(self):
         """Field name -> value in field order, as a new dict."""
-        return dict(zip(self._fields, self._values()))
+        return dict(zip(self.__slots__, self._values()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -88,7 +83,7 @@ class Record:
     __hash__ = None
 
     def __repr__(self):
-        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
         return f"{type(self).__name__}({shown})"
 
 

@@ -216,7 +216,6 @@ def _breadth_first(handles):
 
 class AssemblyReport(autf.Record):
     __slots__ = ("vertex_order", "forced_positions")
-    _defaults = {"vertex_order": list, "forced_positions": list}
 
 
 def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
@@ -277,7 +276,8 @@ def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
     elements = []
     chi = []
     witnesses = []
-    report = AssemblyReport()
+    vertex_order = []
+    forced_positions = []
     position_of_vertex = {}
     for position, v in enumerate(order, 1):
         h, forced = vertices[v]
@@ -285,14 +285,14 @@ def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
         if forced is not None:
             g = elements[0].conjugate(forced)
             value = chi[0]
-            report.forced_positions.append(position)
+            forced_positions.append(position)
         else:
             a, b = sorted(h.indices)[:2]
             g = autf.make_magnus_C(a, b, n).conjugate(h.conjugator_automorphism())
             value = chooser_value
         elements.append(g)
         chi.append(Fraction(value))
-        report.vertex_order.append(h.to_json_obj())
+        vertex_order.append(h.to_json_obj())
         if position > 1:
             witnesses.append(Witness(position, position_of_vertex[parent[v]], ()))
 
@@ -304,4 +304,4 @@ def assemble_certificate(n, m, targets, chi_seed=None, chooser_value=1):
         chi.append(Fraction(chi_seed.get(text, 0)))
         witnesses.append(Witness(position, 1, (-1, conj_pos)))
     cert = BnsCertificate(tuple(elements), tuple(chi), tuple(witnesses))
-    return cert, report
+    return cert, AssemblyReport(vertex_order, forced_positions)

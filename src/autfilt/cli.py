@@ -107,11 +107,11 @@ def cmd_depth(args):
         raise ValueError(f"--cutoff {args.cutoff} is {side}: depth takes 2..{MAX_CUTOFF}")
     phi = _load_automorphism(args.file)
     _check_expansion_cost(phi, args.cutoff)
-    report = magnus.johnson_depth(phi, args.cutoff)
+    depth = magnus.johnson_depth(phi, args.cutoff)
     out = {
         "rank": phi.rank,
         "cutoff": args.cutoff,
-        "depth": report.label,
+        "depth": str(depth) if depth is not None else f">={args.cutoff}",
         "is_identity_on_abelianization": autf.is_IA(phi),
         "support": sorted(autf.minimal_support(phi)),
         "complexity": autf.complexity(phi),

@@ -107,8 +107,7 @@ class Space(autf.FrozenRecord):
     the dimension, from its closed form before any label is built, is at
     most MAX_DIMENSION."""
 
-    # __dict__ holds the cached index
-    __slots__ = ("family", "params", "__dict__")
+    __slots__ = ("family", "params")
 
     def __init__(self, family, params):
         object.__setattr__(self, "family", family)
@@ -132,7 +131,7 @@ class Space(autf.FrozenRecord):
         tuple shared by equal spaces."""
         return _labels(self.family, self.params)
 
-    @functools.cached_property
+    @property
     def index(self):
         """label -> its position in labels(), as one dict shared by equal
         spaces."""

@@ -43,7 +43,6 @@ from .exactlin import MkSpace, TensorVector
 __all__ = [
     "TruncatedSeries",
     "magnus_expand",
-    "DepthReport",
     "DepthError",
     "johnson_depth",
     "johnson_image",
@@ -205,26 +204,6 @@ def magnus_expand(w, cutoff):
     return TruncatedSeries(w.rank, cutoff, coeffs)
 
 
-class DepthReport(FrozenRecord):
-    """Filtration depth bounded by a cutoff: an exact value or 'at least'."""
-
-    __slots__ = (
-        "cutoff",
-        "value",  # None means every tested degree vanished
-    )
-
-    def __init__(self, cutoff, value):
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "value", value)
-
-    @property
-    def label(self):
-        return str(self.value) if self.value is not None else f">={self.cutoff}"
-
-    def __str__(self):
-        return self.label
-
-
 class DepthError(ValueError):
     """A required vanishing degree fails; carries the offending data."""
 
@@ -253,8 +232,8 @@ def _deviation_series(phi, i, cutoff):
 def johnson_depth(phi, cutoff):
     """Largest k < cutoff with all deviation terms vanishing in degrees 1..k.
 
-    Returns DepthReport(cutoff, None) when every tested degree vanishes,
-    which is reported as ">=cutoff".  Depth 0 means phi moves the
+    Returns None when every tested degree vanishes, which is reported as
+    ">=cutoff".  Depth 0 means phi moves the
     abelianization, i.e. phi is not IA.  A degree vanishes exactly when
     its packed block is 0 (see _packed), so nothing is decoded.  Whether
     a degree's block is 0 does not depend on the cutoff, so each later
@@ -271,7 +250,7 @@ def johnson_depth(phi, cutoff):
         if packed is not None:
             blocks = packed[2]
             lowest = next((d for d in range(1, lowest) if blocks[d]), lowest)
-    return DepthReport(cutoff, lowest - 1 if lowest <= cutoff else None)
+    return lowest - 1 if lowest <= cutoff else None
 
 
 def johnson_image(phi, k):

@@ -234,7 +234,7 @@ def johnson_depth_by_expansion(phi, cutoff):
         s = _deviation_expansion(phi, i, cutoff)
         if s is not None and _lowest_degree(s) is not None:
             lows.append(_lowest_degree(s))
-    return magnus.DepthReport(cutoff, min(lows) - 1 if lows else None)
+    return min(lows) - 1 if lows else None
 
 
 def johnson_image_by_expansion(phi, k):
@@ -663,8 +663,8 @@ def breadth_first_by_adjacency(handles):
 def has_depth_at_least(phi, k, cutoff):
     """johnson_depth(phi, cutoff) is at least k, or no degree below the
     cutoff deviates."""
-    value = magnus.johnson_depth(phi, cutoff).value
-    return value is None or value >= k
+    depth = magnus.johnson_depth(phi, cutoff)
+    return depth is None or depth >= k
 
 
 def dual_components(vec):
