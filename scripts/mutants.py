@@ -217,6 +217,43 @@ MUTANTS = [
         ["tests/test_records.py::test_import_loads_neither_dataclasses_nor_inspect"],
     ),
     (
+        # the witness words are read back with no bound on their entries
+        "witness-entries-uncounted",
+        "src/autfilt/bnscert.py",
+        "        if entries > MAX_WITNESS_ENTRIES:\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_cert_check_rejects_witness_words_over_the_entry_bound"],
+    ),
+    (
+        "inverse-check-letters-uncounted",
+        "src/autfilt/autf.py",
+        "        if built > MAX_CHECK_LETTERS:\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_cert_check_rejects_an_inverse_check_over_the_letter_bound"],
+    ),
+    (
+        # M(1, 2, 2) then assembles the identity as a valid target
+        "cm-target-args-not-distinct",
+        "src/autfilt/cli.py",
+        "if len(set(args)) != arity or not all(1 <= a <= n for a in args):",
+        "if not all(1 <= a <= n for a in args):",
+        [
+            "tests/test_cli.py::"
+            "test_cert_assemble_rejects_c_and_m_args_that_are_not_distinct_indices",
+        ],
+    ),
+    (
+        # depth is the last vanishing degree, one below the lowest nonzero one
+        "depth-is-lowest-nonzero-degree",
+        "src/autfilt/magnus.py",
+        "    return lowest - 1 if lowest <= cutoff else None\n",
+        "    return lowest if lowest <= cutoff else None\n",
+        [
+            "tests/test_magnus.py::test_depth_conjugation_generator",
+            "tests/test_magnus.py::test_depth_matches_full_cutoff_expansion_per_index",
+        ],
+    ),
+    (
         "record-eq-skips-last-field",
         "src/autfilt/autf.py",
         "        return self._values() == other._values()\n",

@@ -541,6 +541,15 @@ MAX_RANK = 1000
 # 6.1 s at 10^6 letters (2-vCPU host, Python 3.11).
 MAX_LETTERS = 100_000
 
+# The most letters the inverse-witness check of an automorphism read with
+# an inverse text may build: for each letter of an inverse image, the
+# length of the image it names, and the same the other way round, counted
+# before the check.  The check ran at about 16 million letters a second:
+# 0.81 s at 13.5 million and 6.7 s at 113 million; the largest certificate
+# element `cert assemble` writes at its letter bound needs 10.0 million
+# (2-vCPU host, Python 3.11).
+MAX_CHECK_LETTERS = 20_000_000
+
 
 def format_word(w):
     return w.tokens() if w.letters else "1"
@@ -606,6 +615,18 @@ def _parse_images(text):
     return rank, tuple(images)
 
 
+def _check_letters(images, inverse_images):
+    """Letters the inverse-witness check substitutes, before any reduction:
+    each image into the inverse images and each inverse image into the
+    images."""
+    return sum(
+        len(outer[i - 1].letters)
+        for outer, inner in ((images, inverse_images), (inverse_images, images))
+        for w in inner
+        for i, _ in w.letters
+    )
+
+
 def parse_automorphism(text, inverse_text=None):
     """Parse the `rank=n; x1 -> ...` format, reducing unreduced input.
 
@@ -620,6 +641,12 @@ def parse_automorphism(text, inverse_text=None):
         inv_rank, inv_images = _parse_images(inverse_text)
         if inv_rank != rank:
             raise ValueError("inverse text has a different rank")
+        built = _check_letters(images, inv_images)
+        if built > MAX_CHECK_LETTERS:
+            raise ValueError(
+                f"the inverse-witness check would build {built} letters, over "
+                f"the bound MAX_CHECK_LETTERS = {MAX_CHECK_LETTERS}"
+            )
         return FreeAutomorphism(rank, images, inv_images)
     moved = [i for i, w in enumerate(images, 1) if w.letters != ((i, 1),)]
     if not moved:

@@ -31,6 +31,14 @@ SCOPE_NOTE = (
     "generation of that subgroup by the list holds by definition"
 )
 
+# The most entries the witness words of a certificate read from JSON may
+# hold, all words together, counted before any element is composed.  The
+# check of a word grows with the square of its length: one word of 1,000
+# or 2,000 entries on the assembled C12 certificate (n = 5, m = 2) took
+# 0.42 or 1.3 s in `cert check` (2-vCPU host, Python 3.11).  The
+# assembler writes 2 entries per target.
+MAX_WITNESS_ENTRIES = 1_000
+
 
 class Witness(autf.FrozenRecord):
     __slots__ = (
@@ -85,10 +93,6 @@ class BnsCertificate(autf.FrozenRecord):
             )
         if not all(isinstance(t, str) for t in texts + (inverses or [])):
             raise ValueError("certificate elements and inverses must be strings")
-        elements = tuple(
-            autf.parse_automorphism(t, inverse_text=inv)
-            for t, inv in zip(texts, inverses or [None] * len(texts))
-        )
         witnesses = []
         for row in rows:
             i, j, word = autf.json_fields(row, ("i", "j", "word"), "witness")
@@ -97,6 +101,16 @@ class BnsCertificate(autf.FrozenRecord):
             ):
                 raise ValueError(f"witness {row!r} needs integer i, j and a word list")
             witnesses.append(Witness(i, j, tuple(word)))
+        entries = sum(len(w.word) for w in witnesses)
+        if entries > MAX_WITNESS_ENTRIES:
+            raise ValueError(
+                f"certificate witness words hold {entries} entries, over the "
+                f"bound MAX_WITNESS_ENTRIES = {MAX_WITNESS_ENTRIES}"
+            )
+        elements = tuple(
+            autf.parse_automorphism(t, inverse_text=inv)
+            for t, inv in zip(texts, inverses or [None] * len(texts))
+        )
         chi = tuple(autf.json_fraction(c, "certificate 'chi' entry") for c in chi)
         return cls(elements, chi, tuple(witnesses))
 

@@ -138,13 +138,13 @@ def _is_int_list(value):
 
 
 # The most letters of a word target, checked before any letter is read.
-# Path vertices are tested for commutation in frames whose conjugators
-# grow with the word, and assembly time grows exponentially in the worst
-# case: C12 conjugated by alternating R13, R31 letters assembled in 0.45 s
-# at 14 letters, 2.4 s at 16 and 16.6 s (227 MB) at 18, while 20 random
-# conjugators per length assembled in at most 0.6 s up to 24 letters
-# (n = 5, m = 2; 2-vCPU host, Python 3.11).
-MAX_TARGET_LETTERS = 16
+# Assembly and the check that follows it grow exponentially with the word
+# in the worst case: for C12 conjugated by alternating R13, R31 letters the
+# command took 0.81 s at 10 letters (0.05 s assembling, 0.65 s checking)
+# and 17.6 s at 12, while the slowest of 20 random conjugators took 0.17 s
+# at 10 and 0.20 s at 12 (fresh processes, n = 5, m = 2; 2-vCPU host,
+# Python 3.11).
+MAX_TARGET_LETTERS = 10
 
 
 def _target_from_spec(spec, n):
@@ -156,6 +156,10 @@ def _target_from_spec(spec, n):
         arity = 2 if kind == "C" else 3
         ok = _is_int_list(args) and len(args) == arity
         _require(ok, "args", f"a list of {arity} integers", args)
+        if len(set(args)) != arity or not all(1 <= a <= n for a in args):
+            raise ValueError(
+                f"{kind} target args {args} must be {arity} distinct indices in 1..{n}"
+            )
         make = autf.c_nielsen_word if kind == "C" else autf.m_nielsen_word
         word, label = make(*args), kind + "".join(map(str, args))
     elif kind == "word":
@@ -190,6 +194,12 @@ def _assemble(spec):
     if n > autf.MAX_RANK:
         raise ValueError(f"assembly n={n} is over the bound MAX_RANK = {autf.MAX_RANK}")
     _require(isinstance(targets, list), "targets", "a list", targets)
+    # each target's witness has 2 entries, and `cert check` reads them back
+    if 2 * len(targets) > bnscert.MAX_WITNESS_ENTRIES:
+        raise ValueError(
+            f"assembly spec has {len(targets)} targets, over the bound "
+            f"MAX_WITNESS_ENTRIES / 2 = {bnscert.MAX_WITNESS_ENTRIES // 2}"
+        )
     chi_seed = spec.get("chi_seed", {})
     _require(isinstance(chi_seed, dict), "chi_seed", "an object", chi_seed)
     chi_seed = {

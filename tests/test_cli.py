@@ -1,9 +1,10 @@
 import json
+import math
 import re
 
 import pytest
 
-from autfilt import autf, cli, commgraph, suites
+from autfilt import autf, bnscert, cli, commgraph, suites
 
 
 def assert_rejected(capsys, argv, match):
@@ -53,6 +54,18 @@ def test_depth_command_named_generator(tmp_path, capsys):
     assert data["depth"] == "1"
     assert data["is_identity_on_abelianization"] is True
     assert data["complexity"] == 2
+
+
+@pytest.mark.parametrize(
+    "phi, depth",
+    [(autf.identity_automorphism(3), ">=6"), (autf.make_magnus_C(1, 2, 3), "1")],
+    ids=["identity", "C12"],
+)
+def test_depth_command_prints_the_depth_or_at_least_the_cutoff(tmp_path, capsys, phi, depth):
+    f = tmp_path / "auto.txt"
+    f.write_text(autf.format_automorphism(phi) + "\n")
+    assert cli.main(["depth", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["depth"] == depth
 
 
 def test_depth_command_with_inverse_line(tmp_path, capsys):
@@ -128,8 +141,6 @@ def test_cert_assemble_accepts_repeated_labels(tmp_path, capsys):
 
 
 def test_cert_check_rejects_corrupted(tmp_path, capsys):
-    from autfilt import bnscert
-
     cert, _ = bnscert.assemble_certificate(5, 2, [("C12", autf.c_nielsen_word(1, 2))])
     data = json.loads(cert.to_json())
     data["chi"][0] = "0"
@@ -179,6 +190,74 @@ def test_cert_assemble_rejects_a_word_target_over_the_letter_bound(tmp_path, cap
     f = _word_target_spec(tmp_path, letters)
     over = f"word target has {cli.MAX_TARGET_LETTERS + 1} letters, over the bound"
     assert_rejected(capsys, ["cert", "assemble", str(f)], f"{over} MAX_TARGET_LETTERS")
+
+
+def test_worst_word_target_at_the_letter_bound_reads_back(tmp_path):
+    # C12 conjugated by alternating R13, R31 letters grows its elements
+    # fastest; every element of its certificate must pass the letter
+    # bounds of `cert check`, which are counted without any check run
+    k = (cli.MAX_TARGET_LETTERS - 2) // 2
+    g = [["R", 1, 3, 1], ["R", 3, 1, 1]] * (k // 2) + [["R", 1, 3, 1]] * (k % 2)
+    inverse = [[s, i, j, -e] for s, i, j, e in reversed(g)]
+    letters = inverse + [["R", 1, 2, 1], ["L", 1, 2, -1]] + g
+    assert len(letters) == cli.MAX_TARGET_LETTERS
+    cert, _ = cli._assemble(json.loads(_word_target_spec(tmp_path, letters).read_text()))
+    for x in cert.elements:
+        for images in (x.images, x.inverse_images):
+            assert sum(len(w.letters) for w in images) <= autf.MAX_LETTERS
+        assert autf._check_letters(x.images, x.inverse_images) <= autf.MAX_CHECK_LETTERS
+    assert sum(len(w.word) for w in cert.witnesses) <= bnscert.MAX_WITNESS_ENTRIES
+
+
+@pytest.mark.parametrize(
+    "kind, args",
+    [("M", [1, 2, 2]), ("C", [3, 3]), ("C", [0, 1]), ("M", [1, 2, 6])],
+    ids=["M-repeated", "C-repeated", "C-index-0", "M-index-over-n"],
+)
+def test_cert_assemble_rejects_c_and_m_args_that_are_not_distinct_indices(
+    tmp_path, capsys, kind, args
+):
+    # M(1, 2, 2) is the identity and assembled as "valid"; C(3, 3) was
+    # rejected naming the Nielsen letter ('R', 3, 3, 1)
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps({"n": 5, "m": 2, "targets": [{"kind": kind, "args": args}]}))
+    arity = len(args)
+    match = rf"{kind} target args \[{', '.join(map(str, args))}\] must be {arity} distinct"
+    assert_rejected(capsys, ["cert", "assemble", str(f)], match + r" indices in 1\.\.5")
+
+
+def test_cert_assemble_rejects_more_targets_than_cert_check_reads(tmp_path, capsys):
+    # each target adds a 2-entry witness word
+    over = bnscert.MAX_WITNESS_ENTRIES // 2 + 1
+    f = tmp_path / "assembly.json"
+    f.write_text(json.dumps({"n": 5, "m": 2, "targets": [{"kind": "C", "args": [1, 2]}] * over}))
+    assert_rejected(capsys, ["cert", "assemble", str(f)], f"has {over} targets, over the bound")
+
+
+def test_cert_check_rejects_witness_words_over_the_entry_bound(tmp_path, capsys):
+    # the check of a witness word grows with the square of its length
+    cert, _ = bnscert.assemble_certificate(5, 2, [("C12", autf.c_nielsen_word(1, 2))])
+    data = json.loads(cert.to_json())
+    data["witnesses"][-1]["word"] = [1] * (bnscert.MAX_WITNESS_ENTRIES + 1)
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(data))
+    entries = sum(len(w["word"]) for w in data["witnesses"])
+    match = f"hold {entries} entries, over the bound MAX_WITNESS_ENTRIES"
+    assert_rejected(capsys, ["cert", "check", str(f)], match)
+
+
+def test_cert_check_rejects_an_inverse_check_over_the_letter_bound(tmp_path, capsys):
+    # x1 -> x2^k with the wrong inverse x2 -> x1^k: k letters each name an
+    # image of k letters, both ways round, from about 4k letters of text
+    k = math.isqrt(autf.MAX_CHECK_LETTERS // 2) + 1
+    element = f"rank=2; x1 -> {' '.join(['x2'] * k)}"
+    inverse = f"rank=2; x2 -> {' '.join(['x1'] * k)}"
+    data = {"elements": [element], "inverses": [inverse], "chi": ["1"], "witnesses": []}
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(data))
+    built = 2 * k * k + 2 * k
+    match = f"would build {built} letters, over the bound MAX_CHECK_LETTERS"
+    assert_rejected(capsys, ["cert", "check", str(f)], match)
 
 
 def test_cert_assemble_rejects_n_over_the_rank_bound(tmp_path, capsys):
